@@ -20,7 +20,6 @@ to one scalar and no permutation.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,21 +30,11 @@ import numpy as np
 from .fields import CC, Domain, GF, PrimeField, QQ
 from .heisenberg import REPS, idx2, neg2, rep_of
 from .linalg import (Matrix, ShapeError, eval_poly_mod_p, fit_hypersurface,
-                     nullspace, proj_points_mod_p, sub_pfaffian_kernel)
-from .poly import SparsePoly, exponents_of_degree
+                     nullspace, proj_points_mod_p, proj_ratio, sub_pfaffian_kernel)
+from .poly import SparsePoly, aligned_coefficients, exponents_of_degree
+from .symplectic import ResourceCapError, check_enum_cap
 
 D_SCALE = (1, 2, 2, 2, 2)
-
-ENUM_CAP_ENV = "WEDDLE_ENUM_CAP"
-DEFAULT_ENUM_CAP = 10 ** 6
-
-
-def enum_cap() -> int:
-    return int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
-
-
-class ResourceCapError(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -166,28 +155,17 @@ def steinerian_plus(y, domain: Domain = None):
     """Kernel of the symmetric matrix evaluated at y in plus coordinates.
 
     Returns ("kernel", r) at corank 1, ("rank", rk) otherwise; generic
-    points are full rank (not on the degeneracy hypersurface)."""
+    points are full rank (not on the degeneracy hypersurface).  Without a
+    domain, y is taken as complex and the kernel is the SVD kernel."""
+    if domain is None:
+        domain, y = CC, [complex(x) for x in y]
     M = matrix_plus()
-    if domain is not None:
-        vals = [[_eval_int_poly(M.rows[i][j], y, domain) for j in range(5)]
-                for i in range(5)]
-        basis = nullspace(vals, domain)
-        if len(basis) == 0:
-            return ("rank", 5)
-        if len(basis) == 1:
-            return ("kernel", basis[0])
-        return ("rank", 5 - len(basis))
-    # floating path
-    yc = [complex(x) for x in y]
-    arr = np.array([[complex(_eval_int_poly(M.rows[i][j], yc, CC))
-                     for j in range(5)] for i in range(5)])
-    _, s, vh = np.linalg.svd(arr)
-    corank = int(np.sum(s < 1e-8 * s[0]))
-    if corank == 0:
-        return ("rank", 5)
-    if corank == 1:
-        return ("kernel", list(np.conj(vh[-1])))
-    return ("rank", 5 - corank)
+    vals = [[_eval_int_poly(M.rows[i][j], y, domain) for j in range(5)]
+            for i in range(5)]
+    basis = nullspace(vals, domain)
+    if len(basis) == 1:
+        return ("kernel", basis[0])
+    return ("rank", 5 - len(basis))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +301,7 @@ def hessian_match(B: SparsePoly):
         for signbits in product((1, -1), repeat=4):
             signs = (1,) + signbits
             cand = _transform_monomial_matrix(M, perm, signs)
-            c = _matrix_ratio(H, cand)
+            c = matrix_ratio(H, cand)
             if c is not None:
                 matches.append(HessianMatch(c, perm, signs))
     return matches
@@ -354,24 +332,10 @@ def _transform_monomial_matrix(M: Matrix, perm, signs):
     return Matrix(out)
 
 
-def _matrix_ratio(A: Matrix, B: Matrix):
-    ratio = None
-    for i in range(5):
-        for j in range(5):
-            a, b = A.rows[i][j], B.rows[i][j]
-            if a.is_zero() != b.is_zero():
-                return None
-            if a.is_zero():
-                continue
-            if set(a.terms) != set(b.terms):
-                return None
-            for e in a.terms:
-                r = Fraction(a.terms[e]) / Fraction(b.terms[e])
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    return None
-    return ratio
+def matrix_ratio(A: Matrix, B: Matrix):
+    """The rational c with A = c B for matrices of polynomials, or None."""
+    return proj_ratio(*aligned_coefficients([x for r in A.rows for x in r],
+                                            [x for r in B.rows for x in r]), QQ)
 
 
 def hessian_determinant_degree(B: SparsePoly) -> int:
@@ -394,10 +358,7 @@ def count_fibers_ff(p: int):
     over P^3(F_p), plus the count of rational base points."""
     if p % 3 != 1 or p > 200:
         raise ShapeError("need a prime p = 1 mod 3, p <= 200")
-    n_states = p ** 3 + p ** 2 + p + 1
-    if n_states > enum_cap():
-        raise ResourceCapError("enumeration of %d states exceeds cap %d "
-                               "(override with %s)" % (n_states, enum_cap(), ENUM_CAP_ENV))
+    check_enum_cap(p ** 3 + p ** 2 + p + 1)
     pts = proj_points_mod_p(p, 3)
     vals = _eval_quartics_mod_p(pts, p)
     base_mask = np.all(vals == 0, axis=1)
@@ -422,10 +383,7 @@ def count_base_locus_ff(p: int, k: int = 1) -> int:
     """Rational points of the base locus of the five quartics over F_{p^k}."""
     if p % 3 != 1 or p > 200 or k not in (1, 2):
         raise ShapeError("need p = 1 mod 3, p <= 200, k in {1, 2}")
-    n_states = sum(p ** (k * d) for d in range(4))
-    if n_states > enum_cap():
-        raise ResourceCapError("enumeration of %d states exceeds cap %d "
-                               "(override with %s)" % (n_states, enum_cap(), ENUM_CAP_ENV))
+    check_enum_cap(sum(p ** (k * d) for d in range(4)))
     if k == 1:
         pts = proj_points_mod_p(p, 3)
         vals = _eval_quartics_mod_p(pts, p)

@@ -3,7 +3,7 @@
 Verbs cover the group-theoretic queries, the Heisenberg verification
 block, the quartic-threefold constructions, the theta-side surfaces and
 the curve-side surfaces, plus `run` for the full reproducible check suite.
-Exit codes: 0 ok, 1 check failure, 2 configuration error.
+Exit codes: 0 ok, 1 check failure, 2 configuration error or resource cap.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import argparse
 import json
 import random
 import sys
+
+from .symplectic import ResourceCapError
 
 
 def _parse_matrix(path: str):
@@ -313,6 +315,9 @@ def main(argv=None) -> int:
         raise
     except (ValueError, OSError) as exc:
         sys.stderr.write("config error: %s\n" % exc)
+        return 2
+    except ResourceCapError as exc:
+        sys.stderr.write("resource cap: %s\n" % exc)
         return 2
 
 

@@ -11,13 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .fields import CC, ComplexField, Domain, PrimeField
-from .linalg import (FitResult, fit_hypersurface, nullspace,
-                     nullspace_complex, rank)
-from .poly import SparsePoly, exponents_of_degree
+from .fields import ComplexField, Domain, PrimeField
+from .linalg import (FitResult, chordal_distance, fit_hypersurface, nullspace,
+                     proj_ratio, rank)
+from .poly import SparsePoly, aligned_coefficients, exponents_of_degree
+
+# the ten splits of six nodes into two complementary triples
+TRIPLE_SPLITS = tuple((tri, tuple(i for i in range(6) if i not in tri))
+                      for tri in combinations(range(6), 3) if 0 in tri)
 
 
 class ChartError(ValueError):
@@ -210,11 +215,6 @@ def sample_secant_points(curve: GenusTwoCurve, rng, count: int):
 
 
 def plane_through(points, domain: Domain):
-    if domain is CC or isinstance(domain, ComplexField):
-        basis, _ = nullspace_complex(np.array([[complex(x) for x in p] for p in points]))
-        if len(basis) != 1:
-            raise ValueError("points do not span a plane")
-        return list(basis[0])
     basis = nullspace([list(p) for p in points], domain)
     if len(basis) != 1:
         raise ValueError("points do not span a plane")
@@ -222,11 +222,6 @@ def plane_through(points, domain: Domain):
 
 
 def line_from_planes(n1, n2, domain: Domain):
-    if domain is CC or isinstance(domain, ComplexField):
-        basis, _ = nullspace_complex(np.array([n1, n2], dtype=complex))
-        if len(basis) != 2:
-            raise ValueError("planes do not meet in a line")
-        return list(basis[0]), list(basis[1])
     basis = nullspace([list(n1), list(n2)], domain)
     if len(basis) != 2:
         raise ValueError("planes do not meet in a line")
@@ -248,17 +243,17 @@ def restrict_to_line(form: SparsePoly, u, v, domain: Domain) -> SparsePoly:
 
 def line_in_hypersurface(form: SparsePoly, u, v, domain: Domain,
                          tol: float = 1e-6):
-    """Exact for exact domains; relative coefficient bound for floats."""
-    restricted = restrict_to_line(form, u, v, domain)
+    """Exact for exact domains.  For floats, u and v are scaled to max-abs 1
+    and the restricted coefficients are bounded relative to 16 |form|."""
     if domain.is_exact:
-        return restricted.is_zero(), 0.0
+        return restrict_to_line(form, u, v, domain).is_zero(), 0.0
+    u = np.asarray(u, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    restricted = restrict_to_line(form, u / np.abs(u).max(), v / np.abs(v).max(), domain)
     if restricted.is_zero():
         return True, 0.0
     fn = math.sqrt(sum(abs(complex(c)) ** 2 for c in form.terms.values()))
-    un = max(abs(complex(x)) for x in u)
-    vn = max(abs(complex(x)) for x in v)
-    scale = fn * max(un, vn) ** form.total_degree() * 16
-    worst = max(abs(complex(c)) for c in restricted.terms.values()) / scale
+    worst = max(abs(complex(c)) for c in restricted.terms.values()) / (16 * fn)
     return worst < tol, worst
 
 
@@ -278,19 +273,10 @@ class WeddleCurveReport:
 
 
 def ten_triple_lines(nodes, domain: Domain):
-    from itertools import combinations
-    out = []
-    seen = set()
-    for tri in combinations(range(6), 3):
-        comp = tuple(sorted(set(range(6)) - set(tri)))
-        key = min(tri, comp)
-        if key in seen:
-            continue
-        seen.add(key)
-        n1 = plane_through([nodes[i] for i in tri], domain)
-        n2 = plane_through([nodes[i] for i in comp], domain)
-        out.append(line_from_planes(n1, n2, domain))
-    return out
+    """The planes through complementary node triples meet in ten lines."""
+    return [line_from_planes(plane_through([nodes[i] for i in tri], domain),
+                             plane_through([nodes[i] for i in comp], domain), domain)
+            for tri, comp in TRIPLE_SPLITS]
 
 
 def fifteen_node_lines(nodes):
@@ -325,45 +311,27 @@ def weddle_prime_fit(curve: GenusTwoCurve, rng, samples: int = 70) -> WeddleCurv
                 singular &= abs(complex(val)) < 1e-5
     lines = fifteen_node_lines(nodes) + ten_triple_lines(nodes, domain)
     line_results = [line_in_hypersurface(W, u, v, domain) for u, v in lines]
-    rig_nullity, rig_match = _rigidity(lines, W, domain)
+    rig_nullity, G = _rigidity(lines, domain)
+    rig_match = G is not None and _same_point(*aligned_coefficients([G], [W]),
+                                              domain, 1e-6)
     return WeddleCurveReport(W, nodes, len(fit.forms), singular, line_results,
                              rig_nullity, rig_match)
 
 
-def _rigidity(lines, W: SparsePoly, domain: Domain, points_per_line: int = 5):
-    """Quartics through all the given lines: dimension and agreement."""
+def _rigidity(lines, domain: Domain, points_per_line: int = 5):
+    """Quartics through all the given lines: (dimension, the quartic when
+    it is unique else None).  Floating sample points are scaled to max-abs 1."""
     pts = []
     for u, v in lines:
         for k in range(points_per_line):
-            t = domain.from_int(k + 1) if domain.is_exact else (k + 1.0)
+            t = domain.from_int(k + 1)
             pt = [a + t * b for a, b in zip(u, v)]
+            if not domain.is_exact:
+                top = max(abs(x) for x in pt)
+                pt = [x / top for x in pt]
             pts.append(pt)
     fit = fit_hypersurface(pts, 4, domain)
-    if len(fit.forms) != 1:
-        return len(fit.forms), False
-    G = fit.forms[0]
-    if domain.is_exact:
-        ratio = None
-        agree = True
-        for e in set(G.terms) | set(W.terms):
-            a, b = G.terms.get(e), W.terms.get(e)
-            if (a is None) != (b is None):
-                agree = False
-                break
-            if a is None:
-                continue
-            r = a / b
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                agree = False
-                break
-        return 1, agree
-    exps = exponents_of_degree(4, 4)
-    from .linalg import chordal_distance
-    a = np.array([complex(G.terms.get(e, 0j)) for e in exps])
-    b = np.array([complex(W.terms.get(e, 0j)) for e in exps])
-    return 1, chordal_distance(a, b) < 1e-6
+    return len(fit.forms), (fit.forms[0] if len(fit.forms) == 1 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +447,7 @@ def kummer_fit(curve: GenusTwoCurve, rng, samples: int = 90) -> KummerReport:
                    for i in range(6)]
     more = [phi(quadrics, weierstrass_tangent_sample(curve, 0, t), domain)
             for t in (2, 3)]
-    origin_consistent = all(_proj_eq(origin_imgs[0], img, domain)
+    origin_consistent = all(_same_point(origin_imgs[0], img, domain)
                             for img in origin_imgs[1:] + more)
     nodes.append(origin_imgs[0])
     distinct = _all_distinct(nodes, domain)
@@ -505,23 +473,17 @@ def _rand_param(rng, domain: Domain):
     return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
 
 
-def _proj_eq(u, v, domain: Domain, tol: float = 1e-8) -> bool:
+def _same_point(u, v, domain: Domain, tol: float = 1e-8) -> bool:
+    """Projective equality: exact by proj_ratio, floating by chordal distance."""
     if domain.is_exact:
-        iu = next(i for i, x in enumerate(u) if not domain.is_zero(x))
-        iv = next(i for i, x in enumerate(v) if not domain.is_zero(x))
-        if iu != iv:
-            return False
-        su, sv = domain.one() / u[iu], domain.one() / v[iv]
-        return all(domain.is_zero(a * su - b * sv) for a, b in zip(u, v))
-    from .linalg import chordal_distance
-    return chordal_distance([complex(x) for x in u],
-                            [complex(x) for x in v]) < tol
+        return proj_ratio(u, v, domain) is not None
+    return chordal_distance([complex(x) for x in u], [complex(x) for x in v]) < tol
 
 
 def _all_distinct(points, domain: Domain) -> bool:
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            if _proj_eq(points[i], points[j], domain):
+            if _same_point(points[i], points[j], domain):
                 return False
     return True
 
@@ -543,8 +505,8 @@ def phi_constant_on_secant(curve: GenusTwoCurve, rng, trials: int = 10) -> bool:
                 imgs.append(phi(quadrics, v, domain))
             except BaseLocusPoint:
                 break
-        if len(imgs) == 3 and not (_proj_eq(imgs[0], imgs[1], domain)
-                                   and _proj_eq(imgs[0], imgs[2], domain)):
+        if len(imgs) == 3 and not (_same_point(imgs[0], imgs[1], domain)
+                                   and _same_point(imgs[0], imgs[2], domain)):
             return False
     return True
 
@@ -602,7 +564,7 @@ def sec_octic(curve: GenusTwoCurve, rng, samples: int = 620,
     if weddle is None:
         weddle = weddle_prime_fit(curve, rng).quartic
     wsq = weddle * weddle
-    is_square = _proportional(restricted, wsq, domain)
+    is_square = _same_point(*aligned_coefficients([restricted], [wsq]), domain)
     # the singular locus contains the curve
     grads = [F.partial(i) for i in range(5)]
     curve_sing = True
@@ -615,26 +577,6 @@ def sec_octic(curve: GenusTwoCurve, rng, samples: int = 620,
             else:
                 curve_sing &= abs(complex(val)) < 1e-5
     return SecantOcticReport(F, len(fit.forms), is_square, fresh_ok, curve_sing)
-
-
-def _proportional(A: SparsePoly, B: SparsePoly, domain: Domain,
-                  tol: float = 1e-8) -> bool:
-    if domain.is_exact:
-        if set(A.terms) != set(B.terms):
-            return False
-        ratio = None
-        for e in A.terms:
-            r = A.terms[e] / B.terms[e]
-            if ratio is None:
-                ratio = r
-            elif not domain.is_zero(r - ratio):
-                return False
-        return True
-    exps = sorted(set(A.terms) | set(B.terms))
-    from .linalg import chordal_distance
-    a = np.array([complex(A.terms.get(e, 0j)) for e in exps])
-    b = np.array([complex(B.terms.get(e, 0j)) for e in exps])
-    return chordal_distance(a, b) < tol
 
 
 def hyperplane_section_degree(curve: GenusTwoCurve, rng, trials: int = 5):

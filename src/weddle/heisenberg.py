@@ -482,24 +482,6 @@ def block_split(T: Matrix):
     return plus, minus, off_zero
 
 
-def proportional_matrices(A: Matrix, B: Matrix):
-    """Exact projective equality; returns the ratio or None."""
-    ratio = None
-    for i in range(A.nrows):
-        for j in range(A.ncols):
-            a, b = A.rows[i][j], B.rows[i][j]
-            az, bz = a == Cyc(0), b == Cyc(0)
-            if az != bz:
-                return None
-            if not az:
-                r = a / b
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    return None
-    return ratio
-
-
 # small verified generating set of Sp(4, F3), used wherever a run over
 # "the standard generators" is required; generation is asserted by BFS
 # closure in the test suite

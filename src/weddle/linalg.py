@@ -220,9 +220,34 @@ def nullspace(m, domain: Domain = None, method="bareiss"):
 
 
 def rank(m, domain: Domain):
+    """Exact rank by elimination; complex matrices count the singular values
+    at or above the default relative threshold of the SVD kernel."""
     rows = m.rows if isinstance(m, Matrix) else m
+    if isinstance(domain, ComplexField):
+        return len(rows[0]) - len(_svd_kernel(rows)[0])
     _, pivots = rref_bareiss(rows, domain)
     return len(pivots)
+
+
+def solve_overdetermined(rows, rhs, domain: Domain):
+    """One solution t of rows . t = rhs for a consistent system.
+
+    Complex systems use least squares; exact ones eliminate and then
+    re-verify every equation exactly."""
+    if isinstance(domain, ComplexField):
+        a = np.array([[complex(x) for x in r] for r in rows])
+        b = np.array([complex(x) for x in rhs])
+        return list(np.linalg.lstsq(a, b, rcond=None)[0])
+    n = len(rows[0])
+    rref, piv = rref_bareiss([list(r) + [v] for r, v in zip(rows, rhs)], domain)
+    if n in piv:
+        raise RuntimeError("right-hand side is not in the column span")
+    sol = [domain.zero()] * n
+    for i, c in enumerate(piv):
+        sol[c] = rref[i][n]
+    if any(not domain.is_zero(_dot(r, sol) - v) for r, v in zip(rows, rhs)):
+        raise RuntimeError("inconsistent solution")
+    return sol
 
 
 def _infer_domain(rows):
@@ -462,19 +487,19 @@ def nullspace_complex(a: np.ndarray, rel_threshold: float = 1e-8):
     """SVD kernel with threshold relative to the top singular value.
 
     Returns (basis_rows, absolute_threshold)."""
+    basis, thr, _ = _svd_kernel(a, rel_threshold)
+    return basis, thr
+
+
+def _svd_kernel(a, rel_threshold: float = 1e-8):
+    """(basis_rows, absolute_threshold, singular_values) of the SVD kernel."""
     a = np.asarray(a, dtype=complex)
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     top = s[0] if s.size else 0.0
     thr = rel_threshold * top if top > 0 else rel_threshold
     # rows of vh are conjugate-transposed right singular vectors
     null_rows = [np.conj(vh[i]) for i in range(a.shape[1]) if i >= s.size or s[i] < thr]
-    return null_rows, thr
-
-
-def smallest_singular_vector(a: np.ndarray):
-    a = np.asarray(a, dtype=complex)
-    _, s, vh = np.linalg.svd(a)
-    return np.conj(vh[-1]), s
+    return null_rows, thr, s
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +571,7 @@ def fit_hypersurface(points, degree: int, domain: Domain,
     if isinstance(domain, ComplexField):
         rows = np.array([monomial_row([complex(x) for x in pt], exps, CC)
                          for pt in points], dtype=complex)
-        _, s, vh = np.linalg.svd(rows, full_matrices=True)
-        top = s[0] if s.size else 0.0
-        thr = rel_threshold * top if top > 0 else rel_threshold
-        basis = [np.conj(vh[i]) for i in range(len(exps)) if i >= s.size or s[i] < thr]
+        basis, thr, s = _svd_kernel(rows, rel_threshold)
         forms = [_vector_to_form(v, exps, domain) for v in basis]
         return FitResult(forms, thr, s)
     rows = [monomial_row([domain.coerce(x) for x in pt], exps, domain) for pt in points]
@@ -578,14 +600,6 @@ def _vector_to_form(vec, exps, domain: Domain):
 # projective comparisons
 
 
-def proj_normalize_exact(v, domain: Domain):
-    piv = next((x for x in v if not domain.is_zero(x)), None)
-    if piv is None:
-        raise ValueError("zero vector is not projective")
-    inv = domain.one() / piv
-    return tuple(x * inv for x in v)
-
-
 def chordal_distance(u, v) -> float:
     """Distance between projective points, phase and scale invariant."""
     u = np.asarray(u, dtype=complex)
@@ -599,5 +613,24 @@ def chordal_distance(u, v) -> float:
     return float(np.linalg.norm(u - phase * v))
 
 
-def proj_equal(u, v, tol: float = 1e-6) -> bool:
-    return chordal_distance(u, v) <= tol
+def proj_ratio(a, b, domain: Domain):
+    """The scalar lam != 0 with a = lam * b entry for entry, or None.
+
+    a and b are equally long coefficient sequences (points, flattened
+    polynomials or matrices) over an exact domain; floating callers compare
+    with chordal_distance instead.  Equal zero patterns are part of the
+    test, so a zero vector on either side gives None."""
+    if not domain.is_exact:
+        raise UnsupportedDomainError("proj_ratio needs an exact domain")
+    lam = None
+    for x, y in zip(a, b, strict=True):
+        if lam is not None:
+            if x != lam * y:
+                return None
+        elif y:
+            lam = domain.coerce(x) / domain.coerce(y)
+            if not lam:
+                return None
+        elif x:
+            return None
+    return lam

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import burkhardt, curves, heisenberg, symplectic, theta
 from .fields import GF, QQ, Cyc, QW
-from .linalg import Matrix, chordal_distance, nullspace
-from .poly import SparsePoly
+from .linalg import Matrix, chordal_distance, nullspace, proj_ratio
+from .poly import aligned_coefficients
 
 SUITES = ("sympchar", "heis", "burk", "theta", "curve", "cross")
 
@@ -202,7 +202,8 @@ def check_heisenberg(ctx: Context) -> CheckRecord:
         TM = heisenberg.intertwiner(M)
         TN = heisenberg.intertwiner(N)
         TMN = heisenberg.intertwiner(M * N)
-        if heisenberg.proportional_matrices(TM.mat_mul(TN), TMN) is None:
+        if proj_ratio([x for r in TM.mat_mul(TN).rows for x in r],
+                      [x for r in TMN.rows for x in r], QW) is None:
             proj_ok = False
             break
     ok = mult_ok and j_ok and dims == (5, 4) and schur_ok and blocks_ok and proj_ok
@@ -226,37 +227,26 @@ def check_skew_kernel(ctx: Context) -> CheckRecord:
     vals = [[Mm.rows[i][j].evaluate([Fraction(1)] * 4) for j in range(5)]
             for i in range(5)]
     basis = nullspace(vals, QQ, method="naive")
-    oracle = (len(basis) == 1
-              and curves._proj_eq(basis[0], r1, QQ))
+    oracle = len(basis) == 1 and proj_ratio(basis[0], r1, QQ) is not None
     from .linalg import adjugate
     adj_ok = True
-    nonzero_lambda = True
     for _ in range(20):
         z = [Fraction(rng.randint(-9, 9)) for _ in range(4)]
         rv = burkhardt.steinerian_minus(z, QQ)
         if rv is None:
             continue
         ev = Matrix([[Mm.rows[i][j].evaluate(z) for j in range(5)] for i in range(5)])
-        adj = adjugate(ev)
-        lam = None
-        for i in range(5):
-            for j2 in range(5):
-                a, b = adj.rows[i][j2], rv[i] * rv[j2]
-                if b != 0:
-                    l2 = Fraction(a) / Fraction(b)
-                    lam = l2 if lam is None else lam
-                    adj_ok &= (l2 == lam)
-                else:
-                    adj_ok &= (a == 0)
-        nonzero_lambda &= (lam is not None and lam != 0)
+        # adj = lam r r^t with lam != 0
+        adj_ok &= proj_ratio([x for r in adjugate(ev).rows for x in r],
+                             [a * b for a in rv for b in rv], QQ) is not None
     indep = _quartics_linearly_independent(quartics)
-    ok = sym_ok and pinned and oracle and adj_ok and nonzero_lambda and indep
+    ok = sym_ok and pinned and oracle and adj_ok and indep
     return CheckRecord("AC05", "skew matrix kernel identity and pinned kernel vector",
                        "pass" if ok else "fail",
                        {"symbolic_kernel_identity": sym_ok,
                         "kernel_at_ones": [str(x / scale) for x in r1],
                         "elimination_oracle_agrees": oracle,
-                        "adjugate_rank_one": adj_ok and nonzero_lambda,
+                        "adjugate_rank_one": adj_ok,
                         "quartics_independent": indep})
 
 
@@ -288,7 +278,7 @@ def check_burkhardt_derivation(ctx: Context) -> CheckRecord:
     for M in heisenberg.standard_sp4_generators():
         forms = heisenberg.upsilon_plus_substitution(M)
         moved = BQW.substitute_linear(forms)
-        if _poly_ratio_qw(moved, BQW) is None:
+        if proj_ratio(*aligned_coefficients([moved], [BQW]), QW) is None:
             inv_ok = False
             break
     ok = dp.nullity == 1 and agree and vanish and inv_ok
@@ -300,19 +290,6 @@ def check_burkhardt_derivation(ctx: Context) -> CheckRecord:
                         "symbolically_certified": True})
 
 
-def _poly_ratio_qw(A: SparsePoly, B: SparsePoly):
-    if set(A.terms) != set(B.terms):
-        return None
-    ratio = None
-    for e in A.terms:
-        r = A.terms[e] / B.terms[e]
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return None
-    return ratio
-
-
 def check_hessian(ctx: Context) -> CheckRecord:
     B = ctx.burkhardt_exact()
     matches = burkhardt.hessian_match(B)
@@ -322,7 +299,7 @@ def check_hessian(ctx: Context) -> CheckRecord:
     # every further match must be a self-symmetry of the quadric matrix
     M = burkhardt.matrix_plus()
     all_symmetries = all(
-        burkhardt._matrix_ratio(burkhardt._transform_monomial_matrix(
+        burkhardt.matrix_ratio(burkhardt._transform_monomial_matrix(
             M, m.permutation, m.signs), M) == 1
         for m in matches)
     deg = burkhardt.hessian_determinant_degree(B)

@@ -9,6 +9,7 @@ entries 0/1, so the induced action is integer arithmetic mod 2.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,7 +23,22 @@ class InvariantViolation(ValueError):
 
 
 class ResourceCapError(RuntimeError):
-    pass
+    """An enumeration would exceed the state cap."""
+
+
+ENUM_CAP_ENV = "WEDDLE_ENUM_CAP"
+DEFAULT_ENUM_CAP = 10 ** 6
+
+
+def enum_cap() -> int:
+    return int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
+
+
+def check_enum_cap(n_states: int) -> None:
+    """Refuse, before it starts, an enumeration of more than enum_cap() states."""
+    if n_states > enum_cap():
+        raise ResourceCapError("enumeration of %d states exceeds cap %d "
+                               "(override with %s)" % (n_states, enum_cap(), ENUM_CAP_ENV))
 
 
 def J_matrix(g: int):
@@ -242,13 +258,16 @@ def gamma_index(g: int, n: int) -> int:
 def sp_group_elements(g: int, n: int):
     """All of Sp(2g, Z/n) by breadth-first closure over transvections.
 
-    Only n in {2, 3} is enumerated; the count is checked against the
-    closed-form order.  Returns a tuple of byte keys (row-major entries).
+    Only n in {2, 3} is enumerated, and only up to enum_cap() elements; the
+    count is checked against the closed-form order.  Returns a tuple of
+    byte keys (row-major entries).
     """
+    order = sp_order_formula(g, n)
     if n not in (2, 3):
         raise ResourceCapError(
             "group enumeration is capped at n in {2, 3}; order for n=%d is %d by formula"
-            % (n, sp_order_formula(g, n)))
+            % (n, order))
+    check_enum_cap(order)
     size = 2 * g
     gens = np.array([[list(r) for r in t.entries] for t in transvection_generators(g, n)],
                     dtype=np.int16)
@@ -265,7 +284,6 @@ def sp_group_elements(g: int, n: int):
         if not new:
             break
         frontier = np.array(new, dtype=np.int16).reshape(-1, size, size)
-    order = sp_order_formula(g, n)
     if len(visited) != order:
         raise AssertionError("BFS closure found %d elements, formula says %d"
                              % (len(visited), order))

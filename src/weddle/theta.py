@@ -21,10 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .burkhardt import matrix_plus, steinerian_quartics
+from .curves import (TRIPLE_SPLITS, _rigidity, fifteen_node_lines,
+                     line_in_hypersurface, ten_triple_lines)
 from .fields import CC
 from .heisenberg import REPS, idx2, neg2
-from .linalg import chordal_distance, fit_hypersurface, nullspace_complex
-from .poly import SparsePoly, exponents_of_degree
+from .linalg import (Matrix, _svd_kernel, chordal_distance, det_ring,
+                     fit_hypersurface, nullspace, nullspace_complex, rank,
+                     solve_overdetermined)
+from .poly import SparsePoly, aligned_coefficients, exponents_of_degree
 from .symplectic import Characteristic, all_characteristics
 
 
@@ -273,13 +277,6 @@ def level3_contract_check(omega: PeriodMatrix, rng, samples: int = 6,
     return report
 
 
-def translated_coords(kappa: Characteristic, z, omega: PeriodMatrix,
-                      tol: float = 1e-12) -> np.ndarray:
-    """X translated by the half period of kappa."""
-    return level3_coords(np.asarray(z, dtype=complex) + halfperiod(kappa, omega),
-                         omega, tol)
-
-
 def plus_coords(vec: np.ndarray) -> np.ndarray:
     """Even components (Y) on the five orbit representatives."""
     out = np.empty(5, dtype=complex)
@@ -456,11 +453,8 @@ def quadric_space_nullity(omega: PeriodMatrix, rng, samples: int = 60,
         x = x / np.abs(x).max()
         powers = {e: np.prod([x[v] ** k for v, k in enumerate(e)]) for e in exps}
         rows.append([powers[e] for e in exps])
-    a = np.array(rows)
-    _, s, _ = np.linalg.svd(a)
-    thr = rel_threshold * s[0]
-    nullity = int((s < thr).sum()) + max(0, 45 - len(s))
-    return nullity, s
+    basis, _, s = _svd_kernel(rows, rel_threshold)
+    return len(basis), s
 
 
 def steinerian_of_theta_null(kappa: Characteristic, omega: PeriodMatrix):
@@ -544,87 +538,19 @@ def weddle_from_theta(omega: PeriodMatrix, kappa: Characteristic, rng,
     for n in nodes:
         gv = max(abs(g.evaluate(list(n))) for g in grads)
         node_grad = max(node_grad, gv / wnorm)
-    lines = node_pair_lines(nodes) + complementary_triple_lines(nodes)
-    line_resid = max(line_on_surface_residual(W, u, v) for u, v in lines)
+    lines = fifteen_node_lines(nodes) + ten_triple_lines(nodes, CC)
+    line_resid = max(line_in_hypersurface(W, u, v, CC)[1] for u, v in lines)
     net_dim = None
     if with_net:
         net_dim = twisted_cubic_net_dimension(omega, kappa, nodes, rng)
     rig_null = rig_match = None
     if with_rigidity:
-        rig_null, rig_match = quartics_through_lines(lines, W)
+        rig_null, G = _rigidity(lines, CC)
+        if G is not None:
+            rig_match = chordal_distance(*map(list, aligned_coefficients([G], [W])))
     return WeddleThetaReport(W, nodes, len(fit.forms), float(fresh),
                              float(node_grad), float(line_resid), len(lines),
                              net_dim, rig_null, rig_match)
-
-
-def node_pair_lines(nodes):
-    out = []
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            out.append((nodes[i], nodes[j]))
-    return out
-
-
-def complementary_triple_lines(nodes):
-    """The ten lines obtained by intersecting the plane through a triple
-    of nodes with the plane through the complementary triple."""
-    from itertools import combinations
-    out = []
-    seen = set()
-    for tri in combinations(range(6), 3):
-        comp = tuple(sorted(set(range(6)) - set(tri)))
-        key = min(tri, comp)
-        if key in seen:
-            continue
-        seen.add(key)
-        n1 = _plane_normal([nodes[i] for i in tri])
-        n2 = _plane_normal([nodes[i] for i in comp])
-        basis, _ = nullspace_complex(np.array([n1, n2]))
-        if len(basis) != 2:
-            raise RuntimeError("triple planes do not meet in a line")
-        out.append((np.array(basis[0]), np.array(basis[1])))
-    return out
-
-
-def _plane_normal(three_points):
-    basis, _ = nullspace_complex(np.array(three_points))
-    if len(basis) != 1:
-        raise RuntimeError("three nodes do not span a plane")
-    return np.array(basis[0])
-
-
-def line_on_surface_residual(W: SparsePoly, u, v) -> float:
-    """Max coefficient of the binary quartic W(s u + t v), relative."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    u = u / np.abs(u).max()
-    v = v / np.abs(v).max()
-    forms = []
-    for k in range(W.nvars):
-        forms.append(SparsePoly(2, CC, {(1, 0): complex(u[k]), (0, 1): complex(v[k])}))
-    restricted = W.substitute_linear(forms)
-    wnorm = math.sqrt(sum(abs(c) ** 2 for c in W.terms.values()))
-    if restricted.is_zero():
-        return 0.0
-    return max(abs(c) for c in restricted.terms.values()) / (16 * wnorm)
-
-
-def quartics_through_lines(lines, W: SparsePoly, points_per_line: int = 5):
-    """Dimension of the space of quartics containing every given line, and
-    the projective distance of its generator from W."""
-    pts = []
-    for u, v in lines:
-        for k in range(points_per_line):
-            t = (k + 1.0) / (points_per_line + 1.0)
-            pt = np.asarray(u) * (1 - t) + np.asarray(v) * t
-            pts.append(pt / np.abs(pt).max())
-    fit = fit_hypersurface(pts, 4, CC)
-    if len(fit.forms) != 1:
-        return len(fit.forms), None
-    exps = exponents_of_degree(4, 4)
-    a = np.array([fit.forms[0].terms.get(e, 0j) for e in exps])
-    b = np.array([complex(W.terms.get(e, 0j)) for e in exps])
-    return 1, chordal_distance(a, b)
 
 
 def theta_divisor_points(kappa: Characteristic, omega: PeriodMatrix, rng,
@@ -650,6 +576,9 @@ def theta_divisor_points(kappa: Characteristic, omega: PeriodMatrix, rng,
             if abs(gd) < 1e-14:
                 break
             step = tv.value / gd
+            if not cmath.isfinite(step):
+                # the series overflowed; a failed attempt like a non-converging one
+                break
             t = t - step
             if abs(step) < 1e-14 and abs(tv.value) < tol:
                 ok = True
@@ -677,9 +606,7 @@ def twisted_cubic_net_dimension(omega: PeriodMatrix, kappa: Characteristic,
         zc = minus_coords(u)
         curve_pts.append(zc / np.abs(zc).max())
     a = np.array([[q.evaluate(list(pt)) for q in fit.forms] for pt in curve_pts])
-    _, s, _ = np.linalg.svd(a)
-    thr = rel_threshold * s[0]
-    return int((s < thr).sum()) + max(0, 4 - len(s))
+    return len(nullspace_complex(a, rel_threshold)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -715,30 +642,18 @@ def symmetroid(nodes, domain, rng=None) -> SymmetroidReport:
     points of P^3, with its sixteen singular points: six rank-3 quadrics
     whose vertices are the nodes and ten rank-2 plane pairs from
     complementary triples."""
-    from itertools import combinations
-
-    from .linalg import Matrix, det_ring, nullspace, rank
-    nodes = [list(n) for n in nodes]
+    nodes = [[domain.coerce(x) for x in n] for n in nodes]
     fit = fit_hypersurface(nodes, 2, domain)
     if len(fit.forms) != 4:
         raise DegenerateConfiguration("quadrics through the nodes have dimension %d"
                                       % len(fit.forms))
     qs = [_quadric_to_sym_matrix(q, domain) for q in fit.forms]
+    # the pencil sum_k t_k Q_k as a 16 x 4 matrix; row 4i+j holds entry (i, j)
+    pencil = Matrix([[q[i][j] for q in qs] for i in range(4) for j in range(4)])
     # det of the symmetric pencil, a quartic in the four parameters
-    entries = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            terms = {}
-            for k in range(4):
-                exp = [0] * 4
-                exp[k] = 1
-                c = qs[k][i][j]
-                if not domain.is_zero(c):
-                    terms[tuple(exp)] = c
-            row.append(SparsePoly(4, domain, terms))
-        entries.append(row)
-    F = det_ring(Matrix(entries))
+    units = [tuple(int(k == m) for m in range(4)) for k in range(4)]
+    entries = [SparsePoly(4, domain, dict(zip(units, row))) for row in pencil.rows]
+    F = det_ring(Matrix([entries[4 * i:4 * i + 4] for i in range(4)]))
     grads = [F.partial(i) for i in range(4)]
 
     def grad_res(t):
@@ -752,105 +667,34 @@ def symmetroid(nodes, domain, rng=None) -> SymmetroidReport:
     rank3 = []
     worst = 0.0
     for n in nodes:
-        cols = [[_matvec(qs[k], n)[i] for k in range(4)] for i in range(4)]
-        kern = _kernel(cols, domain)
+        # the pencil points whose quadric has the node as a vertex
+        kern = nullspace(Matrix([Matrix(q).mat_vec(n) for q in qs]).transpose(), domain)
         if len(kern) != 1:
             raise DegenerateConfiguration("vertex condition does not pin a "
                                           "unique pencil point")
         t = kern[0]
-        pencil = [[_lincomb([qs[k][i][j] for k in range(4)], t, domain)
-                   for j in range(4)] for i in range(4)]
-        if _rank(pencil, domain) != 3:
+        quadric = pencil.mat_vec(t)
+        if rank([quadric[4 * i:4 * i + 4] for i in range(4)], domain) != 3:
             raise DegenerateConfiguration("vertex quadric does not have rank 3")
         rank3.append(t)
         worst = max(worst, grad_res(t))
     rank2 = []
-    seen = set()
-    for tri in combinations(range(6), 3):
-        comp = tuple(sorted(set(range(6)) - set(tri)))
-        key = min(tri, comp)
-        if key in seen:
-            continue
-        seen.add(key)
-        n1 = _kernel([nodes[i] for i in tri], domain)
-        n2 = _kernel([nodes[i] for i in comp], domain)
+    upper = [4 * i + j for i in range(4) for j in range(i, 4)]
+    for tri, comp in TRIPLE_SPLITS:
+        n1 = nullspace([nodes[i] for i in tri], domain)
+        n2 = nullspace([nodes[i] for i in comp], domain)
         if len(n1) != 1 or len(n2) != 1:
             raise DegenerateConfiguration("triple does not span a plane")
-        prod = [[n1[0][i] * n2[0][j] + n1[0][j] * n2[0][i] for j in range(4)]
-                for i in range(4)]
-        if _rank(prod, domain) != 2:
+        a, b = n1[0], n2[0]
+        prod = [a[i] * b[j] + a[j] * b[i] for i in range(4) for j in range(4)]
+        if rank([prod[4 * i:4 * i + 4] for i in range(4)], domain) != 2:
             raise DegenerateConfiguration("plane pair quadric does not have rank 2")
         # express the plane-pair quadric in the pencil basis
-        rows = []
-        rhs = []
-        for i in range(4):
-            for j in range(i, 4):
-                rows.append([qs[k][i][j] for k in range(4)])
-                rhs.append(prod[i][j])
-        t = _solve_overdetermined(rows, rhs, domain)
+        t = solve_overdetermined([pencil.rows[r] for r in upper],
+                                 [prod[r] for r in upper], domain)
         rank2.append(t)
         worst = max(worst, grad_res(t))
     return SymmetroidReport(F, rank3, rank2, worst, len(fit.forms))
-
-
-def _matvec(m, v):
-    return [sum_entries([m[i][j] * v[j] for j in range(len(v))]) for i in range(len(m))]
-
-
-def sum_entries(items):
-    acc = items[0]
-    for x in items[1:]:
-        acc = acc + x
-    return acc
-
-
-def _kernel(rows, domain):
-    if domain is CC:
-        basis, _ = nullspace_complex(np.array([[complex(x) for x in r] for r in rows]))
-        return [list(b) for b in basis]
-    from .linalg import nullspace
-    return nullspace([[domain.coerce(x) for x in r] for r in rows], domain)
-
-
-def _rank(mat, domain):
-    if domain is CC:
-        arr = np.array([[complex(x) for x in r] for r in mat])
-        s = np.linalg.svd(arr, compute_uv=False)
-        return int((s > 1e-8 * s[0]).sum())
-    from .linalg import rank
-    return rank([[domain.coerce(x) for x in r] for r in mat], domain)
-
-
-def _lincomb(coeffs, t, domain):
-    acc = domain.zero()
-    for c, tv in zip(coeffs, t):
-        acc = acc + domain.coerce(c) * domain.coerce(tv)
-    return acc
-
-
-def _solve_overdetermined(rows, rhs, domain):
-    if domain is CC:
-        a = np.array([[complex(x) for x in r] for r in rows])
-        b = np.array([complex(x) for x in rhs])
-        t, res, _, _ = np.linalg.lstsq(a, b, rcond=None)
-        return list(t)
-    aug = [[domain.coerce(x) for x in r] + [domain.coerce(v)]
-           for r, v in zip(rows, rhs)]
-    from .linalg import rref_bareiss
-    rref, piv = rref_bareiss(aug, domain)
-    if 4 in piv:
-        raise RuntimeError("plane-pair quadric is not in the pencil")
-    sol = [domain.zero()] * 4
-    for i, c in enumerate(piv):
-        sol[c] = rref[i][4]
-    # verify exactly
-    for r, v in zip(rows, rhs):
-        acc = domain.zero()
-        for x, s in zip(r, sol):
-            acc = acc + domain.coerce(x) * s
-        if not domain.is_zero(acc - domain.coerce(v)):
-            raise RuntimeError("inconsistent pencil expansion")
-    return sol
 
 
 def symmetroid_singular_count_mod_p(report: SymmetroidReport, p: int) -> int:

@@ -13,10 +13,10 @@ from weddle.heisenberg import (GenPerm, HeisAutomorphism, HeisElement,
                                heisenberg_generators, identity_automorphism,
                                intertwiner, intertwiner_dimension,
                                involution_j, lift_symplectic,
-                               plus_minus_components, proportional_matrices,
+                               plus_minus_components,
                                schrodinger, standard_sp4_generators,
                                upsilon_plus_block, weil_pairing, zeta)
-from weddle.linalg import Matrix, rank
+from weddle.linalg import Matrix, proj_ratio, rank
 from weddle.symplectic import (InvariantViolation, SymplecticMat,
                                key_to_mat, sp_group_elements)
 
@@ -278,7 +278,8 @@ def test_intertwiner_blocks_and_projectivity():
         M, N = rand_sp3(), rand_sp3()
         TM, TN = intertwiner(M), intertwiner(N)
         TMN = intertwiner(M * N)
-        assert proportional_matrices(TM.mat_mul(TN), TMN) is not None
+        assert proj_ratio([x for r in TM.mat_mul(TN).rows for x in r],
+                          [x for r in TMN.rows for x in r], QW) is not None
 
 
 def test_upsilon_plus_block_shape():

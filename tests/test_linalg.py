@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from weddle.fields import CC, GF, QQ
+from weddle.fields import CC, GF, QQ, QW, Cyc
 from weddle.linalg import (Matrix, ShapeError, UnsupportedDomainError,
                            adjugate, det_bareiss, det_ring, fit_hypersurface,
                            nullspace, nullspace_complex, nullspace_mod_p,
-                           pfaffian, proj_points_mod_p, rank, rref_bareiss,
-                           rref_naive, sub_pfaffian_kernel)
+                           pfaffian, proj_points_mod_p, proj_ratio, rank,
+                           rref_bareiss, rref_naive, sub_pfaffian_kernel)
 from weddle.poly import SparsePoly
 
 # the classical skew quadric-coefficient pattern, evaluated at Z = (1,1,1,1);
@@ -244,3 +246,69 @@ def test_proj_points_census():
         expect = sum(p ** k for k in range(dim + 1))
         assert pts.shape == (expect, dim + 1)
         assert len({tuple(r) for r in pts.tolist()}) == expect
+
+
+# ---------------------------------------------------------------------------
+# exact proportionality, one helper for every exact domain
+
+small = st.integers(-5, 5)
+SCALARS = {
+    # plain ints on purpose: the ratio must be taken in Q, not as a float
+    "QQ": (QQ, st.one_of(small, st.fractions(-5, 5, max_denominator=7))),
+    "GF101": (GF(101), st.integers(0, 100).map(GF(101).from_int)),
+    "QW": (QW, st.builds(Cyc, small, small)),
+}
+
+
+def _vectors(name):
+    dom, scalar = SCALARS[name]
+    return st.tuples(st.just(dom), st.lists(scalar, min_size=2, max_size=6), scalar)
+
+
+@pytest.mark.parametrize("name", sorted(SCALARS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_proj_ratio_recovers_the_scalar(name, data):
+    dom, v, lam = data.draw(_vectors(name))
+    assume(any(v) and lam)
+    got = proj_ratio([lam * x for x in v], v, dom)
+    assert got == lam and got == dom.coerce(lam)
+    # a changed entry breaks proportionality once two entries of v are nonzero
+    i = data.draw(st.integers(0, len(v) - 1))
+    bumped = [lam * x for x in v]
+    bumped[i] = bumped[i] + dom.one()
+    if sum(1 for x in v if x) >= 2:
+        assert proj_ratio(bumped, v, dom) is None
+    # a zero-pattern mismatch: zero out a nonzero entry, or fill a zero one
+    holed = [lam * x for x in v]
+    holed[i] = dom.zero() if v[i] else dom.one()
+    assert proj_ratio(holed, v, dom) is None
+
+
+@pytest.mark.parametrize("name", sorted(SCALARS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_proj_ratio_zero_vectors_give_none(name, data):
+    dom, v, _ = data.draw(_vectors(name))
+    zeros = [dom.zero()] * len(v)
+    assert proj_ratio(zeros, zeros, dom) is None
+    assert proj_ratio(zeros, v, dom) is None
+    assert proj_ratio(v, zeros, dom) is None
+
+
+def test_proj_ratio_divides_in_the_domain():
+    lam = proj_ratio([1, 2, 0], [2, 4, 0], QQ)
+    assert lam == Fraction(1, 2) and isinstance(lam, Fraction)
+    with pytest.raises(ValueError):
+        proj_ratio([1, 2], [1, 2, 3], QQ)
+    with pytest.raises(UnsupportedDomainError):
+        proj_ratio([1.0], [1.0], CC)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=1, max_size=4)))
+def test_complex_rank_agrees_with_exact_rank(rows):
+    exact = rank(frac_rows(rows), QQ)
+    assert rank([[complex(x) for x in r] for r in rows], CC) == exact
+    assert rank(Matrix([[complex(x, x) for x in r] for r in rows]), CC) == exact

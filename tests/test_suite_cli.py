@@ -105,6 +105,26 @@ def test_cli_run_config_error():
     assert code == 2
 
 
+def test_cli_resource_cap_exits_2(monkeypatch, capsys):
+    import weddle.symplectic
+
+    def no_closure(*args):
+        raise AssertionError("the group closure must not start")
+
+    monkeypatch.setattr(weddle.symplectic, "transvection_generators", no_closure)
+    for args in (["fibers", "--p", "199"], ["group-order", "--g", "3", "--n", "3"]):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("resource cap:") and err.count("\n") == 1
+
+
+def test_theta_run_survives_overflowing_newton_step(tmp_path):
+    # at this seed a Newton step of the theta divisor search overflows to NaN
+    out = tmp_path / "report.json"
+    assert main(["run", "--suite", "theta", "--seed", "106", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["failures"] == 0
+
+
 def test_cli_run_subset(tmp_path):
     out = tmp_path / "report.json"
     code = main(["run", "--suite", "sympchar", "--seed", "3",

@@ -117,6 +117,14 @@ def test_group_order_cap():
     with pytest.raises(ResourceCapError):
         sp_group_elements(2, 5)
     assert group_order(2, 5, enumerate_group=False) == sp_order_formula(2, 5)
+    # |Sp(6, F_3)| is far above the enumeration cap: refused before the closure
+    with pytest.raises(ResourceCapError):
+        sp_group_elements(3, 3)
+
+
+def test_one_resource_cap_error():
+    import weddle.burkhardt
+    assert ResourceCapError is weddle.burkhardt.ResourceCapError
 
 
 def test_gamma_index_values():
