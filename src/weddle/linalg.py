@@ -401,12 +401,17 @@ def adjugate(m):
 # numpy fast paths
 
 
+def check_int64_prime(p: int) -> None:
+    """Refuse a prime whose products overflow the int64 mod-p paths."""
+    if p * p > 2 ** 63 - 1:
+        raise ValueError("prime %d is too large for int64 arithmetic mod p "
+                         "(need p^2 < 2^63)" % p)
+
+
 def rref_mod_p(a: np.ndarray, p: int):
+    check_int64_prime(p)
     a = np.array(a, dtype=np.int64) % p
     nr, nc = a.shape
-    inv = np.zeros(p, dtype=np.int64)
-    for x in range(1, p):
-        inv[x] = pow(x, p - 2, p)
     r = 0
     pivots = []
     for c in range(nc):
@@ -416,7 +421,7 @@ def rref_mod_p(a: np.ndarray, p: int):
         piv = r + nz[0]
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] * inv[a[r, c]] % p
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
         col = a[:, c].copy()
         col[r] = 0
         a = (a - np.outer(col, a[r])) % p
@@ -458,6 +463,7 @@ def proj_points_mod_p(p: int, dim: int = 3) -> np.ndarray:
 
 def eval_poly_mod_p(poly, points: np.ndarray, p: int) -> np.ndarray:
     """Vectorized evaluation of an integer-coefficient SparsePoly mod p."""
+    check_int64_prime(p)
     deg = max((max(e) for e in poly.terms), default=0)
     powers = [np.ones_like(points)]
     for _ in range(deg):

@@ -134,10 +134,23 @@ class SymplecticMat:
         D = [row[g:] for row in self.entries[g:]]
         return A, B, C, D
 
+    @classmethod
+    def _trusted(cls, entries: tuple, n: int):
+        """Wrap entries that are reduced mod n and symplectic by construction."""
+        obj = cls.__new__(cls)
+        obj.n = n
+        obj.g = len(entries) // 2
+        obj.entries = entries
+        return obj
+
     def __mul__(self, other):
         if self.n != other.n:
             raise ValueError("mixed moduli")
-        return SymplecticMat(_mat_mul(self.entries, other.entries, self.n), self.n)
+        if self.g != other.g:
+            raise ValueError("mixed genera")
+        # a product of two symplectic matrices is symplectic: no re-check
+        prod_ = _mat_mul(self.entries, other.entries, self.n)
+        return SymplecticMat._trusted(tuple(map(tuple, prod_)), self.n)
 
     def apply(self, v):
         return tuple(sum(self.entries[i][j] * v[j] for j in range(2 * self.g)) % self.n
@@ -260,7 +273,14 @@ def sp_group_elements(g: int, n: int):
 
     Only n in {2, 3} is enumerated, and only up to enum_cap() elements; the
     count is checked against the closed-form order.  Returns a tuple of
-    byte keys (row-major entries).
+    byte keys (row-major entries), sorted.
+
+    During the closure each matrix M is one int64 code, its row-major
+    entries read as base-n digits with the first entry most significant, so
+    codes sort in the same order as byte keys.  The codes need
+    n^(4g^2) < 2^63; a larger group is refused before the closure starts.
+    A generator G acts on a code through a table of G v over all columns v,
+    one generator at a time, and the codes are de-duplicated in 1-D.
     """
     order = sp_order_formula(g, n)
     if n not in (2, 3):
@@ -269,25 +289,39 @@ def sp_group_elements(g: int, n: int):
             % (n, order))
     check_enum_cap(order)
     size = 2 * g
-    gens = np.array([[list(r) for r in t.entries] for t in transvection_generators(g, n)],
-                    dtype=np.int16)
-    ident = np.eye(size, dtype=np.int16)
-    visited = {ident.astype(np.int8).tobytes()}
-    frontier = ident[None, :, :]
-    while frontier.shape[0]:
-        prod_ = np.matmul(gens[:, None], frontier[None, :, :, :]) % n
-        prod_ = prod_.reshape(-1, size, size).astype(np.int8)
-        flat = np.unique(prod_.reshape(-1, size * size), axis=0)
-        new = [row for row in flat if row.tobytes() not in visited]
-        for row in new:
-            visited.add(row.tobytes())
-        if not new:
-            break
-        frontier = np.array(new, dtype=np.int16).reshape(-1, size, size)
-    if len(visited) != order:
+    if n ** (size * size) > 2 ** 63 - 1:
+        raise ResourceCapError("Sp(%d, Z/%d) matrices do not fit one int64 code "
+                               "(need n^(4g^2) < 2^63)" % (size, n))
+    # code(M) = sum_ij M_ij * col_w[i] * digit_w[j]; a column v of (Z/n)^size
+    # is indexed by sum_i v_i * digit_w[i]
+    digit_w = n ** np.arange(size - 1, -1, -1, dtype=np.int64)
+    col_w = digit_w ** size
+    columns = np.arange(n ** size)[:, None] // digit_w % n
+    # tables[t][v] = sum_i (G_t v)_i * col_w[i], the code of G_t v as column 0
+    tables = [(columns @ np.array(t.entries).T) % n @ col_w
+              for t in transvection_generators(g, n)]
+
+    def entries(codes):
+        out = np.empty((codes.size, size, size), dtype=np.uint8)
+        for i in range(size):
+            out[:, i] = codes[:, None] // (col_w[i] * digit_w) % n
+        return out
+
+    visited = new = np.array([col_w @ digit_w])  # the identity
+    while new.size:
+        col_idx = digit_w @ entries(new)
+        codes = np.empty((len(tables), new.size), dtype=np.int64)
+        for T, row in zip(tables, codes):
+            np.matmul(T[col_idx], digit_w, out=row)
+        codes = codes.ravel()
+        codes.sort()  # in place; numpy's hash-based np.unique is slower here
+        codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+        new = codes[~np.isin(codes, visited, assume_unique=True)]
+        visited = np.sort(np.concatenate((visited, new)), kind="stable")
+    if visited.size != order:
         raise AssertionError("BFS closure found %d elements, formula says %d"
-                             % (len(visited), order))
-    return tuple(sorted(visited))
+                             % (visited.size, order))
+    return tuple(row.tobytes() for row in entries(visited).reshape(order, -1))
 
 
 def group_order(g: int, n: int, enumerate_group: bool | None = None) -> int:

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from weddle.fields import CC, GF, QQ, QW, Cyc
 from weddle.linalg import (Matrix, ShapeError, UnsupportedDomainError,
-                           adjugate, det_bareiss, det_ring, fit_hypersurface,
-                           nullspace, nullspace_complex, nullspace_mod_p,
-                           pfaffian, proj_points_mod_p, proj_ratio, rank,
-                           rref_bareiss, rref_naive, sub_pfaffian_kernel)
+                           adjugate, det_bareiss, det_ring, eval_poly_mod_p,
+                           fit_hypersurface, nullspace, nullspace_complex,
+                           nullspace_mod_p, pfaffian, proj_points_mod_p,
+                           proj_ratio, rank, rref_bareiss, rref_mod_p,
+                           rref_naive, sub_pfaffian_kernel)
 from weddle.poly import SparsePoly
 
 # the classical skew quadric-coefficient pattern, evaluated at Z = (1,1,1,1);
@@ -238,6 +239,32 @@ def test_nullspace_mod_p_matches_exact():
     assert len(fast) == len(exact)
     for vf, ve in zip(fast, exact):
         assert [int(x) for x in vf] == [x.val for x in ve]
+
+
+# the largest prime with p^2 < 2^63, and the smallest prime above it
+P_INT64_MAX = 3037000493
+P_INT64_OVER = 3037000507
+
+
+def test_rref_mod_p_at_largest_int64_prime():
+    p = P_INT64_MAX
+    dom = GF(p)
+    rng = random.Random(11)
+    rows = [[rng.randrange(p) for _ in range(6)] for _ in range(4)]
+    rows.append([(a + 3 * b) % p for a, b in zip(rows[0], rows[1])])
+    fast, fast_piv = rref_mod_p(np.array(rows, dtype=np.int64), p)
+    exact, exact_piv = rref_bareiss([[dom.coerce(x) for x in r] for r in rows], dom)
+    assert fast_piv == exact_piv == [0, 1, 2, 3]
+    assert fast.tolist() == [[x.val for x in r] for r in exact]
+
+
+def test_mod_p_paths_refuse_int64_overflow():
+    p = P_INT64_OVER
+    with pytest.raises(ValueError):
+        rref_mod_p(np.eye(2, dtype=np.int64), p)
+    x = SparsePoly.variable(0, 2, QQ)
+    with pytest.raises(ValueError):
+        eval_poly_mod_p(x * x, np.ones((1, 2), dtype=np.int64), p)
 
 
 def test_proj_points_census():

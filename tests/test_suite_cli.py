@@ -118,6 +118,13 @@ def test_cli_resource_cap_exits_2(monkeypatch, capsys):
         assert err.startswith("resource cap:") and err.count("\n") == 1
 
 
+def test_cli_refuses_prime_beyond_int64(capsys):
+    # 3037000507 is the smallest prime with p^2 >= 2^63
+    assert main(["weddle-curve", "--p", "3037000507"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
 def test_theta_run_survives_overflowing_newton_step(tmp_path):
     # at this seed a Newton step of the theta divisor search overflows to NaN
     out = tmp_path / "report.json"

@@ -1,11 +1,17 @@
+import hashlib
 import random
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weddle.symplectic import (BASE_ODD, Characteristic, IntSymplecticMat,
-                               InvariantViolation, QuadFormF2,
-                               ResourceCapError, SymplecticMat,
+import weddle.symplectic
+from weddle.symplectic import (BASE_ODD, ENUM_CAP_ENV, Characteristic,
+                               IntSymplecticMat, InvariantViolation,
+                               J_matrix, QuadFormF2, ResourceCapError,
+                               SymplecticMat, _is_symplectic,
                                act_characteristic, all_characteristics,
                                all_quad_forms, classify_gamma, gamma_index,
                                group_order, key_to_mat, orbit_characteristics,
@@ -29,8 +35,13 @@ def test_characteristic_validation():
 
 
 def test_symplectic_validation():
+    bad = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     with pytest.raises(InvariantViolation):
-        SymplecticMat([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 3)
+        SymplecticMat(bad, 3)
+    with pytest.raises(InvariantViolation):
+        key_to_mat(bytes(x for row in bad for x in row), 2, 3)
+    with pytest.raises(ValueError):
+        SymplecticMat.identity(2, 3) * SymplecticMat.identity(1, 3)
     SymplecticMat.identity(2, 3)
     with pytest.raises(InvariantViolation):
         IntSymplecticMat([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
@@ -43,6 +54,19 @@ def test_transvections_are_symplectic():
         if all(x == 0 for x in v):
             continue
         transvection(v, rng.randint(1, 6))  # constructor validates
+
+
+KEYS23 = sp_group_elements(2, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KEYS23), st.sampled_from(KEYS23))
+def test_products_of_group_elements_are_symplectic(a, b):
+    M, N = key_to_mat(a, 2, 3), key_to_mat(b, 2, 3)
+    P = M * N
+    assert _is_symplectic(P.entries, 3)
+    assert P == SymplecticMat(P.entries, 3)
+    assert P.key() in KEYS23
 
 
 def test_action_identity_and_parity():
@@ -111,6 +135,39 @@ def test_group_orders():
         if det == 1:
             count += 1
     assert group_order(1, 2) == count == 6
+
+
+def _brute_force_keys(g, n):
+    """Sorted byte keys of all n^(4g^2) matrices with M^t J M = J mod n."""
+    size = 2 * g
+    place = n ** np.arange(size * size - 1, -1, -1)
+    codes = np.arange(n ** (size * size))
+    M = (codes[:, None] // place % n).reshape(-1, size, size)
+    J = np.array(J_matrix(g))
+    ok = np.all((M.transpose(0, 2, 1) @ J @ M - J) % n == 0, axis=(1, 2))
+    return tuple(row.tobytes() for row in M[ok].reshape(-1, size * size).astype(np.int8))
+
+
+@pytest.mark.parametrize("g, n", [(1, 2), (1, 3), (2, 2)])
+def test_closure_equals_brute_force(g, n):
+    assert sp_group_elements(g, n) == _brute_force_keys(g, n)
+
+
+def test_closure_sp4_f3_digest():
+    digest = hashlib.sha256(b"".join(sp_group_elements(2, 3))).hexdigest()
+    assert digest == "2b493323ef2c9ca5f159a5cd8d12c29e24925436d949213c486e81fc5ba8954c"
+
+
+def test_closure_refuses_int64_code_overflow(monkeypatch):
+    # |Sp(8, F_2)| passes a raised cap, but 2^64 does not fit an int64 code
+    monkeypatch.setenv(ENUM_CAP_ENV, str(sp_order_formula(4, 2)))
+
+    def no_closure(*args):
+        raise AssertionError("the group closure must not start")
+
+    monkeypatch.setattr(weddle.symplectic, "transvection_generators", no_closure)
+    with pytest.raises(ResourceCapError):
+        sp_group_elements(4, 2)
 
 
 def test_group_order_cap():
