@@ -134,21 +134,10 @@ def steinerian_minus(z, domain: Domain):
     """Kernel coordinates r(z) of the skew matrix at z in P^3, or None when
     z is a base point (all five sub-pfaffians vanish)."""
     z = [domain.coerce(x) for x in z]
-    vals = [_eval_int_poly(q, z, domain) for q in steinerian_quartics()]
+    vals = [q.evaluate(z) for q in steinerian_quartics()]
     if all(domain.is_zero(v) for v in vals):
         return None
     return vals
-
-
-def _eval_int_poly(p: SparsePoly, point, domain: Domain):
-    acc = domain.zero()
-    for exp, c in p.terms.items():
-        t = domain.coerce(c)
-        for x, e in zip(point, exp):
-            for _ in range(e):
-                t = t * x
-        acc = acc + t
-    return acc
 
 
 def steinerian_plus(y, domain: Domain = None):
@@ -160,8 +149,7 @@ def steinerian_plus(y, domain: Domain = None):
     if domain is None:
         domain, y = CC, [complex(x) for x in y]
     M = matrix_plus()
-    vals = [[_eval_int_poly(M.rows[i][j], y, domain) for j in range(5)]
-            for i in range(5)]
+    vals = [[entry.evaluate(y) for entry in row] for row in M.rows]
     basis = nullspace(vals, domain)
     if len(basis) == 1:
         return ("kernel", basis[0])
@@ -347,12 +335,6 @@ def hessian_determinant_degree(B: SparsePoly) -> int:
 # finite-field enumeration
 
 
-def _eval_quartics_mod_p(points: np.ndarray, p: int) -> np.ndarray:
-    """Evaluate the five kernel quartics on an (N, 4) array mod p."""
-    return np.stack([eval_poly_mod_p(q, points, p) for q in steinerian_quartics()],
-                    axis=1)
-
-
 def count_fibers_ff(p: int):
     """Histogram of fiber sizes of the degree-6 quartic parametrization
     over P^3(F_p), plus the count of rational base points."""
@@ -360,7 +342,7 @@ def count_fibers_ff(p: int):
         raise ShapeError("need a prime p = 1 mod 3, p <= 200")
     check_enum_cap(p ** 3 + p ** 2 + p + 1)
     pts = proj_points_mod_p(p, 3)
-    vals = _eval_quartics_mod_p(pts, p)
+    vals = eval_poly_mod_p(steinerian_quartics(), pts, p)
     base_mask = np.all(vals == 0, axis=1)
     n_base = int(base_mask.sum())
     img = vals[~base_mask]
@@ -386,7 +368,7 @@ def count_base_locus_ff(p: int, k: int = 1) -> int:
     check_enum_cap(sum(p ** (k * d) for d in range(4)))
     if k == 1:
         pts = proj_points_mod_p(p, 3)
-        vals = _eval_quartics_mod_p(pts, p)
+        vals = eval_poly_mod_p(steinerian_quartics(), pts, p)
         return int(np.all(vals == 0, axis=1).sum())
     return _base_locus_quadratic_ext(p)
 
@@ -399,65 +381,29 @@ def _nonresidue(p: int) -> int:
 
 
 def _base_locus_quadratic_ext(p: int) -> int:
-    """Count over F_{p^2} = F_p[s]/(s^2 - d).  Coordinates are (a, b) pairs."""
+    """Count over F_{p^2} = F_p[s]/(s^2 - d).  The points of P^3 are those
+    of proj_points_mod_p(p^2, 3), the integer i read as the element
+    (i mod p) + (i div p) s; coordinates are (a, b) pairs of arrays."""
     d = _nonresidue(p)
-    q = p * p
-
-    def all_elems():
-        a = np.repeat(np.arange(p, dtype=np.int64), p)
-        b = np.tile(np.arange(p, dtype=np.int64), p)
-        return a, b
-
-    def charts():
-        ea, eb = all_elems()
-        out = []
-        # chart (1, y, z, w)
-        ya = np.repeat(np.repeat(ea, q), q)
-        yb = np.repeat(np.repeat(eb, q), q)
-        za = np.tile(np.repeat(ea, q), q)
-        zb = np.tile(np.repeat(eb, q), q)
-        wa = np.tile(np.tile(ea, q), q)
-        wb = np.tile(np.tile(eb, q), q)
-        one = np.ones(q ** 3, dtype=np.int64)
-        zero = np.zeros(q ** 3, dtype=np.int64)
-        out.append(((one, zero), (ya, yb), (za, zb), (wa, wb)))
-        # chart (0, 1, z, w)
-        za2 = np.repeat(ea, q)
-        zb2 = np.repeat(eb, q)
-        wa2 = np.tile(ea, q)
-        wb2 = np.tile(eb, q)
-        one = np.ones(q ** 2, dtype=np.int64)
-        zero = np.zeros(q ** 2, dtype=np.int64)
-        out.append(((zero, zero), (one, zero), (za2, zb2), (wa2, wb2)))
-        # chart (0, 0, 1, w)
-        one = np.ones(q, dtype=np.int64)
-        zero = np.zeros(q, dtype=np.int64)
-        out.append(((zero, zero), (zero, zero), (one, zero), (ea, eb)))
-        # chart (0, 0, 0, 1)
-        one = np.ones(1, dtype=np.int64)
-        zero = np.zeros(1, dtype=np.int64)
-        out.append(((zero, zero), (zero, zero), (zero, zero), (one, zero)))
-        return out
+    # entries are below p^2 <= 40000; int32 halves the coordinate arrays
+    pts = proj_points_mod_p(p * p, 3).astype(np.int32)
+    coords = [(pts[:, v] % p, pts[:, v] // p) for v in range(4)]
+    n = pts.shape[0]
+    del pts
 
     def fmul(x, y):
         return ((x[0] * y[0] + d * (x[1] * y[1])) % p,
                 (x[0] * y[1] + x[1] * y[0]) % p)
 
-    total = 0
-    for coords in charts():
-        n = coords[0][0].shape[0]
-        good = np.ones(n, dtype=bool)
-        for quartic in steinerian_quartics():
-            acc = (np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
-            for exp, c in quartic.terms.items():
-                term = (np.full(n, int(c) % p, dtype=np.int64),
-                        np.zeros(n, dtype=np.int64))
-                for v, e in enumerate(exp):
-                    for _ in range(e):
-                        term = fmul(term, coords[v])
-                acc = ((acc[0] + term[0]) % p, (acc[1] + term[1]) % p)
-            good &= (acc[0] == 0) & (acc[1] == 0)
-            if not good.any():
-                break
-        total += int(good.sum())
-    return total
+    good = np.ones(n, dtype=bool)
+    for quartic in steinerian_quartics():
+        acc = (np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
+        for exp, c in quartic.terms.items():
+            term = (np.full(n, int(c) % p, dtype=np.int64),
+                    np.zeros(n, dtype=np.int64))
+            for v, e in enumerate(exp):
+                for _ in range(e):
+                    term = fmul(term, coords[v])
+            acc = ((acc[0] + term[0]) % p, (acc[1] + term[1]) % p)
+        good &= (acc[0] == 0) & (acc[1] == 0)
+    return int(good.sum())

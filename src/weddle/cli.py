@@ -134,11 +134,8 @@ def cmd_theta_null(args):
 
 def cmd_weddle_theta(args):
     from .symplectic import BASE_ODD
-    from .theta import PeriodMatrix, weddle_from_theta
-    om = PeriodMatrix(_parse_omega(args.omega)) if args.omega else None
-    if om is None:
-        from .theta import OMEGA_GENERIC
-        om = OMEGA_GENERIC
+    from .theta import OMEGA_GENERIC, PeriodMatrix, weddle_from_theta
+    om = PeriodMatrix(_parse_omega(args.omega)) if args.omega else OMEGA_GENERIC
     rep = weddle_from_theta(om, BASE_ODD, random.Random(args.seed))
     _out(args, {"fit_nullity": rep.fit_nullity,
                 "fresh_residual": rep.fresh_residual,
@@ -195,23 +192,18 @@ def cmd_sec_octic(args):
 
 
 def cmd_run(args):
-    from .suite import ConfigError, RunConfig, report_to_json, run_suite
+    from .suite import ConfigError, RunConfig, run_suite
     try:
         cfg = RunConfig(suites=tuple(args.suite), seed=args.seed, p=args.p,
                         tol=args.tol,
                         omega=_parse_omega(args.omega) if args.omega else None,
                         f_roots=tuple(int(t) for t in args.f.split(",")),
-                        out=args.out, timings=args.timings)
+                        timings=args.timings)
         report = run_suite(cfg)
     except ConfigError as exc:
         sys.stderr.write("config error: %s\n" % exc)
         return 2
-    text = report_to_json(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _out(args, report)
     return 0 if report["failures"] == 0 else 1
 
 

@@ -300,15 +300,8 @@ def weddle_prime_fit(curve: GenusTwoCurve, rng, samples: int = 70) -> WeddleCurv
         raise RuntimeError("quartic fit nullity %d" % len(fit.forms))
     W = fit.forms[0]
     nodes = weierstrass_images(curve)
-    grads = [W.partial(i) for i in range(4)]
-    singular = True
-    for n in nodes:
-        for g in grads:
-            val = g.evaluate(list(n))
-            if domain.is_exact:
-                singular &= domain.is_zero(val)
-            else:
-                singular &= abs(complex(val)) < 1e-5
+    grads = W.gradient()
+    singular = _vanishes([g.evaluate(list(n)) for n in nodes for g in grads], domain, 1e-5)
     lines = fifteen_node_lines(nodes) + ten_triple_lines(nodes, domain)
     line_results = [line_in_hypersurface(W, u, v, domain) for u, v in lines]
     rig_nullity, G = _rigidity(lines, domain)
@@ -370,9 +363,8 @@ def quadric_restriction_check(curve: GenusTwoCurve, quadrics) -> dict:
     rows = [[q.terms.get(e, domain.zero()) for e in exps4] for q in restricted]
     inj = rank(rows, domain) == 4
     nodes = weierstrass_images(curve)
-    vanish = all(domain.is_zero(q.evaluate(list(n))) if domain.is_exact
-                 else abs(complex(q.evaluate(list(n)))) < 1e-8
-                 for q in restricted for n in nodes)
+    vanish = _vanishes([q.evaluate(list(n)) for q in restricted for n in nodes],
+                       domain, 1e-8)
     target = fit_hypersurface([list(n) for n in nodes], 2, domain)
     dim_target = len(target.forms)
     trows = [[q.terms.get(e, domain.zero()) for e in exps4] for q in target.forms]
@@ -385,10 +377,7 @@ def quadric_restriction_check(curve: GenusTwoCurve, quadrics) -> dict:
 def phi(quadrics, point, domain: Domain):
     """Evaluate the four curve quadrics; the base locus is the curve."""
     vals = [q.evaluate(list(point)) for q in quadrics]
-    if domain.is_exact:
-        if all(domain.is_zero(v) for v in vals):
-            raise BaseLocusPoint("point lies on the base curve")
-    elif max(abs(complex(v)) for v in vals) < 1e-12:
+    if _vanishes(vals, domain, 1e-12):
         raise BaseLocusPoint("point lies on the base curve")
     return tuple(vals)
 
@@ -451,15 +440,8 @@ def kummer_fit(curve: GenusTwoCurve, rng, samples: int = 90) -> KummerReport:
                             for img in origin_imgs[1:] + more)
     nodes.append(origin_imgs[0])
     distinct = _all_distinct(nodes, domain)
-    grads = [K.partial(i) for i in range(4)]
-    singular = True
-    for n in nodes:
-        for g in grads:
-            val = g.evaluate(list(n))
-            if domain.is_exact:
-                singular &= domain.is_zero(val)
-            else:
-                singular &= abs(complex(val)) < 1e-5
+    grads = K.gradient()
+    singular = _vanishes([g.evaluate(list(n)) for n in nodes for g in grads], domain, 1e-5)
     return KummerReport(K, nodes, len(fit.forms), distinct, singular,
                         origin_consistent)
 
@@ -471,6 +453,14 @@ def _rand_param(rng, domain: Domain):
             if v:
                 return v
     return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+
+def _vanishes(values, domain: Domain, tol: float) -> bool:
+    """Every value is zero: exactly in an exact domain, below tol in
+    modulus for floats."""
+    if domain.is_exact:
+        return all(domain.is_zero(v) for v in values)
+    return all(abs(complex(v)) < tol for v in values)
 
 
 def _same_point(u, v, domain: Domain, tol: float = 1e-8) -> bool:
@@ -544,18 +534,12 @@ def sec_octic(curve: GenusTwoCurve, rng, samples: int = 620,
         raise RuntimeError("octic fit nullity %d" % len(fit.forms))
     F = fit.forms[0]
     # fresh membership
-    fresh_ok = True
+    fresh = []
     for _ in range(30):
-        p = curve.sample_point(rng)
-        q = curve.sample_point(rng)
-        P = tricanonical(p, domain)
-        Q = tricanonical(q, domain)
-        v = [a + domain.from_int(2) * b for a, b in zip(P, Q)]
-        val = F.evaluate(v)
-        if domain.is_exact:
-            fresh_ok &= domain.is_zero(val)
-        else:
-            fresh_ok &= abs(complex(val)) < 1e-6
+        P = tricanonical(curve.sample_point(rng), domain)
+        Q = tricanonical(curve.sample_point(rng), domain)
+        fresh.append(F.evaluate([a + domain.from_int(2) * b for a, b in zip(P, Q)]))
+    fresh_ok = _vanishes(fresh, domain, 1e-6)
     # restriction to the invariant hyperplane
     restricted = SparsePoly(4, domain)
     for e, c in F.terms.items():
@@ -566,16 +550,10 @@ def sec_octic(curve: GenusTwoCurve, rng, samples: int = 620,
     wsq = weddle * weddle
     is_square = _same_point(*aligned_coefficients([restricted], [wsq]), domain)
     # the singular locus contains the curve
-    grads = [F.partial(i) for i in range(5)]
-    curve_sing = True
-    for _ in range(20):
-        P = tricanonical(curve.sample_point(rng), domain)
-        for g in grads:
-            val = g.evaluate(list(P))
-            if domain.is_exact:
-                curve_sing &= domain.is_zero(val)
-            else:
-                curve_sing &= abs(complex(val)) < 1e-5
+    grads = F.gradient()
+    on_curve = [tricanonical(curve.sample_point(rng), domain) for _ in range(20)]
+    curve_sing = _vanishes([g.evaluate(list(P)) for P in on_curve for g in grads],
+                           domain, 1e-5)
     return SecantOcticReport(F, len(fit.forms), is_square, fresh_ok, curve_sing)
 
 

@@ -461,22 +461,34 @@ def proj_points_mod_p(p: int, dim: int = 3) -> np.ndarray:
     return np.concatenate(charts, axis=0)
 
 
-def eval_poly_mod_p(poly, points: np.ndarray, p: int) -> np.ndarray:
-    """Vectorized evaluation of an integer-coefficient SparsePoly mod p."""
-    check_int64_prime(p)
-    deg = max((max(e) for e in poly.terms), default=0)
-    powers = [np.ones_like(points)]
-    for _ in range(deg):
-        powers.append(powers[-1] * points % p)
-    acc = np.zeros(points.shape[0], dtype=np.int64)
-    for exp, c in poly.terms.items():
-        cv = _coeff_mod_p(c, p)
-        term = np.full(points.shape[0], cv, dtype=np.int64)
+def _monomial_columns_mod_p(points: np.ndarray, exps, p: int):
+    """Yield the column x^e mod p over the (N, n) int64 points for each
+    exponent vector e, all from one table of powers of the points."""
+    powers = [points % p]
+    for _ in range(max(max(e) for e in exps) - 1):
+        powers.append(powers[-1] * powers[0] % p)
+    for exp in exps:
+        col = np.ones(points.shape[0], dtype=np.int64)
         for v, e in enumerate(exp):
             if e:
-                term = term * powers[e][:, v] % p
-        acc = (acc + term) % p
-    return acc
+                col = col * powers[e - 1][:, v] % p
+        yield col
+
+
+def eval_poly_mod_p(polys, points: np.ndarray, p: int) -> np.ndarray:
+    """Values mod p of integer- or rational-coefficient SparsePolys on an
+    (N, n) int64 array of points, shape (N, len(polys)).  Each monomial
+    column is computed once, however many of the polynomials share it."""
+    check_int64_prime(p)
+    exps = sorted({e for f in polys for e in f.terms})
+    out = np.zeros((len(polys), points.shape[0]), dtype=np.int64)
+    for exp, col in zip(exps, _monomial_columns_mod_p(points, exps, p)):
+        for row, f in zip(out, polys):
+            if exp in f.terms:
+                # both factors are below p, so the sum stays below p^2
+                row += _coeff_mod_p(f.terms[exp], p) * col
+                row %= p
+    return out.T
 
 
 def _coeff_mod_p(c, p: int) -> int:
@@ -558,19 +570,8 @@ def fit_hypersurface(points, degree: int, domain: Domain,
     exps = exponents_of_degree(nvars, degree)
     if isinstance(domain, PrimeField):
         p = domain.p
-        pts = np.array([[_int_val(x) for x in pt] for pt in points], dtype=np.int64) % p
-        cols = []
-        maxe = max(max(e) for e in exps)
-        powers = [np.ones_like(pts)]
-        for _ in range(maxe):
-            powers.append(powers[-1] * pts % p)
-        for exp in exps:
-            col = np.ones(pts.shape[0], dtype=np.int64)
-            for v, e in enumerate(exp):
-                if e:
-                    col = col * powers[e][:, v] % p
-            cols.append(col)
-        a = np.stack(cols, axis=1)
+        pts = np.array([[_int_val(x) for x in pt] for pt in points], dtype=np.int64)
+        a = np.stack(list(_monomial_columns_mod_p(pts, exps, p)), axis=1)
         basis = nullspace_mod_p(a, p)
         forms = [_vector_to_form(v, exps, domain) for v in basis]
         return FitResult(forms, None)

@@ -37,7 +37,6 @@ class RunConfig:
     tol: float = 1e-6
     omega: list | None = None
     f_roots: tuple = (0, 1, 2, 3, 4, 5)
-    out: str | None = None
     timings: bool = False
 
     def resolved_suites(self):

@@ -25,10 +25,10 @@ from .curves import (TRIPLE_SPLITS, _rigidity, fifteen_node_lines,
                      line_in_hypersurface, ten_triple_lines)
 from .fields import CC
 from .heisenberg import REPS, idx2, neg2
-from .linalg import (Matrix, _svd_kernel, chordal_distance, det_ring,
-                     fit_hypersurface, nullspace, nullspace_complex, rank,
-                     solve_overdetermined)
-from .poly import SparsePoly, aligned_coefficients, exponents_of_degree
+from .linalg import (Matrix, chordal_distance, det_ring, eval_poly_mod_p,
+                     fit_hypersurface, nullspace, nullspace_complex,
+                     proj_points_mod_p, rank, solve_overdetermined)
+from .poly import SparsePoly, aligned_coefficients
 from .symplectic import Characteristic, all_characteristics
 
 
@@ -446,15 +446,12 @@ def quadric_space_nullity(omega: PeriodMatrix, rng, samples: int = 60,
                           rel_threshold: float = 1e-8):
     """Dimension of the space of quadrics vanishing on sampled image
     points (45 monomials in the nine coordinates)."""
-    exps = exponents_of_degree(9, 2)
-    rows = []
+    pts = []
     for _ in range(samples):
         x = level3_coords(random_z(omega, rng), omega)
-        x = x / np.abs(x).max()
-        powers = {e: np.prod([x[v] ** k for v, k in enumerate(e)]) for e in exps}
-        rows.append([powers[e] for e in exps])
-    basis, _, s = _svd_kernel(rows, rel_threshold)
-    return len(basis), s
+        pts.append(x / np.abs(x).max())
+    fit = fit_hypersurface(pts, 2, CC, rel_threshold)
+    return len(fit), fit.singular_values
 
 
 def steinerian_of_theta_null(kappa: Characteristic, omega: PeriodMatrix):
@@ -700,9 +697,6 @@ def symmetroid(nodes, domain, rng=None) -> SymmetroidReport:
 def symmetroid_singular_count_mod_p(report: SymmetroidReport, p: int) -> int:
     """Exhaustive count of singular points of the determinantal quartic
     over P^3(F_p)."""
-    from .linalg import eval_poly_mod_p, proj_points_mod_p
     pts = proj_points_mod_p(p, 3)
-    good = np.ones(pts.shape[0], dtype=bool)
-    for i in range(4):
-        good &= eval_poly_mod_p(report.det_quartic.partial(i), pts, p) == 0
-    return int(good.sum())
+    vals = eval_poly_mod_p(report.det_quartic.gradient(), pts, p)
+    return int(np.all(vals == 0, axis=1).sum())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weddle.fields import CC, GF, QQ, QW, Cyc
+from weddle.fields import CC, GF, QQ, QW, Cyc, Fp
 from weddle.linalg import (Matrix, ShapeError, UnsupportedDomainError,
                            adjugate, det_bareiss, det_ring, eval_poly_mod_p,
                            fit_hypersurface, nullspace, nullspace_complex,
@@ -61,12 +61,12 @@ def test_bareiss_agrees_with_naive_on_random_matrices():
 
 def test_bareiss_agrees_on_rectangular_and_mod_p():
     rng = random.Random(1)
-    dom = GF(13)
-    for _ in range(30):
-        rows = [[dom.random(rng) for _ in range(5)] for _ in range(7)]
-        r1, p1 = rref_naive(rows, dom)
-        r2, p2 = rref_bareiss(rows, dom)
-        assert (r1, p1) == (r2, p2)
+    for dom in (GF(13), QW):
+        for _ in range(30):
+            rows = [[dom.random(rng) for _ in range(5)] for _ in range(7)]
+            r1, p1 = rref_naive(rows, dom)
+            r2, p2 = rref_bareiss(rows, dom)
+            assert (r1, p1) == (r2, p2)
 
 
 def test_nullspace_rejects_polynomial_entries():
@@ -264,7 +264,41 @@ def test_mod_p_paths_refuse_int64_overflow():
         rref_mod_p(np.eye(2, dtype=np.int64), p)
     x = SparsePoly.variable(0, 2, QQ)
     with pytest.raises(ValueError):
-        eval_poly_mod_p(x * x, np.ones((1, 2), dtype=np.int64), p)
+        eval_poly_mod_p([x * x], np.ones((1, 2), dtype=np.int64), p)
+
+
+NV = 3
+COEFFS = st.one_of(st.integers(-50, 50),
+                   st.fractions(-5, 5, max_denominator=7)).filter(bool)
+
+
+@st.composite
+def _poly_lists(draw):
+    """Non-zero polynomials over Q that either all share one monomial or
+    have pairwise disjoint monomial sets."""
+    mons = draw(st.lists(st.tuples(*[st.integers(0, 3)] * NV),
+                         min_size=1, max_size=12, unique=True))
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        supports = [[mons[0]] + draw(st.lists(st.sampled_from(mons), unique=True))
+                    for _ in range(k)]
+    else:
+        supports = [mons[j::k] for j in range(min(k, len(mons)))]
+    return [SparsePoly(NV, QQ, {e: draw(COEFFS) for e in sup}) for sup in supports]
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys=_poly_lists(), p=st.sampled_from([31, 101, P_INT64_MAX]), data=st.data())
+def test_eval_poly_mod_p_agrees_with_scalar_evaluation(polys, p, data):
+    pts = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=NV, max_size=NV),
+                             min_size=1, max_size=6))
+    vals = eval_poly_mod_p(polys, np.array(pts, dtype=np.int64), p)
+    assert vals.shape == (len(pts), len(polys))
+    dom = GF(p)
+    for i, pt in enumerate(pts):
+        for j, f in enumerate(polys):
+            # coerce: a constant polynomial evaluates to its rational constant
+            assert vals[i, j] == dom.coerce(f.evaluate([Fp(x, p) for x in pt])).val
 
 
 def test_proj_points_census():

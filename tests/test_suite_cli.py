@@ -64,6 +64,8 @@ def test_cli_steinerian():
     kernel = [int(x) for x in data["kernel"]]
     scale = kernel[2]
     assert kernel == [c * scale for c in (6, -3, 1, 1, 1)]
+    # a point of P^3 needs four coordinates
+    assert main(["steinerian", "--point", "1,1,1"]) == 2
 
 
 def test_cli_classify(tmp_path):
