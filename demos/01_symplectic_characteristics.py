@@ -5,9 +5,8 @@ characteristics into their two orbits, and classifies a few integral
 matrices by congruence level.
 """
 
-from weddle.symplectic import (BASE_ODD, Characteristic, IntSymplecticMat,
-                               all_characteristics, classify_gamma,
-                               gamma_index, group_order,
+from weddle.symplectic import (BASE_ODD, Characteristic, SymplecticMat,
+                               classify_gamma, gamma_index, group_order,
                                orbit_characteristics, stabilizer,
                                transvection)
 
@@ -26,7 +25,7 @@ print("\nstabilizer of an odd form: order", rep.order,
       "with orbits", rep.orbit_sizes_on_odd, "on the six odd forms")
 
 print("\ncongruence labels:")
-for name, G in [("identity", IntSymplecticMat.identity(2)),
+for name, G in [("identity", SymplecticMat.identity(2)),
                 ("transvection scaled by 6", transvection((1, 0, 0, 0), 6)),
                 ("transvection scaled by 3", transvection((0, 1, 0, 0), 3))]:
     print("  %-26s %s" % (name, sorted(classify_gamma(G))))

@@ -10,10 +10,10 @@ from .poly import SparsePoly, exponents_of_degree, poly_from_text, poly_to_text
 from .linalg import (Matrix, adjugate, chordal_distance, det_bareiss, det_ring,
                      fit_hypersurface, nullspace, pfaffian, rank,
                      sub_pfaffian_kernel)
-from .symplectic import (Characteristic, IntSymplecticMat, SymplecticMat,
-                         QuadFormF2, act_characteristic, classify_gamma,
-                         gamma_index, group_order, orbit_characteristics,
-                         parity, stabilizer, torsor_action, transvection)
+from .symplectic import (Characteristic, SymplecticMat, QuadFormF2,
+                         act_characteristic, classify_gamma, gamma_index,
+                         group_order, orbit_characteristics, stabilizer,
+                         torsor_action, transvection)
 from .heisenberg import (HeisAutomorphism, HeisElement, h_mul, intertwiner,
                          involution_j, lift_symplectic, schrodinger,
                          weil_pairing, zeta)

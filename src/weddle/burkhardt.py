@@ -265,10 +265,6 @@ class HessianMatch:
     permutation: tuple
     signs: tuple
 
-    def describe(self):
-        return {"scalar": str(self.scalar), "permutation": list(self.permutation),
-                "signs": list(self.signs)}
-
 
 def hessian_matrix(B: SparsePoly) -> Matrix:
     rows = []

@@ -57,8 +57,8 @@ def cmd_group_order(args):
 
 
 def cmd_classify(args):
-    from .symplectic import IntSymplecticMat, classify_gamma
-    G = IntSymplecticMat(_parse_matrix(args.matrix))
+    from .symplectic import SymplecticMat, classify_gamma
+    G = SymplecticMat(_parse_matrix(args.matrix))
     _out(args, {"labels": sorted(classify_gamma(G))})
     return 0
 
@@ -192,17 +192,13 @@ def cmd_sec_octic(args):
 
 
 def cmd_run(args):
-    from .suite import ConfigError, RunConfig, run_suite
-    try:
-        cfg = RunConfig(suites=tuple(args.suite), seed=args.seed, p=args.p,
-                        tol=args.tol,
-                        omega=_parse_omega(args.omega) if args.omega else None,
-                        f_roots=tuple(int(t) for t in args.f.split(",")),
-                        timings=args.timings)
-        report = run_suite(cfg)
-    except ConfigError as exc:
-        sys.stderr.write("config error: %s\n" % exc)
-        return 2
+    from .suite import RunConfig, run_suite
+    cfg = RunConfig(suites=tuple(args.suite), seed=args.seed, p=args.p,
+                    tol=args.tol,
+                    omega=_parse_omega(args.omega) if args.omega else None,
+                    f_roots=tuple(int(t) for t in args.f.split(",")),
+                    timings=args.timings)
+    report = run_suite(cfg)
     _out(args, report)
     return 0 if report["failures"] == 0 else 1
 

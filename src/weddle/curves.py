@@ -574,10 +574,6 @@ def hyperplane_section_degree(curve: GenusTwoCurve, rng, trials: int = 5):
             sq[i] = sq[i] - c[4] * c[4] * fc
         deg = max(i for i, v in enumerate(sq) if not domain.is_zero(v))
         degrees.append(deg)
-        if not _squarefree(sq, domain):
+        if _discriminant_is_zero(sq, domain):
             degrees[-1] = -deg
     return degrees
-
-
-def _squarefree(coeffs, domain) -> bool:
-    return not _discriminant_is_zero(coeffs, domain)

@@ -254,10 +254,9 @@ class HeisAutomorphism:
             self._validate(vecs)
 
     def _validate(self, vecs):
-        for u in vecs:
-            Mu = self.M.apply(u)
-            for v in vecs:
-                Mv = self.M.apply(v)
+        images = [self.M.apply(u) for u in vecs]
+        for u, Mu in zip(vecs, images):
+            for v, Mv in zip(vecs, images):
                 uv = tuple((a + b) % 3 for a, b in zip(u, v))
                 lhs = (self.f[_uidx(uv, self.g)] - self.f[_uidx(u, self.g)]
                        - self.f[_uidx(v, self.g)]) % 3

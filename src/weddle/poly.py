@@ -147,7 +147,8 @@ class SparsePoly:
         if len(point) != self.nvars:
             raise ValueError("point of wrong dimension")
         dom = self.domain
-        acc = dom.zero()
+        # start from the point's zero: a Q polynomial at an F_p point is in F_p
+        acc = dom.zero() + point[0] * 0 if point else dom.zero()
         for exp, c in self.terms.items():
             t = c
             for x, e in zip(point, exp):
@@ -214,9 +215,6 @@ class SparsePoly:
             if not domain.is_zero(c2):
                 p.terms[e] = c2
         return p
-
-    def coefficient_vector(self, monomials):
-        return [self.terms.get(m, self.domain.zero()) for m in monomials]
 
     def primitive_normalized(self):
         """Over Q: clear denominators, divide by content, make the leading

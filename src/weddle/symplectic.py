@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import mul
 
 import numpy as np
 
@@ -50,26 +51,18 @@ def J_matrix(g: int):
 
 
 def _mat_mul(A, B, n=None):
-    size = len(A)
-    out = [[sum(A[i][k] * B[k][j] for k in range(size)) for j in range(size)]
-           for i in range(size)]
-    if n is not None:
-        out = [[x % n for x in row] for row in out]
-    return out
+    """A B as a tuple of row tuples, reduced mod n unless n is None."""
+    cols = tuple(zip(*B))
+    if n is None:
+        return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in A)
+    return tuple(tuple(sum(map(mul, row, col)) % n for col in cols) for row in A)
 
 
 def _is_symplectic(M, n=None) -> bool:
-    g = len(M) // 2
-    J = J_matrix(g)
-    Mt = [list(col) for col in zip(*M)]
-    JM = _mat_mul(J, M)
-    MtJM = _mat_mul(Mt, JM)
-    for i in range(2 * g):
-        for j in range(2 * g):
-            d = MtJM[i][j] - J[i][j]
-            if (d % n if n is not None else d) != 0:
-                return False
-    return True
+    J = J_matrix(len(M) // 2)
+    MtJM = _mat_mul(tuple(zip(*M)), _mat_mul(J, M))
+    diffs = (x - y for row, jrow in zip(MtJM, J) for x, y in zip(row, jrow))
+    return not any(d % n if n else d for d in diffs)
 
 
 @dataclass(frozen=True)
@@ -94,10 +87,6 @@ class Characteristic:
         return self.a + self.b
 
 
-def parity(m: Characteristic) -> int:
-    return m.parity
-
-
 def all_characteristics(g: int):
     out = []
     for bits in product((0, 1), repeat=2 * g):
@@ -106,24 +95,27 @@ def all_characteristics(g: int):
 
 
 class SymplecticMat:
-    """Element of Sp(2g, Z/n), entries reduced mod n."""
+    """Element of Sp(2g, Z) when n is None, else of Sp(2g, Z/n) with
+    entries reduced mod n."""
 
     __slots__ = ("n", "g", "entries")
 
-    def __init__(self, entries, n: int):
-        if n < 2:
+    def __init__(self, entries, n: int | None = None):
+        if n is not None and n < 2:
             raise ValueError("modulus must be at least 2")
         size = len(entries)
         if size % 2 or any(len(r) != size for r in entries):
             raise InvariantViolation("need a square matrix of even size")
         self.n = n
         self.g = size // 2
-        self.entries = tuple(tuple(int(x) % n for x in row) for row in entries)
+        self.entries = tuple(tuple(int(x) % n if n else int(x) for x in row)
+                             for row in entries)
         if not _is_symplectic(self.entries, n):
-            raise InvariantViolation("matrix is not symplectic mod %d" % n)
+            raise InvariantViolation("matrix is not symplectic "
+                                     + ("over Z" if n is None else "mod %d" % n))
 
     @classmethod
-    def identity(cls, g: int, n: int):
+    def identity(cls, g: int, n: int | None = None):
         return cls([[1 if i == j else 0 for j in range(2 * g)] for i in range(2 * g)], n)
 
     def blocks(self):
@@ -135,7 +127,7 @@ class SymplecticMat:
         return A, B, C, D
 
     @classmethod
-    def _trusted(cls, entries: tuple, n: int):
+    def _trusted(cls, entries: tuple, n: int | None):
         """Wrap entries that are reduced mod n and symplectic by construction."""
         obj = cls.__new__(cls)
         obj.n = n
@@ -143,18 +135,23 @@ class SymplecticMat:
         obj.entries = entries
         return obj
 
+    def reduce(self, n: int) -> SymplecticMat:
+        """This matrix mod n; only a matrix over Z or mod a multiple of n has one."""
+        if self.n is not None and (n < 2 or self.n % n):
+            raise ValueError("a matrix mod %d has no reduction mod %d" % (self.n, n))
+        return self if n == self.n else SymplecticMat(self.entries, n)
+
     def __mul__(self, other):
         if self.n != other.n:
             raise ValueError("mixed moduli")
         if self.g != other.g:
             raise ValueError("mixed genera")
         # a product of two symplectic matrices is symplectic: no re-check
-        prod_ = _mat_mul(self.entries, other.entries, self.n)
-        return SymplecticMat._trusted(tuple(map(tuple, prod_)), self.n)
+        return SymplecticMat._trusted(_mat_mul(self.entries, other.entries, self.n), self.n)
 
     def apply(self, v):
-        return tuple(sum(self.entries[i][j] * v[j] for j in range(2 * self.g)) % self.n
-                     for i in range(2 * self.g))
+        Mv = (sum(map(mul, row, v)) for row in self.entries)
+        return tuple(x % self.n for x in Mv) if self.n else tuple(Mv)
 
     def __eq__(self, other):
         return isinstance(other, SymplecticMat) and self.n == other.n \
@@ -167,55 +164,18 @@ class SymplecticMat:
         return bytes(x for row in self.entries for x in row)
 
     def __repr__(self):
-        return "SymplecticMat(n=%d, %s)" % (self.n, list(map(list, self.entries)))
-
-
-class IntSymplecticMat:
-    """Element of Sp(2g, Z)."""
-
-    __slots__ = ("g", "entries")
-
-    def __init__(self, entries):
-        size = len(entries)
-        if size % 2 or any(len(r) != size for r in entries):
-            raise InvariantViolation("need a square matrix of even size")
-        self.g = size // 2
-        self.entries = tuple(tuple(int(x) for x in row) for row in entries)
-        if not _is_symplectic(self.entries):
-            raise InvariantViolation("matrix is not symplectic over Z")
-
-    @classmethod
-    def identity(cls, g: int):
-        return cls([[1 if i == j else 0 for j in range(2 * g)] for i in range(2 * g)])
-
-    def reduce(self, n: int) -> SymplecticMat:
-        return SymplecticMat(self.entries, n)
-
-    def blocks(self):
-        g = self.g
-        A = [row[:g] for row in self.entries[:g]]
-        B = [row[g:] for row in self.entries[:g]]
-        C = [row[:g] for row in self.entries[g:]]
-        D = [row[g:] for row in self.entries[g:]]
-        return A, B, C, D
-
-    def __mul__(self, other):
-        return IntSymplecticMat(_mat_mul(self.entries, other.entries))
-
-    def __repr__(self):
-        return "IntSymplecticMat(%s)" % (list(map(list, self.entries)),)
+        return "SymplecticMat(n=%s, %s)" % (self.n, list(map(list, self.entries)))
 
 
 def transvection(v, scale=1, n=None, g=None):
-    """t(x) = x + scale * <x, v> * v, symplectic for every scale."""
+    """t(x) = x + scale * <x, v> * v, symplectic for every scale; over Z
+    when n is None."""
     if g is None:
         g = len(v) // 2
     J = J_matrix(g)
     Jv = [sum(J[i][j] * v[j] for j in range(2 * g)) for i in range(2 * g)]
     M = [[(1 if i == j else 0) + scale * v[i] * Jv[j] for j in range(2 * g)]
          for i in range(2 * g)]
-    if n is None:
-        return IntSymplecticMat(M)
     return SymplecticMat(M, n)
 
 
@@ -238,14 +198,9 @@ def transvection_generators(g: int, n: int):
     return [transvection(v, 1, n, g) for v in _transvection_vectors(g, n)]
 
 
-def sp_order_formula(g: int, n: int) -> int:
-    """Order of Sp(2g, Z/n); same product formula as the congruence index."""
-    val = gamma_index(g, n)
-    return int(val)
-
-
 def gamma_index(g: int, n: int) -> int:
-    """Index of the principal congruence subgroup of level n in Sp(2g, Z):
+    """Index of the principal congruence subgroup of level n in Sp(2g, Z),
+    which is also the order of Sp(2g, Z/n):
     n^(g(2g+1)) * prod_{p | n} prod_{k=1..g} (1 - p^(-2k))."""
     if n < 2:
         raise ValueError("level must be at least 2")
@@ -282,7 +237,7 @@ def sp_group_elements(g: int, n: int):
     A generator G acts on a code through a table of G v over all columns v,
     one generator at a time, and the codes are de-duplicated in 1-D.
     """
-    order = sp_order_formula(g, n)
+    order = gamma_index(g, n)
     if n not in (2, 3):
         raise ResourceCapError(
             "group enumeration is capped at n in {2, 3}; order for n=%d is %d by formula"
@@ -324,15 +279,11 @@ def sp_group_elements(g: int, n: int):
     return tuple(row.tobytes() for row in entries(visited).reshape(order, -1))
 
 
-def group_order(g: int, n: int, enumerate_group: bool | None = None) -> int:
+def group_order(g: int, n: int) -> int:
     """Order of Sp(2g, Z/n).  For n in {2, 3} the group is enumerated and
     the count cross-checked against the formula; other levels use the
     formula only."""
-    if enumerate_group is None:
-        enumerate_group = n in (2, 3)
-    if enumerate_group:
-        return len(sp_group_elements(g, n))
-    return sp_order_formula(g, n)
+    return len(sp_group_elements(g, n)) if n in (2, 3) else gamma_index(g, n)
 
 
 def key_to_mat(key: bytes, g: int, n: int) -> SymplecticMat:
@@ -346,16 +297,11 @@ def key_to_mat(key: bytes, g: int, n: int) -> SymplecticMat:
 # action on characteristics
 
 
-def act_characteristic(M, m: Characteristic) -> Characteristic:
+def act_characteristic(M: SymplecticMat, m: Characteristic) -> Characteristic:
     """Action on half-integer characteristics in doubled coordinates:
-    (a'; b') = (D, -C; -B, A)(a; b) + (diag(C D^t); diag(A B^t)) mod 2."""
-    if isinstance(M, SymplecticMat):
-        if M.n != 2:
-            M = SymplecticMat(M.entries, 2)
-    elif isinstance(M, IntSymplecticMat):
-        M = M.reduce(2)
-    else:
-        raise InvariantViolation("need a symplectic matrix")
+    (a'; b') = (D, -C; -B, A)(a; b) + (diag(C D^t); diag(A B^t)) mod 2.
+    M is over Z or mod an even n."""
+    M = M.reduce(2)
     if M.g != m.g:
         raise ValueError("genus mismatch")
     g = m.g
@@ -435,9 +381,14 @@ class QuadFormF2:
                  + sum(x * y for x, y in zip(m.a, v))
                  + sum(x * y for x, y in zip(m.b, u)))
             tab.append(-1 if e % 2 else 1)
+        return cls._from_table(g, tab)
+
+    @classmethod
+    def _from_table(cls, g: int, table):
+        """Wrap a value table that is quadratic by construction."""
         obj = cls.__new__(cls)
         obj.g = g
-        obj.table = tuple(tab)
+        obj.table = tuple(table)
         return obj
 
     def __call__(self, x) -> int:
@@ -461,35 +412,11 @@ class QuadFormF2:
     def __hash__(self):
         return hash(self.table)
 
-    def transform(self, M: SymplecticMat):
-        """kappa composed with M^{-1}; M^{-1} = J M^t J over F_2."""
-        if M.n != 2:
-            M = SymplecticMat(M.entries, 2)
-        g = self.g
-        Mt = [list(col) for col in zip(*M.entries)]
-        J = [[x % 2 for x in row] for row in J_matrix(g)]
-        Minv = _mat_mul(_mat_mul(J, Mt, 2), J, 2)
-        tab = []
-        for x in _f2_vectors(g):
-            y = tuple(sum(Minv[i][j] * x[j] for j in range(2 * g)) % 2
-                      for i in range(2 * g))
-            tab.append(self(y))
-        obj = QuadFormF2.__new__(QuadFormF2)
-        obj.g = g
-        obj.table = tuple(tab)
-        return obj
-
 
 def torsor_action(x, kappa: QuadFormF2) -> QuadFormF2:
     """(x . kappa)(y) = <x, y> kappa(y)."""
-    g = kappa.g
-    tab = []
-    for y in _f2_vectors(g):
-        tab.append(symplectic_pairing_f2(x, y) * kappa(y))
-    obj = QuadFormF2.__new__(QuadFormF2)
-    obj.g = g
-    obj.table = tuple(tab)
-    return obj
+    return QuadFormF2._from_table(kappa.g, (symplectic_pairing_f2(x, y) * kappa(y)
+                                            for y in _f2_vectors(kappa.g)))
 
 
 def all_quad_forms(g: int):
@@ -511,42 +438,30 @@ class StabilizerReport:
 
 @lru_cache(maxsize=None)
 def stabilizer(m: Characteristic) -> StabilizerReport:
-    """Stabilizer in Sp(4, Z/2) of the quadratic form attached to m,
-    with its orbit structure on the six odd forms."""
+    """Stabilizer in Sp(4, Z/2) of the quadratic form kappa attached to m,
+    with its orbit structure on the six odd forms.
+
+    M fixes kappa (kappa o M^-1 = kappa) exactly when kappa(M x) = kappa(x)
+    for all x, so one product of the listed group with the sixteen vectors
+    of F_2^4 decides every element.  The stabilizer is a group and all of
+    it is listed, so the orbit of a form q is its set of images q o M."""
     if m.g != 2:
         raise ValueError("stabilizers are enumerated for genus 2 only")
-    kappa = QuadFormF2.from_characteristic(m)
-    elements = []
-    for key in sp_group_elements(2, 2):
-        M = key_to_mat(key, 2, 2)
-        if kappa.transform(M) == kappa:
-            elements.append(M)
-    odd_forms = [q for q in all_quad_forms(2) if q.epsilon == -1]
-    remaining = set(range(len(odd_forms)))
-    sizes = []
-    while remaining:
-        seed = remaining.pop()
-        orb = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for M in elements:
-                    qi = odd_forms[i].transform(M)
-                    j = odd_forms.index(qi)
-                    if j not in orb:
-                        orb.add(j)
-                        nxt.append(j)
-            frontier = nxt
-        remaining -= orb
-        sizes.append(len(orb))
-    return StabilizerReport(len(elements), tuple(sorted(sizes)),
-                            frozenset(M.key() for M in elements))
+    keys = sp_group_elements(2, 2)
+    mats = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(-1, 4, 4)
+    # image[k, i]: index of M_k x_i, its bits read as QuadFormF2.__call__ does
+    image = np.array([8, 4, 2, 1]) @ (mats @ np.array(_f2_vectors(2)).T % 2)
+    table = np.array(QuadFormF2.from_characteristic(m).table)
+    fixed = np.flatnonzero((table[image] == table).all(axis=1))
+    odd = [np.array(q.table) for q in all_quad_forms(2) if q.epsilon == -1]
+    orbits = {frozenset(map(tuple, q[image[fixed]])) for q in odd}
+    return StabilizerReport(fixed.size, tuple(sorted(map(len, orbits))),
+                            frozenset(keys[i] for i in fixed))
 
 
-def classify_gamma(G: IntSymplecticMat) -> set:
+def classify_gamma(G: SymplecticMat) -> set:
     """All congruence labels satisfied by an integral symplectic matrix."""
-    if not isinstance(G, IntSymplecticMat):
+    if getattr(G, "n", 0) is not None:  # refuses matrices mod n and non-matrices
         raise InvariantViolation("need an integral symplectic matrix")
     if G.g != 2:
         raise ValueError("classification implemented for genus 2")

@@ -39,6 +39,16 @@ def test_evaluation_matches_expansion():
         assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
 
 
+def test_evaluation_lands_in_the_point_field():
+    F = GF(31)
+    point = [F.from_int(v) for v in (3, 5, 7)]
+    zero = SparsePoly.zero(3, QQ).evaluate(point)
+    assert F.is_zero(zero)
+    five = SparsePoly.monomial((0, 0, 0), QQ, Fraction(5)).evaluate(point)
+    assert five == F.from_int(5) and five.p == 31
+    assert SparsePoly.zero(3, QQ).evaluate([Fraction(1, 2)] * 3) == 0
+
+
 def test_partial_derivative_product_rule():
     rng = random.Random(2)
     a, b = rand_poly(rng), rand_poly(rng)

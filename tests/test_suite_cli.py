@@ -32,6 +32,11 @@ def test_unknown_suite_is_config_error():
         run_suite(RunConfig(suites=("nope",)))
 
 
+def test_cli_unknown_suite_exits_2(capsys):
+    assert main(["run", "--suite", "nope"]) == 2
+    assert capsys.readouterr().err.startswith("config error: unknown suites ['nope']")
+
+
 def test_determinism_under_fixed_seed():
     r1 = run_suite(RunConfig(suites=("sympchar",), seed=7))
     r2 = run_suite(RunConfig(suites=("sympchar",), seed=7))

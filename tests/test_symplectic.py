@@ -9,20 +9,18 @@ from hypothesis import strategies as st
 
 import weddle.symplectic
 from weddle.symplectic import (BASE_ODD, ENUM_CAP_ENV, Characteristic,
-                               IntSymplecticMat, InvariantViolation,
-                               J_matrix, QuadFormF2, ResourceCapError,
-                               SymplecticMat, _is_symplectic,
+                               InvariantViolation, J_matrix, QuadFormF2,
+                               ResourceCapError, SymplecticMat, _is_symplectic,
                                act_characteristic, all_characteristics,
                                all_quad_forms, classify_gamma, gamma_index,
                                group_order, key_to_mat, orbit_characteristics,
-                               parity, sp_group_elements, sp_order_formula,
-                               stabilizer, torsor_action, transvection,
-                               transvection_generators)
+                               sp_group_elements, stabilizer, torsor_action,
+                               transvection, transvection_generators)
 
 
 def test_parity_examples():
-    assert parity(Characteristic(2, (0, 0), (0, 0))) == 1
-    assert parity(Characteristic(2, (1, 0), (1, 0))) == -1
+    assert Characteristic(2, (0, 0), (0, 0)).parity == 1
+    assert Characteristic(2, (1, 0), (1, 0)).parity == -1
     census = [m.parity for m in all_characteristics(2)]
     assert census.count(1) == 10 and census.count(-1) == 6
 
@@ -44,7 +42,7 @@ def test_symplectic_validation():
         SymplecticMat.identity(2, 3) * SymplecticMat.identity(1, 3)
     SymplecticMat.identity(2, 3)
     with pytest.raises(InvariantViolation):
-        IntSymplecticMat([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        SymplecticMat([[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
 
 def test_transvections_are_symplectic():
@@ -160,7 +158,7 @@ def test_closure_sp4_f3_digest():
 
 def test_closure_refuses_int64_code_overflow(monkeypatch):
     # |Sp(8, F_2)| passes a raised cap, but 2^64 does not fit an int64 code
-    monkeypatch.setenv(ENUM_CAP_ENV, str(sp_order_formula(4, 2)))
+    monkeypatch.setenv(ENUM_CAP_ENV, str(gamma_index(4, 2)))
 
     def no_closure(*args):
         raise AssertionError("the group closure must not start")
@@ -173,7 +171,7 @@ def test_closure_refuses_int64_code_overflow(monkeypatch):
 def test_group_order_cap():
     with pytest.raises(ResourceCapError):
         sp_group_elements(2, 5)
-    assert group_order(2, 5, enumerate_group=False) == sp_order_formula(2, 5)
+    assert group_order(2, 5) == gamma_index(2, 5)
     # |Sp(6, F_3)| is far above the enumeration cap: refused before the closure
     with pytest.raises(ResourceCapError):
         sp_group_elements(3, 3)
@@ -202,8 +200,50 @@ def test_stabilizers():
     assert 720 // odd.order == 6
 
 
+def test_stabilizer_is_the_fixer_of_the_characteristic():
+    # independent route: the elements whose action on characteristics fixes
+    # m; their transposes are the stabilizer of the quadratic form of m
+    keys = sp_group_elements(2, 2)
+    for m in all_characteristics(2):
+        fixers = set()
+        for key in keys:
+            M = key_to_mat(key, 2, 2)
+            if act_characteristic(M, m) == m:
+                fixers.add(bytes(x for col in zip(*M.entries) for x in col))
+        rep = stabilizer(m)
+        assert rep.keys == fixers
+        assert (rep.order, rep.orbit_sizes_on_odd) == (
+            (120, (1, 5)) if m.parity == -1 else (72, (6,)))
+
+
+def test_reduce_needs_a_compatible_modulus():
+    t_int = transvection((1, 0, 0, 0), 1)
+    t4 = transvection((1, 0, 0, 0), 1, 4)
+    assert t_int.n is None and t_int.reduce(4) == t4
+    assert t4.reduce(2) == t_int.reduce(2) and t4.reduce(4) is t4
+    for m in all_characteristics(2):
+        assert act_characteristic(t4, m) == act_characteristic(t_int, m)
+    t3 = transvection((1, 0, 0, 0), 1, 3)
+    for n in (2, 4, 1):
+        with pytest.raises(ValueError):
+            t3.reduce(n)
+    with pytest.raises(ValueError):
+        act_characteristic(t3, BASE_ODD)
+
+
+def test_integral_and_modular_products():
+    a, b = transvection((1, 0, 0, 0), 2), transvection((0, 1, 1, 0), -1)
+    P = a * b
+    assert P.n is None and P == SymplecticMat(P.entries)
+    assert P.reduce(3) == a.reduce(3) * b.reduce(3)
+    with pytest.raises(ValueError):
+        a * a.reduce(3)
+    assert a.apply((0, 0, 1, 0)) == (-2, 0, 1, 0)
+    assert a.reduce(3).apply((0, 0, 1, 0)) == (1, 0, 1, 0)
+
+
 def test_classify_identity():
-    labels = classify_gamma(IntSymplecticMat.identity(2))
+    labels = classify_gamma(SymplecticMat.identity(2))
     assert labels == {"Gamma2", "Gamma2(2)", "Gamma2(3)", "Gamma2(6)",
                       "Gamma2(3,6)", "Gamma2(3)-"}
 
@@ -225,6 +265,8 @@ def test_classify_level_three_transvections():
 def test_classify_rejects_non_symplectic():
     with pytest.raises(InvariantViolation):
         classify_gamma([[1, 0], [0, 1]])
+    with pytest.raises(InvariantViolation):
+        classify_gamma(SymplecticMat.identity(2, 6))
 
 
 def test_transvection_generator_counts():
