@@ -21,9 +21,9 @@ from .burkhardt import (count_base_locus_ff, count_fibers_ff,
                         derive_burkhardt, derive_burkhardt_exact,
                         hessian_match, matrix_minus, matrix_plus, quadrics_f,
                         steinerian_minus, steinerian_plus, steinerian_quartics)
-from .theta import (HalfPeriod, PeriodMatrix, ThetaValue, halfperiod,
-                    level3_coords, surface_quadrics, symmetroid, theta_char,
-                    theta_halfint, theta_null, weddle_from_theta)
+from .theta import (PeriodMatrix, ThetaValue, halfperiod, level3_coords,
+                    surface_quadrics, symmetroid, theta_char, theta_halfint,
+                    theta_null, weddle_from_theta)
 from .curves import (CurvePoint, GenusTwoCurve, kummer_fit, phi,
                      quadrics_through_curve, sec_octic, secant_point,
                      tricanonical, weddle_prime_fit)

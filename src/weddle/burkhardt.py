@@ -28,7 +28,7 @@ from itertools import permutations, product
 import numpy as np
 
 from .fields import CC, Domain, GF, PrimeField, QQ
-from .heisenberg import REPS, idx2, neg2, rep_of
+from .heisenberg import REPS, idx2, involution_j, rep_of
 from .linalg import (Matrix, ShapeError, eval_poly_mod_p, fit_hypersurface,
                      nullspace, proj_points_mod_p, proj_ratio, sub_pfaffian_kernel)
 from .poly import SparsePoly, aligned_coefficients, exponents_of_degree
@@ -72,27 +72,37 @@ def translate_poly(f: SparsePoly, a) -> SparsePoly:
 
 def j_poly(f: SparsePoly) -> SparsePoly:
     """Substitute X_t -> X_{-t}."""
-    perm = [idx2(neg2((t0, t1))) for t0 in range(3) for t1 in range(3)]
-    return f.permute_variables(perm)
+    return f.permute_variables(involution_j().perm)
+
+
+def _restricted_matrix(odd: bool) -> Matrix:
+    """Entry (a, k) is D_a D_k X_{s+a} X_{-s+a} with s = REPS[k], after the
+    substitution X_t -> Y_j on Z = 0, or X_t -> sign * Z_j and X_0 -> 0 on
+    Y = 0, where t = sign * REPS[j]."""
+    def var(t):
+        j, sign = rep_of(t)
+        return (j - 1, sign if j else 0) if odd else (j, 1)
+
+    rows = []
+    for arow, a in enumerate(REPS):
+        row = []
+        for k, s in enumerate(REPS):
+            i, si = var((s[0] + a[0], s[1] + a[1]))
+            j, sj = var((a[0] - s[0], a[1] - s[1]))
+            exp = [0] * (4 if odd else 5)
+            exp[i] += 1
+            exp[j] += 1
+            c = Fraction(si * sj * D_SCALE[arow] * D_SCALE[k])
+            row.append(SparsePoly.monomial(tuple(exp), QQ, c))
+        rows.append(row)
+    return Matrix(rows)
 
 
 @lru_cache(maxsize=None)
 def matrix_plus() -> Matrix:
     """Symmetric 5x5 matrix of quadrics in Y_0..Y_4 with
     (M_+ r)_a = scale_a * (f_a restricted to Z = 0)."""
-    rows = []
-    for arow, a in enumerate(REPS):
-        row = []
-        for k, s in enumerate(REPS):
-            i = rep_of(((s[0] + a[0]) % 3, (s[1] + a[1]) % 3))[0]
-            j = rep_of(((-s[0] + a[0]) % 3, (-s[1] + a[1]) % 3))[0]
-            exp = [0] * 5
-            exp[i] += 1
-            exp[j] += 1
-            c = Fraction(D_SCALE[arow] * D_SCALE[k])
-            row.append(SparsePoly.monomial(tuple(exp), QQ, c))
-        rows.append(row)
-    M = Matrix(rows)
+    M = _restricted_matrix(odd=False)
     assert M.is_symmetric()
     return M
 
@@ -101,24 +111,7 @@ def matrix_plus() -> Matrix:
 def matrix_minus() -> Matrix:
     """Skew 5x5 matrix of quadrics in Z_1..Z_4 with
     (M_- r)_a = scale_a * (f_a restricted to Y = 0)."""
-    rows = []
-    for arow, a in enumerate(REPS):
-        row = []
-        for k, s in enumerate(REPS):
-            t1 = ((s[0] + a[0]) % 3, (s[1] + a[1]) % 3)
-            t2 = ((-s[0] + a[0]) % 3, (-s[1] + a[1]) % 3)
-            if t1 == (0, 0) or t2 == (0, 0):
-                row.append(SparsePoly.zero(4, QQ))
-                continue
-            i, sg1 = rep_of(t1)
-            j, sg2 = rep_of(t2)
-            exp = [0] * 4
-            exp[i - 1] += 1
-            exp[j - 1] += 1
-            c = Fraction(sg1 * sg2 * D_SCALE[arow] * D_SCALE[k])
-            row.append(SparsePoly.monomial(tuple(exp), QQ, c))
-        rows.append(row)
-    M = Matrix(rows)
+    M = _restricted_matrix(odd=True)
     assert M.is_skew()
     return M
 

@@ -26,7 +26,7 @@ def _parse_omega(path: str):
     with open(path) as fh:
         vals = [float(tok) for tok in fh.read().split()]
     if len(vals) != 8:
-        raise SystemExit("omega file needs 8 reals (row-major re im pairs)")
+        raise ValueError("omega file needs 8 reals (row-major re im pairs)")
     return [[complex(vals[0], vals[1]), complex(vals[2], vals[3])],
             [complex(vals[4], vals[5]), complex(vals[6], vals[7])]]
 
@@ -86,7 +86,7 @@ def cmd_derive_burkhardt(args):
     elif args.field.startswith("Fp:"):
         B = derive_burkhardt(GF(int(args.field.split(":")[1])), rng).quartic
     else:
-        raise SystemExit("field must be Q or Fp:<p>")
+        raise ValueError("field must be Q or Fp:<p>")
     sys.stdout.write(poly_to_text(B))
     return 0
 
@@ -299,8 +299,6 @@ def main(argv=None) -> int:
         args.suite = ["all"]
     try:
         return args.fn(args)
-    except SystemExit:
-        raise
     except (ValueError, OSError) as exc:
         sys.stderr.write("config error: %s\n" % exc)
         return 2

@@ -559,7 +559,10 @@ def sec_octic(curve: GenusTwoCurve, rng, samples: int = 620,
 
 def hyperplane_section_degree(curve: GenusTwoCurve, rng, trials: int = 5):
     """Degree of the embedded curve: a generic hyperplane pulls back to a
-    squarefree degree-6 polynomial on the double cover."""
+    squarefree binary sextic on the double cover.  Each trial records 6
+    when the sextic is squarefree as a binary form (affine degree at least
+    5, so a root at infinity is simple, and no repeated affine root), -6
+    otherwise."""
     domain = curve.domain
     degrees = []
     for _ in range(trials):
@@ -573,7 +576,6 @@ def hyperplane_section_degree(curve: GenusTwoCurve, rng, trials: int = 5):
         for i, fc in enumerate(curve.coeffs):
             sq[i] = sq[i] - c[4] * c[4] * fc
         deg = max(i for i, v in enumerate(sq) if not domain.is_zero(v))
-        degrees.append(deg)
-        if _discriminant_is_zero(sq, domain):
-            degrees[-1] = -deg
+        squarefree = deg >= 5 and not _discriminant_is_zero(sq, domain)
+        degrees.append(6 if squarefree else -6)
     return degrees

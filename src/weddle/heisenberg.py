@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .fields import Cyc, QW, omega_power
-from .linalg import Matrix, rref_naive
+from .linalg import Matrix
 from .symplectic import InvariantViolation, SymplecticMat
 
 REPS = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]
@@ -214,8 +214,10 @@ def eigenbasis_minus():
 
 
 def plus_minus_components(vec):
-    """Split a 9-vector into (plus 5-vector, minus 4-vector) coordinates:
-    Y_s = (v_s + v_{-s})/2 on representatives, Z_s = (v_s - v_{-s})/2."""
+    """Split a 9-vector, exact or complex, into (plus 5-vector, minus
+    4-vector) coordinates: Y_s = (v_s + v_{-s})/2 on representatives,
+    Z_s = (v_s - v_{-s})/2.  The one eigen-split of the level-3
+    coordinates under the flip involution_j()."""
     plus = []
     minus = []
     for k, s in enumerate(REPS):
@@ -449,35 +451,20 @@ def genperm_left(B: GenPerm, T: Matrix) -> Matrix:
     return Matrix(rows)
 
 
-_CHANGE_OF_BASIS = None
-
-
-def _basis_matrices():
-    global _CHANGE_OF_BASIS
-    if _CHANGE_OF_BASIS is None:
-        cols = eigenbasis_plus() + eigenbasis_minus()
-        P = Matrix([[cols[j][i] for j in range(9)] for i in range(9)])
-        aug = [list(P.rows[i]) + [QW.one() if k == i else QW.zero() for k in range(9)]
-               for i in range(9)]
-        rref, piv = rref_naive(aug, QW)
-        assert piv == list(range(9))
-        Pinv = Matrix([row[9:] for row in rref])
-        _CHANGE_OF_BASIS = (P, Pinv)
-    return _CHANGE_OF_BASIS
-
-
 def block_split(T: Matrix):
     """Conjugate T into the (Y, Z) basis; returns (plus 5x5, minus 4x4,
-    off_blocks_zero)."""
-    P, Pinv = _basis_matrices()
-    TB = Pinv.mat_mul(T.mat_mul(P))
-    off_zero = True
-    for i in range(9):
-        for j in range(9):
-            if (i < 5) != (j < 5) and TB.rows[i][j] != Cyc(0):
-                off_zero = False
-    plus = Matrix([row[:5] for row in TB.rows[:5]])
-    minus = Matrix([row[5:] for row in TB.rows[5:]])
+    off_blocks_zero).
+
+    With P the eigenbasis, row i of T.P is the split of row i of T, and
+    P^-1 = diag(1, 2, ..., 2) . split, so P^-1.T.P splits every column of
+    T.P and doubles every row but the first."""
+    TP = [sum(plus_minus_components(row), []) for row in T.rows]
+    cols = [sum(plus_minus_components(col), []) for col in zip(*TP)]
+    TB = [[x * 2 if i else x for x in row] for i, row in enumerate(zip(*cols))]
+    off_zero = not any(TB[i][j] for i in range(9) for j in range(9)
+                       if (i < 5) != (j < 5))
+    plus = Matrix([row[:5] for row in TB[:5]])
+    minus = Matrix([row[5:] for row in TB[5:]])
     return plus, minus, off_zero
 
 

@@ -161,6 +161,10 @@ class SymplecticMat:
         return hash((self.n, self.entries))
 
     def key(self) -> bytes:
+        """The entries, row-major, one byte each: only mod n <= 256."""
+        if self.n is None or self.n > 256:
+            raise ValueError("key() needs a matrix mod n <= 256, not one %s"
+                             % ("over Z" if self.n is None else "mod %d" % self.n))
         return bytes(x for row in self.entries for x in row)
 
     def __repr__(self):

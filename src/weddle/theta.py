@@ -24,7 +24,7 @@ from .burkhardt import matrix_plus, steinerian_quartics
 from .curves import (TRIPLE_SPLITS, _rigidity, fifteen_node_lines,
                      line_in_hypersurface, ten_triple_lines)
 from .fields import CC
-from .heisenberg import REPS, idx2, neg2
+from .heisenberg import REPS, idx2, involution_j, plus_minus_components
 from .linalg import (Matrix, chordal_distance, det_ring, eval_poly_mod_p,
                      fit_hypersurface, nullspace, nullspace_complex,
                      proj_points_mod_p, rank, solve_overdetermined)
@@ -165,27 +165,11 @@ def theta_halfint(m: Characteristic, z, omega: PeriodMatrix,
     return theta_char(np.array(m.a) / 2.0, np.array(m.b) / 2.0, z, omega, tol)
 
 
-@dataclass
-class HalfPeriod:
-    char: Characteristic
-    point: np.ndarray
-
-    @classmethod
-    def of(cls, m: Characteristic, omega: PeriodMatrix):
-        a = np.array(m.a, dtype=float) / 2.0
-        b = np.array(m.b, dtype=float) / 2.0
-        return cls(m, omega.m @ a + b)
-
-    def doubling_residual(self, omega: PeriodMatrix) -> float:
-        """Distance from 2 * point to the lattice Om Z^2 + Z^2."""
-        target = 2 * self.point
-        a = np.array(self.char.a, dtype=float)
-        b = np.array(self.char.b, dtype=float)
-        return float(np.max(np.abs(target - (omega.m @ a + b))))
-
-
 def halfperiod(m: Characteristic, omega: PeriodMatrix) -> np.ndarray:
-    return HalfPeriod.of(m, omega).point
+    """The half period Om a/2 + b/2 of the characteristic m = (a, b)."""
+    a = np.array(m.a, dtype=float) / 2.0
+    b = np.array(m.b, dtype=float) / 2.0
+    return omega.m @ a + b
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +211,20 @@ def random_z(omega: PeriodMatrix, rng) -> np.ndarray:
     return omega.m @ u + v
 
 
-J_PERM = [idx2(neg2((s0, s1))) for s0 in range(3) for s1 in range(3)]
+# the index flip X_s -> X_{-s} as a fancy index; x[FLIP] is the flipped
+# vector because the flip is an involution
+FLIP = np.array(involution_j().perm)
 
 
-def j_apply(vec: np.ndarray) -> np.ndarray:
-    out = np.empty_like(vec)
-    for i in range(9):
-        out[J_PERM[i]] = vec[i]
-    return out
+def _odd_image(z, h, omega: PeriodMatrix, floor: float = 0.0):
+    """The odd part of the translated coordinates X(z + h), scaled to
+    max-abs 1, or None when its max-abs is below floor times that of X."""
+    u = level3_coords(np.asarray(z) + h, omega)
+    zc = np.array(plus_minus_components(u)[1])
+    top = np.abs(zc).max()
+    if top < floor * np.abs(u).max():
+        return None
+    return zc / top
 
 
 @dataclass
@@ -257,7 +247,7 @@ def level3_contract_check(omega: PeriodMatrix, rng, samples: int = 6,
     for _ in range(samples):
         z = random_z(omega, rng)
         x = level3_coords(z, omega)
-        par = max(par, chordal_distance(level3_coords(-z, omega), j_apply(x)))
+        par = max(par, chordal_distance(level3_coords(-z, omega), x[FLIP]))
         for p in [(1, 0), (0, 1)]:
             xs = level3_coords(z + np.array(p) / 3.0, omega)
             pred = np.array([x[idx2((s0, s1))] * w ** ((s0 * p[0] + s1 * p[1]) % 3)
@@ -275,25 +265,6 @@ def level3_contract_check(omega: PeriodMatrix, rng, samples: int = 6,
     if report.max_residual() > tol:
         raise RuntimeError("level-3 coordinate contract failed: %r" % (report,))
     return report
-
-
-def plus_coords(vec: np.ndarray) -> np.ndarray:
-    """Even components (Y) on the five orbit representatives."""
-    out = np.empty(5, dtype=complex)
-    for k, s in enumerate(REPS):
-        if k == 0:
-            out[0] = vec[idx2(s)]
-        else:
-            out[k] = 0.5 * (vec[idx2(s)] + vec[idx2(neg2(s))])
-    return out
-
-
-def minus_coords(vec: np.ndarray) -> np.ndarray:
-    """Odd components (Z) on the four nonzero representatives."""
-    out = np.empty(4, dtype=complex)
-    for k, s in enumerate(REPS[1:]):
-        out[k] = 0.5 * (vec[idx2(s)] - vec[idx2(neg2(s))])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +290,7 @@ def involution_matrix(kappa: Characteristic, omega: PeriodMatrix, rng,
     eigenspace dimension is 5 for even kappa, 4 for odd."""
     h = halfperiod(kappa, omega)
     f0 = level3_coords(h, omega)
-    jf0 = j_apply(f0)
+    jf0 = f0[FLIP]
     rho = np.vdot(f0, jf0) / np.vdot(f0, f0)
     sign = 1 if rho.real > 0 else -1
     sign_residual = abs(rho - sign)
@@ -329,13 +300,11 @@ def involution_matrix(kappa: Characteristic, omega: PeriodMatrix, rng,
     for _ in range(samples):
         z = random_z(omega, rng)
         u = level3_coords(-z + h, omega)
-        v = sign * j_apply(level3_coords(z + h, omega))
+        v = sign * level3_coords(z + h, omega)[FLIP]
         defining = max(defining, chordal_distance(u, v))
     if defining > tol:
         raise RuntimeError("involution relation residual %g above %g" % (defining, tol))
-    R = np.zeros((9, 9))
-    for i in range(9):
-        R[J_PERM[i], i] = sign
+    R = sign * np.eye(9)[FLIP]
     square_residual = float(np.abs(R @ R - np.eye(9)).max())
     dim_inv = int(round((9 + np.trace(R)) / 2))
     expected = 5 if kappa.parity == 1 else 4
@@ -362,17 +331,18 @@ def theta_null(kappa: Characteristic, omega: PeriodMatrix,
     the degeneracy locus)."""
     v = level3_coords(halfperiod(kappa, omega), omega)
     nrm = np.abs(v).max()
+    plus, minus = plus_minus_components(v)
     if kappa.parity == 1:
-        resid = float(np.abs(v - j_apply(v)).max() / (2 * nrm))
-        coords = plus_coords(v)
+        resid = float(np.abs(v - v[FLIP]).max() / (2 * nrm))
+        coords = np.array(plus)
         M = matrix_plus()
         vals = np.array([[complex(M.rows[i][j].evaluate(list(coords))) for j in range(5)]
                          for i in range(5)])
         scale = np.abs(vals).max()
         detn = float(abs(np.linalg.det(vals)) / scale ** 5) if scale > 0 else 0.0
     else:
-        resid = float(np.abs(v + j_apply(v)).max() / (2 * nrm))
-        coords = minus_coords(v)
+        resid = float(np.abs(v + v[FLIP]).max() / (2 * nrm))
+        coords = np.array(minus)
         detn = None
     if resid > tol:
         raise RuntimeError("theta-null eigenspace membership residual %g" % resid)
@@ -390,7 +360,7 @@ def half_period_census(kappa: Characteristic, omega: PeriodMatrix,
         x = halfperiod(m, omega)
         u = level3_coords(x + h, omega)
         nrm = np.abs(u).max()
-        anti = float(np.abs(u + j_apply(u)).max() / (2 * nrm))
+        anti = float(np.abs(u + u[FLIP]).max() / (2 * nrm))
         rows.append({"char": m, "coords": u, "anti_residual": anti,
                      "in_minus": anti < tol})
     return rows
@@ -412,7 +382,7 @@ def _invariant_quadric_row(x: np.ndarray) -> np.ndarray:
     row = np.empty(5, dtype=complex)
     for k, s in enumerate(REPS):
         mult = 1.0 if k == 0 else 2.0
-        row[k] = mult * x[idx2(s)] * x[idx2(neg2(s))]
+        row[k] = mult * x[idx2(s)] * x[FLIP[idx2(s)]]
     return row
 
 
@@ -499,12 +469,9 @@ def weddle_from_theta(omega: PeriodMatrix, kappa: Characteristic, rng,
     def draw(n):
         out = []
         while len(out) < n:
-            z = random_z(omega, rng)
-            u = level3_coords(z + h, omega)
-            zc = minus_coords(u)
-            if np.abs(zc).max() < 1e-6 * np.abs(u).max():
-                continue
-            out.append(zc / np.abs(zc).max())
+            zc = _odd_image(random_z(omega, rng), h, omega, floor=1e-6)
+            if zc is not None:
+                out.append(zc)
         return out
 
     pts = draw(samples)
@@ -519,17 +486,13 @@ def weddle_from_theta(omega: PeriodMatrix, kappa: Characteristic, rng,
     wnorm = math.sqrt(sum(abs(c) ** 2 for c in W.terms.values()))
     fresh = 0.0
     for _ in range(30):
-        z = random_z(omega, rng)
-        zc = minus_coords(level3_coords(z + h, omega))
-        zc = zc / np.abs(zc).max()
+        zc = _odd_image(random_z(omega, rng), h, omega)
         fresh = max(fresh, abs(W.evaluate(list(zc))) / wnorm)
-    census = half_period_census(kappa, omega)
-    nodes = [row["coords"] for row in census if row["in_minus"]]
+    nodes = [_odd_image(halfperiod(row["char"], omega), h, omega)
+             for row in half_period_census(kappa, omega) if row["in_minus"]]
     if len(nodes) != 6:
         raise RuntimeError("expected 6 half periods in the odd eigenspace, got %d"
                            % len(nodes))
-    nodes = [minus_coords(u) for u in nodes]
-    nodes = [n / np.abs(n).max() for n in nodes]
     grads = [W.partial(i) for i in range(4)]
     node_grad = 0.0
     for n in nodes:
@@ -597,11 +560,8 @@ def twisted_cubic_net_dimension(omega: PeriodMatrix, kappa: Characteristic,
     if len(fit.forms) != 4:
         raise RuntimeError("quadrics through 6 nodes have dimension %d" % len(fit.forms))
     h = halfperiod(kappa, omega)
-    curve_pts = []
-    for z in theta_divisor_points(kappa, omega, rng, n_curve):
-        u = level3_coords(np.asarray(z) + h, omega)
-        zc = minus_coords(u)
-        curve_pts.append(zc / np.abs(zc).max())
+    curve_pts = [_odd_image(z, h, omega)
+                 for z in theta_divisor_points(kappa, omega, rng, n_curve)]
     a = np.array([[q.evaluate(list(pt)) for q in fit.forms] for pt in curve_pts])
     return len(nullspace_complex(a, rel_threshold)[0])
 

@@ -80,6 +80,14 @@ def test_embedding_degree_six(curve):
     assert hyperplane_section_degree(curve, random.Random(2)) == [6] * 5
 
 
+def test_embedding_degree_counts_the_root_at_infinity(curve):
+    # about 2% of hyperplanes at p=101 cut a sextic of affine degree 5 (one
+    # section point at infinity); those still have degree 6
+    for seed in range(300):
+        degrees = hyperplane_section_degree(curve, random.Random(seed))
+        assert all(abs(d) == 6 for d in degrees)
+
+
 def test_secant_factors_through_involution(curve):
     r = random.Random(3)
     for _ in range(100):

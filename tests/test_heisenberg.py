@@ -158,7 +158,27 @@ def test_plus_minus_components_roundtrip():
     recon = [r - (plus[0] * y0) for r, y0 in zip(recon, ys[0])]  # Y0 not halved
     for c, b in zip(minus, zs):
         recon = [r + c * x * 2 for r, x in zip(recon, b)]
-    assert all(r == v for r, v in zip(recon, vec))
+    assert recon == vec
+
+
+def _block_diag(plus, minus):
+    zero = QW.zero()
+    return Matrix([list(r) + [zero] * 4 for r in plus.rows]
+                  + [[zero] * 5 + list(r) for r in minus.rows])
+
+
+def test_block_split_conjugates_through_the_eigenbasis():
+    cols = eigenbasis_plus() + eigenbasis_minus()
+    P = Matrix([[cols[j][i] for j in range(9)] for i in range(9)])
+    for M in standard_sp4_generators():
+        T = intertwiner(M)
+        plus, minus, off = block_split(T)
+        assert off
+        assert P.mat_mul(_block_diag(plus, minus)).rows == T.mat_mul(P).rows
+    r = random.Random(4)
+    T = Matrix([[QW.random(r) for _ in range(9)] for _ in range(9)])
+    plus, minus, off = block_split(T)
+    assert not off
 
 
 def test_zeta_properties():

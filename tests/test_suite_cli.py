@@ -107,6 +107,17 @@ def test_cli_theta_null(tmp_path):
     assert len(data["coords"]) == 4
 
 
+def test_cli_bad_inputs_are_config_errors(tmp_path, capsys):
+    om = tmp_path / "omega.txt"
+    om.write_text("1.0 1.0 0.3\n")
+    for args in (["theta-null", "--omega", str(om), "--char", "1", "0", "1", "0"],
+                 ["run", "--suite", "theta", "--omega", str(om)],
+                 ["derive-burkhardt", "--field", "Z"]):
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+
 def test_cli_run_config_error():
     code = main(["run", "--suite", "bogus"])
     assert code == 2

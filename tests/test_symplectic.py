@@ -272,3 +272,12 @@ def test_classify_rejects_non_symplectic():
 def test_transvection_generator_counts():
     assert len(transvection_generators(2, 2)) == 15
     assert len(transvection_generators(2, 3)) == 40
+
+
+def test_key_refuses_matrices_beyond_a_byte():
+    assert SymplecticMat.identity(2, 3).key() == bytes([1, 0, 0, 0, 0, 1, 0, 0,
+                                                       0, 0, 1, 0, 0, 0, 0, 1])
+    with pytest.raises(ValueError, match="over Z"):
+        transvection((1, 0, 0, 0), 1).key()
+    with pytest.raises(ValueError, match="mod 300"):
+        transvection((1, 0, 0, 0), 1, 300).key()
