@@ -150,14 +150,6 @@ class GenPerm:
     def scale(self, k):
         return GenPerm(self.perm, tuple((e + k) % 3 for e in self.expo))
 
-    def inverse(self):
-        perm = [0] * 9
-        expo = [0] * 9
-        for a in range(9):
-            perm[self.perm[a]] = a
-            expo[self.perm[a]] = -self.expo[a] % 3
-        return GenPerm(perm, expo)
-
     def to_matrix(self) -> Matrix:
         rows = [[Cyc(0) for _ in range(9)] for _ in range(9)]
         for a in range(9):

@@ -262,9 +262,7 @@ def check_burkhardt_derivation(ctx: Context) -> CheckRecord:
     dom = GF(ctx.cfg.p)
     dp = burkhardt.derive_burkhardt(dom, rng)
     B = ctx.burkhardt_exact()
-    red = {e: (c.numerator * pow(c.denominator, -1, ctx.cfg.p)) % ctx.cfg.p
-           for e, c in B.terms.items()}
-    agree = red == {e: c.val for e, c in dp.quartic.terms.items()}
+    agree = B.map_coefficients(dom, dom.coerce) == dp.quartic
     vanish = True
     for _ in range(50):
         z = [Fraction(rng.randint(-9, 9)) for _ in range(4)]
@@ -349,8 +347,11 @@ def check_theta_numerics(ctx: Context) -> CheckRecord:
         t1 = theta.theta_halfint(m, z, om, tol)
         t2 = theta.theta_halfint(m, -z, om, tol)
         parity_worst = max(parity_worst, abs(t2.value - m.parity * t1.value))
-    odd_null_worst = max(abs(theta.theta_halfint(m, np.zeros(2), om, tol).value)
-                         for m in chars if m.parity == -1)
+    odd = [m for m in chars if m.parity == -1]
+    odd_nulls = theta.theta_char(np.array([m.a for m in odd]) / 2.0,
+                                 np.array([m.b for m in odd]) / 2.0,
+                                 np.zeros(2), om, tol)
+    odd_null_worst = max(abs(complex(v)) for v in odd_nulls.value)
     honesty_ok = True
     for _ in range(50):
         m = rng.choice(chars)
@@ -368,15 +369,12 @@ def check_theta_numerics(ctx: Context) -> CheckRecord:
             square_worst = max(square_worst, chordal_distance(st, sq.r))
     det_worst = 0.0
     memb_worst = 0.0
+    kernel_worst = 0.0
     for m in chars:
         tn = theta.theta_null(m, om)
         memb_worst = max(memb_worst, tn.membership_residual)
-        if tn.det_plus_normalized is not None:
-            det_worst = max(det_worst, tn.det_plus_normalized)
-    kernel_worst = 0.0
-    for m in chars:
         if m.parity == 1:
-            tn = theta.theta_null(m, om)
+            det_worst = max(det_worst, tn.det_plus_normalized)
             status, k = burkhardt.steinerian_plus(list(tn.eigen_coords))
             kernel_worst = max(kernel_worst,
                                chordal_distance(k, sq.r) if status == "kernel" else 1.0)
@@ -400,8 +398,7 @@ def check_theta_numerics(ctx: Context) -> CheckRecord:
 
 def check_weddle_theta(ctx: Context) -> CheckRecord:
     rep = ctx.weddle_theta()
-    census = theta.half_period_census(symplectic.BASE_ODD, ctx.cfg.period_matrix())
-    n_minus = sum(1 for row in census if row["in_minus"])
+    n_minus = len(rep.nodes)
     ptol = ctx.cfg.tol
     ok = (rep.fit_nullity == 1 and n_minus == 6
           and rep.fresh_residual < ptol and rep.node_gradient_residual < 1e-5

@@ -10,6 +10,8 @@ in doubled 0/1 coordinates enter as alpha = a/2, beta = b/2; the level-3
 coordinate X_s is theta[s/3; 0](3z, 3Om).
 
 Every evaluation returns a rigorous truncation bound along with the value.
+A stack of characteristics (such as the level-n coordinates) is summed over
+one shared grid, held to the enumeration cap, and shares one bound.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .linalg import (Matrix, chordal_distance, det_ring, eval_poly_mod_p,
                      fit_hypersurface, nullspace, nullspace_complex,
                      proj_points_mod_p, rank, solve_overdetermined)
 from .poly import SparsePoly, aligned_coefficients
-from .symplectic import Characteristic, all_characteristics
+from .symplectic import Characteristic, all_characteristics, check_enum_cap
 
 
 class DomainError(ValueError):
@@ -82,7 +84,7 @@ OMEGA_GENERIC = PeriodMatrix([[1.0 + 1.0j, 0.3 + 0.1j], [0.3 + 0.1j, 1.5 + 1.2j]
 
 @dataclass
 class ThetaValue:
-    value: complex
+    value: complex | np.ndarray
     bound: float
 
     def __post_init__(self):
@@ -123,7 +125,10 @@ def theta_char(alpha, beta, z, omega: PeriodMatrix, tol: float = 1e-12,
                with_gradient: bool = False):
     """theta[alpha; beta](z, Om) with a truncation bound below tol.
 
-    Returns a ThetaValue, or (ThetaValue, gradient 2-vector) when asked."""
+    alpha and beta are 2-vectors or (k, 2) stacks; a stack is summed over
+    one shared grid with one shared bound, and each of its k values is
+    bitwise the single-characteristic sum.  Returns a ThetaValue (its value
+    a length-k array for a stack), or (ThetaValue, gradient) when asked."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     om = omega.m
@@ -131,32 +136,32 @@ def theta_char(alpha, beta, z, omega: PeriodMatrix, tol: float = 1e-12,
     beta = np.asarray(beta, dtype=float)
     z = np.asarray(z, dtype=complex)
     # shift alpha into [-1/2, 1/2): an exact reindexing of the sum
-    shift = np.round(alpha)
-    alpha_red = alpha - shift
+    alpha_red = alpha - np.round(alpha)
+    n_chars = np.broadcast(alpha, beta).size // 2
     lam = omega.min_im_eigenvalue()
     ynorm = float(np.linalg.norm(z.imag))
     radius = max(2, int(math.ceil(math.sqrt(max(math.log(8.0 / tol), 1.0)
                                             / (math.pi * lam)))
                         + 2 * ynorm / lam + 2))
-    bound = _tail_bound(radius + 1, lam, ynorm)
-    while bound > tol:
-        radius += 2
+    while True:
+        check_enum_cap(n_chars * (2 * radius + 1) ** 2)
         bound = _tail_bound(radius + 1, lam, ynorm)
-        if radius > 600:
-            raise RuntimeError("truncation radius exploded; check the period matrix")
+        if bound <= tol:
+            break
+        radius += 2
     rng = np.arange(-radius, radius + 1)
     r0, r1 = np.meshgrid(rng, rng, indexing="ij")
-    m0 = r0.ravel() + alpha_red[0]
-    m1 = r1.ravel() + alpha_red[1]
+    # one grid row per characteristic; each sum runs over a contiguous last axis
+    m0 = r0.ravel() + alpha_red[..., 0, None]
+    m1 = r1.ravel() + alpha_red[..., 1, None]
     quad = (om[0, 0] * m0 * m0 + 2 * om[0, 1] * m0 * m1 + om[1, 1] * m1 * m1)
-    lin = m0 * (z[0] + beta[0]) + m1 * (z[1] + beta[1])
+    lin = m0 * (z[0] + beta[..., 0, None]) + m1 * (z[1] + beta[..., 1, None])
     expo = np.exp(1j * math.pi * quad + 2j * math.pi * lin)
-    val = complex(expo.sum())
+    val = expo.sum(axis=-1)
+    tv = ThetaValue(complex(val) if val.ndim == 0 else val, bound)
     if with_gradient:
-        g0 = complex((2j * math.pi * m0 * expo).sum())
-        g1 = complex((2j * math.pi * m1 * expo).sum())
-        return ThetaValue(val, bound), np.array([g0, g1])
-    return ThetaValue(val, bound)
+        return tv, np.stack([(2j * math.pi * m * expo).sum(axis=-1) for m in (m0, m1)], -1)
+    return tv
 
 
 def theta_halfint(m: Characteristic, z, omega: PeriodMatrix,
@@ -176,17 +181,18 @@ def halfperiod(m: Characteristic, omega: PeriodMatrix) -> np.ndarray:
 # level-3 coordinates
 
 
+def _level_coords(n: int, z, omega: PeriodMatrix, tol: float) -> np.ndarray:
+    """theta[s/n; 0](nz, nOm) for s in (Z/n)^2 in lexicographic order, as
+    one stacked sum."""
+    s = np.array(list(np.ndindex(n, n)))
+    return theta_char(s / n, np.zeros(2), n * np.asarray(z, dtype=complex),
+                      omega.scaled(n), tol).value
+
+
 def level3_coords(z, omega: PeriodMatrix, tol: float = 1e-12) -> np.ndarray:
     """The nine third-order coordinates X_s(z) = theta[s/3; 0](3z, 3Om),
     indexed by s in (Z/3)^2 in lexicographic order."""
-    om3 = omega.scaled(3)
-    z3 = 3 * np.asarray(z, dtype=complex)
-    out = np.empty(9, dtype=complex)
-    for s0 in range(3):
-        for s1 in range(3):
-            tv = theta_char(np.array([s0, s1]) / 3.0, np.zeros(2), z3, om3, tol)
-            out[idx2((s0, s1))] = tv.value
-    return out
+    return _level_coords(3, z, omega, tol)
 
 
 def level2_coords(z, omega: PeriodMatrix, tol: float = 1e-12) -> np.ndarray:
@@ -194,14 +200,7 @@ def level2_coords(z, omega: PeriodMatrix, tol: float = 1e-12) -> np.ndarray:
     (Z/2)^2.  Every one of them is an even function of z: the odd
     eigenspace at even level is zero, so all ten quadratic combinations
     are inversion invariant on the nose."""
-    om2 = omega.scaled(2)
-    z2 = 2 * np.asarray(z, dtype=complex)
-    out = np.empty(4, dtype=complex)
-    for s0 in range(2):
-        for s1 in range(2):
-            tv = theta_char(np.array([s0, s1]) / 2.0, np.zeros(2), z2, om2, tol)
-            out[s0 * 2 + s1] = tv.value
-    return out
+    return _level_coords(2, z, omega, tol)
 
 
 def random_z(omega: PeriodMatrix, rng) -> np.ndarray:
@@ -216,15 +215,25 @@ def random_z(omega: PeriodMatrix, rng) -> np.ndarray:
 FLIP = np.array(involution_j().perm)
 
 
-def _odd_image(z, h, omega: PeriodMatrix, floor: float = 0.0):
-    """The odd part of the translated coordinates X(z + h), scaled to
-    max-abs 1, or None when its max-abs is below floor times that of X."""
-    u = level3_coords(np.asarray(z) + h, omega)
+def _odd_part(u: np.ndarray, floor: float = 0.0):
+    """The odd part of the coordinates u, scaled to max-abs 1, or None when
+    its max-abs is below floor times that of u."""
     zc = np.array(plus_minus_components(u)[1])
     top = np.abs(zc).max()
     if top < floor * np.abs(u).max():
         return None
     return zc / top
+
+
+def _odd_image(z, h, omega: PeriodMatrix, floor: float = 0.0):
+    """_odd_part of the translated coordinates X(z + h)."""
+    return _odd_part(level3_coords(np.asarray(z) + h, omega), floor)
+
+
+def _flip_residual(v: np.ndarray, eps: int) -> float:
+    """Distance of v from the eps-eigenspace of the flip, relative to the
+    max-abs of v."""
+    return float(np.abs(v - eps * v[FLIP]).max() / (2 * np.abs(v).max()))
 
 
 @dataclass
@@ -252,14 +261,10 @@ def level3_contract_check(omega: PeriodMatrix, rng, samples: int = 6,
             xs = level3_coords(z + np.array(p) / 3.0, omega)
             pred = np.array([x[idx2((s0, s1))] * w ** ((s0 * p[0] + s1 * p[1]) % 3)
                              for s0 in range(3) for s1 in range(3)])
-            pred = np.array([pred[idx2((s0, s1))] for s0 in range(3) for s1 in range(3)])
             diag = max(diag, chordal_distance(xs, pred))
         for q in [(1, 0), (0, 1)]:
             xs = level3_coords(z + omega.m @ (np.array(q) / 3.0), omega)
-            pred = np.empty(9, dtype=complex)
-            for s0 in range(3):
-                for s1 in range(3):
-                    pred[idx2((s0, s1))] = x[idx2(((s0 + q[0]) % 3, (s1 + q[1]) % 3))]
+            pred = np.array([x[idx2((s0 + q[0], s1 + q[1]))] for s0, s1 in np.ndindex(3, 3)])
             perm = max(perm, chordal_distance(xs, pred))
     report = ContractReport(par, diag, perm)
     if report.max_residual() > tol:
@@ -330,10 +335,9 @@ def theta_null(kappa: Characteristic, omega: PeriodMatrix,
     normalized determinant of the symmetric quadric matrix there (zero on
     the degeneracy locus)."""
     v = level3_coords(halfperiod(kappa, omega), omega)
-    nrm = np.abs(v).max()
+    resid = _flip_residual(v, kappa.parity)
     plus, minus = plus_minus_components(v)
     if kappa.parity == 1:
-        resid = float(np.abs(v - v[FLIP]).max() / (2 * nrm))
         coords = np.array(plus)
         M = matrix_plus()
         vals = np.array([[complex(M.rows[i][j].evaluate(list(coords))) for j in range(5)]
@@ -341,7 +345,6 @@ def theta_null(kappa: Characteristic, omega: PeriodMatrix,
         scale = np.abs(vals).max()
         detn = float(abs(np.linalg.det(vals)) / scale ** 5) if scale > 0 else 0.0
     else:
-        resid = float(np.abs(v + v[FLIP]).max() / (2 * nrm))
         coords = np.array(minus)
         detn = None
     if resid > tol:
@@ -359,8 +362,7 @@ def half_period_census(kappa: Characteristic, omega: PeriodMatrix,
     for m in all_characteristics(2):
         x = halfperiod(m, omega)
         u = level3_coords(x + h, omega)
-        nrm = np.abs(u).max()
-        anti = float(np.abs(u + u[FLIP]).max() / (2 * nrm))
+        anti = _flip_residual(u, -1)
         rows.append({"char": m, "coords": u, "anti_residual": anti,
                      "in_minus": anti < tol})
     return rows
@@ -488,7 +490,7 @@ def weddle_from_theta(omega: PeriodMatrix, kappa: Characteristic, rng,
     for _ in range(30):
         zc = _odd_image(random_z(omega, rng), h, omega)
         fresh = max(fresh, abs(W.evaluate(list(zc))) / wnorm)
-    nodes = [_odd_image(halfperiod(row["char"], omega), h, omega)
+    nodes = [_odd_part(row["coords"])
              for row in half_period_census(kappa, omega) if row["in_minus"]]
     if len(nodes) != 6:
         raise RuntimeError("expected 6 half periods in the odd eigenspace, got %d"

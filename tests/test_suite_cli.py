@@ -123,14 +123,19 @@ def test_cli_run_config_error():
     assert code == 2
 
 
-def test_cli_resource_cap_exits_2(monkeypatch, capsys):
+def test_cli_resource_cap_exits_2(monkeypatch, capsys, tmp_path):
     import weddle.symplectic
 
     def no_closure(*args):
         raise AssertionError("the group closure must not start")
 
     monkeypatch.setattr(weddle.symplectic, "transvection_generators", no_closure)
-    for args in (["fibers", "--p", "199"], ["group-order", "--g", "3", "--n", "3"]):
+    # a nearly real period matrix needs a theta truncation grid beyond the cap
+    om = tmp_path / "omega.txt"
+    om.write_text("0 0.0001 0 0 0 0 0 0.0001\n")
+    for args in (["fibers", "--p", "199"], ["group-order", "--g", "3", "--n", "3"],
+                 ["run", "--suite", "theta", "--omega", str(om)],
+                 ["theta-null", "--omega", str(om), "--char", "1", "0", "1", "0"]):
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("resource cap:") and err.count("\n") == 1

@@ -11,8 +11,9 @@ from weddle.linalg import chordal_distance
 from weddle.symplectic import BASE_ODD, Characteristic, all_characteristics
 from weddle.theta import (DomainError, OMEGA_DIAGONALISH,
                           OMEGA_GENERIC, PeriodMatrix, half_period_census,
-                          halfperiod, involution_matrix, level3_contract_check,
-                          level3_coords, quadric_space_nullity, random_z,
+                          halfperiod, involution_matrix, level2_coords,
+                          level3_contract_check, level3_coords,
+                          quadric_space_nullity, random_z,
                           steinerian_of_theta_null, surface_quadrics,
                           symmetroid, symmetroid_singular_count_mod_p,
                           theta_char, theta_divisor_points, theta_halfint,
@@ -46,6 +47,27 @@ def test_odd_theta_constants_vanish():
         if m.parity == -1:
             tv = theta_halfint(m, np.zeros(2), OMEGA_DIAGONALISH, 1e-12)
             assert abs(tv.value) < 1e-12
+
+
+def test_stacked_sums_equal_single_characteristic_sums():
+    om = OMEGA_GENERIC
+    r = random.Random(7)
+    # uniform draws, and draws near the far corner Om (1, 1) + (1, 1)
+    draws = [random_z(om, r) for _ in range(6)]
+    draws += [om.m @ np.array([1 - 1e-3 * r.random(), 1 - 1e-3 * r.random()])
+              + np.array([1 - 1e-3 * r.random(), 1 - 1e-3 * r.random()]) for _ in range(4)]
+    for n, coords in ((3, level3_coords), (2, level2_coords)):
+        for z in draws:
+            for w in (z, -z):
+                single = [theta_char(np.array(s) / n, np.zeros(2), n * w, om.scaled(n)).value
+                          for s in np.ndindex(n, n)]
+                assert coords(w, om).tolist() == single
+    odd = [m for m in CHARS if m.parity == -1]
+    stack = theta_char(np.array([m.a for m in odd]) / 2.0,
+                       np.array([m.b for m in odd]) / 2.0, np.zeros(2), om)
+    singles = [theta_halfint(m, np.zeros(2), om) for m in odd]
+    assert stack.value.tolist() == [tv.value for tv in singles]
+    assert all(stack.bound == tv.bound for tv in singles)
 
 
 def test_quasi_periodicity():
@@ -127,7 +149,6 @@ def test_level2_coordinates_are_even_functions():
     # at even level the odd eigenspace vanishes: every second-order
     # coordinate is an even function, so all ten quadratic combinations
     # are inversion invariant componentwise
-    from weddle.theta import level2_coords
     for _ in range(10):
         z = random_z(OMEGA_GENERIC, rng)
         a = level2_coords(z, OMEGA_GENERIC)
