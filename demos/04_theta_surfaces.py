@@ -27,7 +27,7 @@ for m in all_characteristics(2):
         print("  even %s%s  det of symmetric matrix: %.1e"
               % (m.a, m.b, tn.det_plus_normalized))
     else:
-        d = chordal_distance(steinerian_of_theta_null(m, om), sq.r)
+        d = chordal_distance(steinerian_of_theta_null(tn), sq.r)
         print("  odd  %s%s  Steinerian image matches the quadric: %.1e"
               % (m.a, m.b, d))
 

@@ -37,6 +37,10 @@ class BaseLocusPoint(ValueError):
     pass
 
 
+class DegenerateConfiguration(RuntimeError):
+    """Node set failed a general-position requirement; resample."""
+
+
 @dataclass(frozen=True)
 class CurvePoint:
     x: object
@@ -99,16 +103,13 @@ class GenusTwoCurve:
             return CurvePoint(None, None, True, -p.infinity_sign)
         return CurvePoint(p.x, -p.y)
 
-    def sample_point(self, rng, avoid_weierstrass=True) -> CurvePoint:
+    def sample_point(self, rng) -> CurvePoint:
+        """A random curve point off the branch points."""
         dom = self.domain
         if isinstance(dom, PrimeField):
             while True:
                 x = dom.random(rng)
                 v = self.f(x)
-                if dom.is_zero(v):
-                    if avoid_weierstrass:
-                        continue
-                    return CurvePoint(x, dom.zero())
                 if pow(v.val, (dom.p - 1) // 2, dom.p) != 1:
                     continue
                 y = dom.sqrt(v)
@@ -198,6 +199,12 @@ def weierstrass_images(curve: GenusTwoCurve):
     return [tricanonical(w, curve.domain)[:4] for w in curve.weierstrass_points()]
 
 
+def _secant_pair(curve: GenusTwoCurve, rng):
+    """Embedded images of two sampled curve points."""
+    return (tricanonical(curve.sample_point(rng), curve.domain),
+            tricanonical(curve.sample_point(rng), curve.domain))
+
+
 def sample_secant_points(curve: GenusTwoCurve, rng, count: int):
     out = []
     while len(out) < count:
@@ -241,8 +248,7 @@ def restrict_to_line(form: SparsePoly, u, v, domain: Domain) -> SparsePoly:
     return form.substitute_linear(forms)
 
 
-def line_in_hypersurface(form: SparsePoly, u, v, domain: Domain,
-                         tol: float = 1e-6):
+def line_in_hypersurface(form: SparsePoly, u, v, domain: Domain):
     """Exact for exact domains.  For floats, u and v are scaled to max-abs 1
     and the restricted coefficients are bounded relative to 16 |form|."""
     if domain.is_exact:
@@ -252,9 +258,70 @@ def line_in_hypersurface(form: SparsePoly, u, v, domain: Domain,
     restricted = restrict_to_line(form, u / np.abs(u).max(), v / np.abs(v).max(), domain)
     if restricted.is_zero():
         return True, 0.0
-    fn = math.sqrt(sum(abs(complex(c)) ** 2 for c in form.terms.values()))
-    worst = max(abs(complex(c)) for c in restricted.terms.values()) / (16 * fn)
-    return worst < tol, worst
+    worst = (max(abs(complex(c)) for c in restricted.terms.values())
+             / (16 * coefficient_norm(form)))
+    return worst < 1e-6, worst
+
+
+def restrict_to_hyperplane(form: SparsePoly) -> SparsePoly:
+    """A form on P^4 restricted to the invariant hyperplane {y = 0}."""
+    return SparsePoly(4, form.domain,
+                      {e[:4]: c for e, c in form.terms.items() if e[4] == 0})
+
+
+# ---------------------------------------------------------------------------
+# the six-node quartic layer, shared by the theta side and the curve side
+
+
+def coefficient_norm(form: SparsePoly) -> float:
+    """Euclidean norm of the coefficients of a floating form."""
+    return math.sqrt(sum(abs(complex(c)) ** 2 for c in form.terms.values()))
+
+
+def singular_residual(form: SparsePoly, points, domain: Domain) -> float:
+    """How far the points are from being singular points of form.  Exact
+    domains give 0.0 when every partial vanishes at every point, else 1.0.
+    Floats give the largest |dF(x)| / (|F|_2 max(1, max|x|)^(d-1))."""
+    grads = form.gradient()
+    if domain.is_exact:
+        return 0.0 if all(domain.is_zero(g.evaluate(list(x)))
+                          for x in points for g in grads) else 1.0
+    fn = coefficient_norm(form)
+    worst = 0.0
+    for x in points:
+        scale = max(max(abs(complex(c)) for c in x), 1.0)
+        top = max(abs(complex(g.evaluate(list(x)))) for g in grads)
+        worst = max(worst, top / (fn * scale ** (form.total_degree() - 1)))
+    return worst
+
+
+def _unique_quartic(draw, samples: int, domain: Domain) -> SparsePoly:
+    """The quartic through draw(samples) points; when it is not unique, one
+    resample with twice the data before declaring failure."""
+    fit = fit_hypersurface(draw(samples), 4, domain)
+    if len(fit.forms) != 1:
+        fit = fit_hypersurface(draw(2 * samples), 4, domain)
+    if len(fit.forms) != 1:
+        raise RuntimeError("quartic fit nullity %d" % len(fit.forms))
+    return fit.forms[0]
+
+
+def twenty_five_lines(nodes, domain: Domain):
+    """The fifteen lines through two nodes, then the ten lines where the
+    planes through complementary node triples meet."""
+    return [(list(a), list(b)) for a, b in combinations(nodes, 2)] + [
+        line_from_planes(plane_through([nodes[i] for i in tri], domain),
+                         plane_through([nodes[i] for i in comp], domain), domain)
+        for tri, comp in TRIPLE_SPLITS]
+
+
+def web_of_quadrics(nodes, domain: Domain) -> list:
+    """The four quadrics through six nodes in general position."""
+    forms = fit_hypersurface([list(n) for n in nodes], 2, domain).forms
+    if len(forms) != 4:
+        raise DegenerateConfiguration("quadrics through the nodes have dimension %d"
+                                      % len(forms))
+    return forms
 
 
 # ---------------------------------------------------------------------------
@@ -272,51 +339,27 @@ class WeddleCurveReport:
     rigidity_matches: bool
 
 
-def ten_triple_lines(nodes, domain: Domain):
-    """The planes through complementary node triples meet in ten lines."""
-    return [line_from_planes(plane_through([nodes[i] for i in tri], domain),
-                             plane_through([nodes[i] for i in comp], domain), domain)
-            for tri, comp in TRIPLE_SPLITS]
-
-
-def fifteen_node_lines(nodes):
-    out = []
-    for i in range(6):
-        for j in range(i + 1, 6):
-            out.append((list(nodes[i]), list(nodes[j])))
-    return out
-
-
-def weddle_prime_fit(curve: GenusTwoCurve, rng, samples: int = 70) -> WeddleCurveReport:
+def weddle_prime_fit(curve: GenusTwoCurve, rng) -> WeddleCurveReport:
     """The unique quartic through secant-hyperplane samples; singular at
     the six embedded branch points and containing all 25 classical lines."""
     domain = curve.domain
-    pts = sample_secant_points(curve, rng, samples)
-    fit = fit_hypersurface(pts, 4, domain)
-    if len(fit.forms) != 1:
-        pts = sample_secant_points(curve, rng, 2 * samples)
-        fit = fit_hypersurface(pts, 4, domain)
-    if len(fit.forms) != 1:
-        raise RuntimeError("quartic fit nullity %d" % len(fit.forms))
-    W = fit.forms[0]
+    W = _unique_quartic(lambda n: sample_secant_points(curve, rng, n), 70, domain)
     nodes = weierstrass_images(curve)
-    grads = W.gradient()
-    singular = _vanishes([g.evaluate(list(n)) for n in nodes for g in grads], domain, 1e-5)
-    lines = fifteen_node_lines(nodes) + ten_triple_lines(nodes, domain)
+    lines = twenty_five_lines(nodes, domain)
     line_results = [line_in_hypersurface(W, u, v, domain) for u, v in lines]
     rig_nullity, G = _rigidity(lines, domain)
     rig_match = G is not None and _same_point(*aligned_coefficients([G], [W]),
                                               domain, 1e-6)
-    return WeddleCurveReport(W, nodes, len(fit.forms), singular, line_results,
-                             rig_nullity, rig_match)
+    return WeddleCurveReport(W, nodes, 1, singular_residual(W, nodes, domain) < 1e-5,
+                             line_results, rig_nullity, rig_match)
 
 
-def _rigidity(lines, domain: Domain, points_per_line: int = 5):
+def _rigidity(lines, domain: Domain):
     """Quartics through all the given lines: (dimension, the quartic when
     it is unique else None).  Floating sample points are scaled to max-abs 1."""
     pts = []
     for u, v in lines:
-        for k in range(points_per_line):
+        for k in range(5):
             t = domain.from_int(k + 1)
             pt = [a + t * b for a, b in zip(u, v)]
             if not domain.is_exact:
@@ -336,10 +379,10 @@ def sample_curve_points(curve: GenusTwoCurve, rng, count: int):
             for _ in range(count)]
 
 
-def quadrics_through_curve(curve: GenusTwoCurve, rng, samples: int = 45) -> FitResult:
+def quadrics_through_curve(curve: GenusTwoCurve, rng) -> FitResult:
     """The space of quadrics in P^4 vanishing on the embedded curve; its
     dimension must be 4."""
-    pts = sample_curve_points(curve, rng, samples)
+    pts = sample_curve_points(curve, rng, 45)
     fit = fit_hypersurface(pts, 2, curve.domain)
     if len(fit.forms) != 4:
         raise RuntimeError("quadrics through the curve have dimension %d"
@@ -353,25 +396,17 @@ def quadric_restriction_check(curve: GenusTwoCurve, quadrics) -> dict:
     branch-point images (dimension 10 - 6 = 4)."""
     domain = curve.domain
     exps4 = exponents_of_degree(4, 2)
-    restricted = []
-    for q in quadrics:
-        r = SparsePoly(4, domain)
-        for e, c in q.terms.items():
-            if e[4] == 0:
-                r.terms[e[:4]] = c
-        restricted.append(r)
+    restricted = [restrict_to_hyperplane(q) for q in quadrics]
     rows = [[q.terms.get(e, domain.zero()) for e in exps4] for q in restricted]
     inj = rank(rows, domain) == 4
     nodes = weierstrass_images(curve)
     vanish = _vanishes([q.evaluate(list(n)) for q in restricted for n in nodes],
                        domain, 1e-8)
-    target = fit_hypersurface([list(n) for n in nodes], 2, domain)
-    dim_target = len(target.forms)
-    trows = [[q.terms.get(e, domain.zero()) for e in exps4] for q in target.forms]
-    stacked = rows + trows
-    same_span = rank(stacked, domain) == 4 if domain.is_exact else None
+    web = web_of_quadrics(nodes, domain)
+    trows = [[q.terms.get(e, domain.zero()) for e in exps4] for q in web]
+    same_span = rank(rows + trows, domain) == 4 if domain.is_exact else None
     return {"injective": inj, "vanish_at_nodes": vanish,
-            "target_dimension": dim_target, "same_span": same_span}
+            "target_dimension": len(web), "same_span": same_span}
 
 
 def phi(quadrics, point, domain: Domain):
@@ -401,19 +436,16 @@ class KummerReport:
     origin_node_consistent: bool
 
 
-def kummer_fit(curve: GenusTwoCurve, rng, samples: int = 90) -> KummerReport:
+def kummer_fit(curve: GenusTwoCurve, rng) -> KummerReport:
     """The unique quartic through the image of the secant variety, with
     its sixteen singular points: fifteen branch-pair secant images plus
     the common image of the six tangent lines at the branch points."""
     domain = curve.domain
     quadrics = quadrics_through_curve(curve, rng).forms
     pts = []
-    while len(pts) < samples:
-        p = curve.sample_point(rng)
-        q = curve.sample_point(rng)
+    while len(pts) < 90:
+        P, Q = _secant_pair(curve, rng)
         s, t = domain.coerce(_rand_param(rng, domain)), domain.coerce(_rand_param(rng, domain))
-        P = tricanonical(p, domain)
-        Q = tricanonical(q, domain)
         v = [s * a + t * b for a, b in zip(P, Q)]
         try:
             pts.append(phi(quadrics, v, domain))
@@ -439,11 +471,8 @@ def kummer_fit(curve: GenusTwoCurve, rng, samples: int = 90) -> KummerReport:
     origin_consistent = all(_same_point(origin_imgs[0], img, domain)
                             for img in origin_imgs[1:] + more)
     nodes.append(origin_imgs[0])
-    distinct = _all_distinct(nodes, domain)
-    grads = K.gradient()
-    singular = _vanishes([g.evaluate(list(n)) for n in nodes for g in grads], domain, 1e-5)
-    return KummerReport(K, nodes, len(fit.forms), distinct, singular,
-                        origin_consistent)
+    return KummerReport(K, nodes, len(fit.forms), _all_distinct(nodes, domain),
+                        singular_residual(K, nodes, domain) < 1e-5, origin_consistent)
 
 
 def _rand_param(rng, domain: Domain):
@@ -478,15 +507,12 @@ def _all_distinct(points, domain: Domain) -> bool:
     return True
 
 
-def phi_constant_on_secant(curve: GenusTwoCurve, rng, trials: int = 10) -> bool:
+def phi_constant_on_secant(curve: GenusTwoCurve, rng) -> bool:
     """The classifying map contracts each secant line to a point."""
     domain = curve.domain
     quadrics = quadrics_through_curve(curve, rng).forms
-    for _ in range(trials):
-        p = curve.sample_point(rng)
-        q = curve.sample_point(rng)
-        P = tricanonical(p, domain)
-        Q = tricanonical(q, domain)
+    for _ in range(10):
+        P, Q = _secant_pair(curve, rng)
         imgs = []
         for t in (1, 2, 3):
             t = domain.coerce(t)
@@ -514,20 +540,17 @@ class SecantOcticReport:
     curve_singular: bool
 
 
-def sec_octic(curve: GenusTwoCurve, rng, samples: int = 620,
+def sec_octic(curve: GenusTwoCurve, rng,
               weddle: SparsePoly | None = None) -> SecantOcticReport:
     """Fit the degree-8 hypersurface through points of secant lines in P^4
     and check that its restriction to the invariant hyperplane is the
     square of the six-node quartic."""
     domain = curve.domain
     pts = []
-    while len(pts) < samples:
-        p = curve.sample_point(rng)
-        q = curve.sample_point(rng)
+    while len(pts) < 620:
+        P, Q = _secant_pair(curve, rng)
         s = domain.coerce(_rand_param(rng, domain))
         t = domain.coerce(_rand_param(rng, domain))
-        P = tricanonical(p, domain)
-        Q = tricanonical(q, domain)
         pts.append(tuple(s * a + t * b for a, b in zip(P, Q)))
     fit = fit_hypersurface(pts, 8, domain)
     if len(fit.forms) != 1:
@@ -536,28 +559,20 @@ def sec_octic(curve: GenusTwoCurve, rng, samples: int = 620,
     # fresh membership
     fresh = []
     for _ in range(30):
-        P = tricanonical(curve.sample_point(rng), domain)
-        Q = tricanonical(curve.sample_point(rng), domain)
+        P, Q = _secant_pair(curve, rng)
         fresh.append(F.evaluate([a + domain.from_int(2) * b for a, b in zip(P, Q)]))
     fresh_ok = _vanishes(fresh, domain, 1e-6)
-    # restriction to the invariant hyperplane
-    restricted = SparsePoly(4, domain)
-    for e, c in F.terms.items():
-        if e[4] == 0:
-            restricted.terms[e[:4]] = c
     if weddle is None:
         weddle = weddle_prime_fit(curve, rng).quartic
-    wsq = weddle * weddle
-    is_square = _same_point(*aligned_coefficients([restricted], [wsq]), domain)
+    is_square = _same_point(*aligned_coefficients([restrict_to_hyperplane(F)],
+                                                  [weddle * weddle]), domain)
     # the singular locus contains the curve
-    grads = F.gradient()
     on_curve = [tricanonical(curve.sample_point(rng), domain) for _ in range(20)]
-    curve_sing = _vanishes([g.evaluate(list(P)) for P in on_curve for g in grads],
-                           domain, 1e-5)
+    curve_sing = singular_residual(F, on_curve, domain) < 1e-5
     return SecantOcticReport(F, len(fit.forms), is_square, fresh_ok, curve_sing)
 
 
-def hyperplane_section_degree(curve: GenusTwoCurve, rng, trials: int = 5):
+def hyperplane_section_degree(curve: GenusTwoCurve, rng):
     """Degree of the embedded curve: a generic hyperplane pulls back to a
     squarefree binary sextic on the double cover.  Each trial records 6
     when the sextic is squarefree as a binary form (affine degree at least
@@ -565,7 +580,7 @@ def hyperplane_section_degree(curve: GenusTwoCurve, rng, trials: int = 5):
     otherwise."""
     domain = curve.domain
     degrees = []
-    for _ in range(trials):
+    for _ in range(5):
         c = [domain.coerce(_rand_param(rng, domain)) for _ in range(5)]
         # (c0 + c1 x + c2 x^2 + c3 x^3)^2 - c4^2 f(x)
         lin = [c[0], c[1], c[2], c[3]]

@@ -362,18 +362,14 @@ def check_theta_numerics(ctx: Context) -> CheckRecord:
     contract = theta.level3_contract_check(om, rng)
     nullity, _ = theta.quadric_space_nullity(om, rng)
     sq = ctx.surface_quadrics()
-    square_worst = 0.0
-    for m in chars:
-        if m.parity == -1:
-            st = theta.steinerian_of_theta_null(m, om)
-            square_worst = max(square_worst, chordal_distance(st, sq.r))
-    det_worst = 0.0
-    memb_worst = 0.0
-    kernel_worst = 0.0
+    square_worst = det_worst = memb_worst = kernel_worst = 0.0
     for m in chars:
         tn = theta.theta_null(m, om)
         memb_worst = max(memb_worst, tn.membership_residual)
-        if m.parity == 1:
+        if m.parity == -1:
+            st = theta.steinerian_of_theta_null(tn)
+            square_worst = max(square_worst, chordal_distance(st, sq.r))
+        else:
             det_worst = max(det_worst, tn.det_plus_normalized)
             status, k = burkhardt.steinerian_plus(list(tn.eigen_coords))
             kernel_worst = max(kernel_worst,

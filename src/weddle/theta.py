@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .burkhardt import matrix_plus, steinerian_quartics
-from .curves import (TRIPLE_SPLITS, _rigidity, fifteen_node_lines,
-                     line_in_hypersurface, ten_triple_lines)
+from .curves import (TRIPLE_SPLITS, DegenerateConfiguration, _rigidity,
+                     _unique_quartic, coefficient_norm, line_in_hypersurface,
+                     singular_residual, twenty_five_lines, web_of_quadrics)
 from .fields import CC
 from .heisenberg import REPS, idx2, involution_j, plus_minus_components
 from .linalg import (Matrix, chordal_distance, det_ring, eval_poly_mod_p,
@@ -36,10 +37,6 @@ from .symplectic import Characteristic, all_characteristics, check_enum_cap
 
 class DomainError(ValueError):
     pass
-
-
-class DegenerateConfiguration(RuntimeError):
-    """Node set failed a general-position requirement; resample."""
 
 
 class PeriodMatrix:
@@ -181,26 +178,26 @@ def halfperiod(m: Characteristic, omega: PeriodMatrix) -> np.ndarray:
 # level-3 coordinates
 
 
-def _level_coords(n: int, z, omega: PeriodMatrix, tol: float) -> np.ndarray:
+def _level_coords(n: int, z, omega: PeriodMatrix) -> np.ndarray:
     """theta[s/n; 0](nz, nOm) for s in (Z/n)^2 in lexicographic order, as
     one stacked sum."""
     s = np.array(list(np.ndindex(n, n)))
     return theta_char(s / n, np.zeros(2), n * np.asarray(z, dtype=complex),
-                      omega.scaled(n), tol).value
+                      omega.scaled(n)).value
 
 
-def level3_coords(z, omega: PeriodMatrix, tol: float = 1e-12) -> np.ndarray:
+def level3_coords(z, omega: PeriodMatrix) -> np.ndarray:
     """The nine third-order coordinates X_s(z) = theta[s/3; 0](3z, 3Om),
     indexed by s in (Z/3)^2 in lexicographic order."""
-    return _level_coords(3, z, omega, tol)
+    return _level_coords(3, z, omega)
 
 
-def level2_coords(z, omega: PeriodMatrix, tol: float = 1e-12) -> np.ndarray:
+def level2_coords(z, omega: PeriodMatrix) -> np.ndarray:
     """The four second-order coordinates theta[s/2; 0](2z, 2Om), s in
     (Z/2)^2.  Every one of them is an even function of z: the odd
     eigenspace at even level is zero, so all ten quadratic combinations
     are inversion invariant on the nose."""
-    return _level_coords(2, z, omega, tol)
+    return _level_coords(2, z, omega)
 
 
 def random_z(omega: PeriodMatrix, rng) -> np.ndarray:
@@ -246,14 +243,13 @@ class ContractReport:
         return max(self.parity_residual, self.diag_residual, self.perm_residual)
 
 
-def level3_contract_check(omega: PeriodMatrix, rng, samples: int = 6,
-                          tol: float = 1e-8) -> ContractReport:
+def level3_contract_check(omega: PeriodMatrix, rng) -> ContractReport:
     """Validate the equivariance contract of the level-3 coordinates:
     inversion acts by the index flip, third-period translations act by the
     diagonal characters and the index translations."""
     w = cmath.exp(2j * math.pi / 3)
     par = diag = perm = 0.0
-    for _ in range(samples):
+    for _ in range(6):
         z = random_z(omega, rng)
         x = level3_coords(z, omega)
         par = max(par, chordal_distance(level3_coords(-z, omega), x[FLIP]))
@@ -267,7 +263,7 @@ def level3_contract_check(omega: PeriodMatrix, rng, samples: int = 6,
             pred = np.array([x[idx2((s0 + q[0], s1 + q[1]))] for s0, s1 in np.ndindex(3, 3)])
             perm = max(perm, chordal_distance(xs, pred))
     report = ContractReport(par, diag, perm)
-    if report.max_residual() > tol:
+    if report.max_residual() > 1e-8:
         raise RuntimeError("level-3 coordinate contract failed: %r" % (report,))
     return report
 
@@ -286,8 +282,7 @@ class InvolutionReport:
     sign_residual: float
 
 
-def involution_matrix(kappa: Characteristic, omega: PeriodMatrix, rng,
-                      samples: int = 6, tol: float = 1e-8) -> InvolutionReport:
+def involution_matrix(kappa: Characteristic, omega: PeriodMatrix, rng) -> InvolutionReport:
     """The signed permutation R with X^k(-z) proportional to R X^k(z),
     normalized so the theta-null X^k(0) is R-invariant.
 
@@ -302,13 +297,13 @@ def involution_matrix(kappa: Characteristic, omega: PeriodMatrix, rng,
     if sign_residual > 1e-6:
         raise RuntimeError("involution sign is not +-1: rho = %r" % rho)
     defining = 0.0
-    for _ in range(samples):
+    for _ in range(6):
         z = random_z(omega, rng)
         u = level3_coords(-z + h, omega)
         v = sign * level3_coords(z + h, omega)[FLIP]
         defining = max(defining, chordal_distance(u, v))
-    if defining > tol:
-        raise RuntimeError("involution relation residual %g above %g" % (defining, tol))
+    if defining > 1e-8:
+        raise RuntimeError("involution relation residual %g above 1e-8" % defining)
     R = sign * np.eye(9)[FLIP]
     square_residual = float(np.abs(R @ R - np.eye(9)).max())
     dim_inv = int(round((9 + np.trace(R)) / 2))
@@ -328,8 +323,7 @@ class ThetaNullReport:
     det_plus_normalized: float | None
 
 
-def theta_null(kappa: Characteristic, omega: PeriodMatrix,
-               tol: float = 1e-8) -> ThetaNullReport:
+def theta_null(kappa: Characteristic, omega: PeriodMatrix) -> ThetaNullReport:
     """The theta-null X^k(0); it must sit in the invariant eigenspace of
     the attached involution.  Even characteristics also report the
     normalized determinant of the symmetric quadric matrix there (zero on
@@ -347,13 +341,12 @@ def theta_null(kappa: Characteristic, omega: PeriodMatrix,
     else:
         coords = np.array(minus)
         detn = None
-    if resid > tol:
+    if resid > 1e-8:
         raise RuntimeError("theta-null eigenspace membership residual %g" % resid)
     return ThetaNullReport(kappa, v, coords, resid, detn)
 
 
-def half_period_census(kappa: Characteristic, omega: PeriodMatrix,
-                       tol: float = 1e-6):
+def half_period_census(kappa: Characteristic, omega: PeriodMatrix):
     """Map all sixteen half periods through the kappa-translated
     coordinates and report which land in the odd eigenspace (the node set
     of the quartic surface when kappa is odd)."""
@@ -364,7 +357,7 @@ def half_period_census(kappa: Characteristic, omega: PeriodMatrix,
         u = level3_coords(x + h, omega)
         anti = _flip_residual(u, -1)
         rows.append({"char": m, "coords": u, "anti_residual": anti,
-                     "in_minus": anti < tol})
+                     "in_minus": anti < 1e-6})
     return rows
 
 
@@ -388,13 +381,12 @@ def _invariant_quadric_row(x: np.ndarray) -> np.ndarray:
     return row
 
 
-def surface_quadrics(omega: PeriodMatrix, rng, samples: int = 40,
-                     fresh: int = 30, tol: float = 1e-7) -> SurfaceQuadrics:
+def surface_quadrics(omega: PeriodMatrix, rng) -> SurfaceQuadrics:
     """Coefficients r of the translation-invariant quadric through the
     image surface, by a singular-vector extraction; all nine translated
     quadrics must vanish on fresh samples."""
     rows = []
-    for _ in range(samples):
+    for _ in range(40):
         x = level3_coords(random_z(omega, rng), omega)
         x = x / np.abs(x).max()
         rows.append(_invariant_quadric_row(x))
@@ -404,37 +396,34 @@ def surface_quadrics(omega: PeriodMatrix, rng, samples: int = 40,
     resid = 0.0
     from .burkhardt import quadrics_f
     fa = quadrics_f(list(r), CC)
-    for _ in range(fresh):
+    for _ in range(30):
         x = level3_coords(random_z(omega, rng), omega)
         x = x / np.abs(x).max()
         for f in fa:
             resid = max(resid, abs(f.evaluate(list(x))) / np.abs(r).max())
-    if resid > tol:
+    if resid > 1e-7:
         raise RuntimeError("translated quadrics do not vanish: residual %g" % resid)
     return SurfaceQuadrics(r, float(s[-1]), float(s[-2]), float(resid))
 
 
-def quadric_space_nullity(omega: PeriodMatrix, rng, samples: int = 60,
-                          rel_threshold: float = 1e-8):
+def quadric_space_nullity(omega: PeriodMatrix, rng):
     """Dimension of the space of quadrics vanishing on sampled image
     points (45 monomials in the nine coordinates)."""
     pts = []
-    for _ in range(samples):
+    for _ in range(60):
         x = level3_coords(random_z(omega, rng), omega)
         pts.append(x / np.abs(x).max())
-    fit = fit_hypersurface(pts, 2, CC, rel_threshold)
+    fit = fit_hypersurface(pts, 2, CC)
     return len(fit), fit.singular_values
 
 
-def steinerian_of_theta_null(kappa: Characteristic, omega: PeriodMatrix):
-    """Kernel coordinates of the skew matrix at the odd theta-null; the
+def steinerian_of_theta_null(rep: ThetaNullReport):
+    """Kernel coordinates of the skew matrix at an odd theta-null; the
     composition must reproduce the surface's quadric coefficients."""
-    if kappa.parity != -1:
+    if rep.char.parity != -1:
         raise ValueError("needs an odd characteristic")
-    rep = theta_null(kappa, omega)
-    zc = rep.eigen_coords
-    vals = np.array([complex(q.evaluate(list(zc))) for q in steinerian_quartics()])
-    return vals
+    zc = list(rep.eigen_coords)
+    return np.array([complex(q.evaluate(zc)) for q in steinerian_quartics()])
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +439,12 @@ class WeddleThetaReport:
     node_gradient_residual: float
     line_residual: float
     lines_checked: int
-    net_dimension: int | None
-    rigidity_nullity: int | None
+    net_dimension: int
+    rigidity_nullity: int
     rigidity_match: float | None
 
 
-def weddle_from_theta(omega: PeriodMatrix, kappa: Characteristic, rng,
-                      samples: int = 80, with_net: bool = True,
-                      with_rigidity: bool = True) -> WeddleThetaReport:
+def weddle_from_theta(omega: PeriodMatrix, kappa: Characteristic, rng) -> WeddleThetaReport:
     """Fit the unique quartic through the odd-eigenspace image of the
     surface and verify its classical features: six singular points at the
     half periods landing in the odd eigenspace, the fifteen node lines and
@@ -476,16 +463,8 @@ def weddle_from_theta(omega: PeriodMatrix, kappa: Characteristic, rng,
                 out.append(zc)
         return out
 
-    pts = draw(samples)
-    fit = fit_hypersurface(pts, 4, CC)
-    if len(fit.forms) != 1:
-        # one resample with twice the data before declaring failure
-        pts = draw(2 * samples)
-        fit = fit_hypersurface(pts, 4, CC)
-    if len(fit.forms) != 1:
-        raise RuntimeError("quartic fit nullity %d" % len(fit.forms))
-    W = fit.forms[0]
-    wnorm = math.sqrt(sum(abs(c) ** 2 for c in W.terms.values()))
+    W = _unique_quartic(draw, 80, CC)
+    wnorm = coefficient_norm(W)
     fresh = 0.0
     for _ in range(30):
         zc = _odd_image(random_z(omega, rng), h, omega)
@@ -495,28 +474,19 @@ def weddle_from_theta(omega: PeriodMatrix, kappa: Characteristic, rng,
     if len(nodes) != 6:
         raise RuntimeError("expected 6 half periods in the odd eigenspace, got %d"
                            % len(nodes))
-    grads = [W.partial(i) for i in range(4)]
-    node_grad = 0.0
-    for n in nodes:
-        gv = max(abs(g.evaluate(list(n))) for g in grads)
-        node_grad = max(node_grad, gv / wnorm)
-    lines = fifteen_node_lines(nodes) + ten_triple_lines(nodes, CC)
+    lines = twenty_five_lines(nodes, CC)
     line_resid = max(line_in_hypersurface(W, u, v, CC)[1] for u, v in lines)
-    net_dim = None
-    if with_net:
-        net_dim = twisted_cubic_net_dimension(omega, kappa, nodes, rng)
-    rig_null = rig_match = None
-    if with_rigidity:
-        rig_null, G = _rigidity(lines, CC)
-        if G is not None:
-            rig_match = chordal_distance(*map(list, aligned_coefficients([G], [W])))
-    return WeddleThetaReport(W, nodes, len(fit.forms), float(fresh),
-                             float(node_grad), float(line_resid), len(lines),
-                             net_dim, rig_null, rig_match)
+    net_dim = twisted_cubic_net_dimension(omega, kappa, nodes, rng)
+    rig_null, G = _rigidity(lines, CC)
+    rig_match = None if G is None else chordal_distance(
+        *map(list, aligned_coefficients([G], [W])))
+    return WeddleThetaReport(W, nodes, 1, float(fresh),
+                             float(singular_residual(W, nodes, CC)), float(line_resid),
+                             len(lines), net_dim, rig_null, rig_match)
 
 
 def theta_divisor_points(kappa: Characteristic, omega: PeriodMatrix, rng,
-                         count: int = 25, tol: float = 1e-10):
+                         count: int = 25):
     """Points on the vanishing divisor of the theta function with
     characteristic kappa, found by Newton iteration along random complex
     lines through random base points."""
@@ -542,7 +512,7 @@ def theta_divisor_points(kappa: Characteristic, omega: PeriodMatrix, rng,
                 # the series overflowed; a failed attempt like a non-converging one
                 break
             t = t - step
-            if abs(step) < 1e-14 and abs(tv.value) < tol:
+            if abs(step) < 1e-14 and abs(tv.value) < 1e-10:
                 ok = True
                 break
         if ok and abs(t) < 6:
@@ -553,19 +523,16 @@ def theta_divisor_points(kappa: Characteristic, omega: PeriodMatrix, rng,
 
 
 def twisted_cubic_net_dimension(omega: PeriodMatrix, kappa: Characteristic,
-                                nodes, rng, n_curve: int = 24,
-                                rel_threshold: float = 1e-6) -> int:
-    """Quadrics through the six nodes form a 4-dimensional space; those
+                                nodes, rng) -> int:
+    """Quadrics through the six nodes form a 4-dimensional web; those
     vanishing on the image of the theta-divisor curve form the net of the
     unique twisted cubic through the nodes."""
-    fit = fit_hypersurface(nodes, 2, CC)
-    if len(fit.forms) != 4:
-        raise RuntimeError("quadrics through 6 nodes have dimension %d" % len(fit.forms))
+    web = web_of_quadrics(nodes, CC)
     h = halfperiod(kappa, omega)
     curve_pts = [_odd_image(z, h, omega)
-                 for z in theta_divisor_points(kappa, omega, rng, n_curve)]
-    a = np.array([[q.evaluate(list(pt)) for q in fit.forms] for pt in curve_pts])
-    return len(nullspace_complex(a, rel_threshold)[0])
+                 for z in theta_divisor_points(kappa, omega, rng, 24)]
+    a = np.array([[q.evaluate(list(pt)) for q in web] for pt in curve_pts])
+    return len(nullspace_complex(a, 1e-6)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -596,35 +563,21 @@ def _quadric_to_sym_matrix(q: SparsePoly, domain):
     return mat
 
 
-def symmetroid(nodes, domain, rng=None) -> SymmetroidReport:
+def symmetroid(nodes, domain) -> SymmetroidReport:
     """Determinantal quartic of the pencil of quadrics through six general
     points of P^3, with its sixteen singular points: six rank-3 quadrics
     whose vertices are the nodes and ten rank-2 plane pairs from
     complementary triples."""
     nodes = [[domain.coerce(x) for x in n] for n in nodes]
-    fit = fit_hypersurface(nodes, 2, domain)
-    if len(fit.forms) != 4:
-        raise DegenerateConfiguration("quadrics through the nodes have dimension %d"
-                                      % len(fit.forms))
-    qs = [_quadric_to_sym_matrix(q, domain) for q in fit.forms]
+    web = web_of_quadrics(nodes, domain)
+    qs = [_quadric_to_sym_matrix(q, domain) for q in web]
     # the pencil sum_k t_k Q_k as a 16 x 4 matrix; row 4i+j holds entry (i, j)
     pencil = Matrix([[q[i][j] for q in qs] for i in range(4) for j in range(4)])
     # det of the symmetric pencil, a quartic in the four parameters
     units = [tuple(int(k == m) for m in range(4)) for k in range(4)]
     entries = [SparsePoly(4, domain, dict(zip(units, row))) for row in pencil.rows]
     F = det_ring(Matrix([entries[4 * i:4 * i + 4] for i in range(4)]))
-    grads = [F.partial(i) for i in range(4)]
-
-    def grad_res(t):
-        vals = [g.evaluate(t) for g in grads]
-        if domain is CC:
-            scale = max(max(abs(complex(x)) for x in t), 1.0)
-            fn = math.sqrt(sum(abs(complex(c)) ** 2 for c in F.terms.values()))
-            return max(abs(complex(v)) for v in vals) / (fn * scale ** 3)
-        return 0.0 if all(domain.is_zero(v) for v in vals) else 1.0
-
     rank3 = []
-    worst = 0.0
     for n in nodes:
         # the pencil points whose quadric has the node as a vertex
         kern = nullspace(Matrix([Matrix(q).mat_vec(n) for q in qs]).transpose(), domain)
@@ -636,7 +589,6 @@ def symmetroid(nodes, domain, rng=None) -> SymmetroidReport:
         if rank([quadric[4 * i:4 * i + 4] for i in range(4)], domain) != 3:
             raise DegenerateConfiguration("vertex quadric does not have rank 3")
         rank3.append(t)
-        worst = max(worst, grad_res(t))
     rank2 = []
     upper = [4 * i + j for i in range(4) for j in range(i, 4)]
     for tri, comp in TRIPLE_SPLITS:
@@ -652,8 +604,8 @@ def symmetroid(nodes, domain, rng=None) -> SymmetroidReport:
         t = solve_overdetermined([pencil.rows[r] for r in upper],
                                  [prod[r] for r in upper], domain)
         rank2.append(t)
-        worst = max(worst, grad_res(t))
-    return SymmetroidReport(F, rank3, rank2, worst, len(fit.forms))
+    return SymmetroidReport(F, rank3, rank2, singular_residual(F, rank3 + rank2, domain),
+                            len(web))
 
 
 def symmetroid_singular_count_mod_p(report: SymmetroidReport, p: int) -> int:

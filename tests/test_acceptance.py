@@ -1,17 +1,49 @@
 """Acceptance gate: every criterion runs at its stated tolerance and prints
 one pass/fail line.  Criterion AC08 is a soft record by design (the fiber
-histogram and base-locus count are reported, not asserted)."""
+histogram and base-locus count are reported, not asserted).
 
+Each record is also held to data/acceptance_seed0.json, the report of
+`weddle run --suite all --seed 0`: the status and every measured field that
+is not a float must be unchanged, and a float must stay a finite float."""
+
+import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
-from weddle.suite import CHECKS, Context, RunConfig
+from weddle.suite import CHECKS, Context, RunConfig, _record_dict
 
 CFG = RunConfig(suites=("all",), seed=0)
 CTX = Context(CFG)
 
 CRITERIA = {fn.__name__: (suite, fn) for suite, fn in CHECKS}
+
+REFERENCE = {r["id"]: r for r in json.loads(
+    (Path(__file__).parent / "data" / "acceptance_seed0.json").read_text())["records"]}
+
+# a float field as the report writes it ("%.12e", complex as "re,im")
+_FLOAT = r"(-?\d\.\d{12}e[+-]\d{2,3}|-?nan|-?inf)"
+FLOAT_RE = re.compile(r"^%s(,%s)?$" % (_FLOAT, _FLOAT))
+
+
+def _drift(ref, got, path):
+    """Differences between a reference field and a fresh one; floats are
+    checked for type and finiteness only."""
+    if isinstance(ref, dict):
+        if not isinstance(got, dict) or set(ref) != set(got):
+            return ["%s: keys differ" % path]
+        return [d for k in ref for d in _drift(ref[k], got[k], "%s.%s" % (path, k))]
+    if isinstance(ref, list):
+        if not isinstance(got, list) or len(ref) != len(got):
+            return ["%s: length differs" % path]
+        return [d for i, (a, b) in enumerate(zip(ref, got))
+                for d in _drift(a, b, "%s[%d]" % (path, i))]
+    if isinstance(ref, str) and FLOAT_RE.match(ref):
+        ok = isinstance(got, str) and FLOAT_RE.match(got) and "nan" not in got
+        return [] if ok else ["%s: %r is not a finite float" % (path, got)]
+    return [] if ref == got else ["%s: %r != %r" % (path, got, ref)]
 
 
 def _run(name):
@@ -21,6 +53,9 @@ def _run(name):
     elapsed = time.time() - t0
     print("%s [%s] %-60s %s (%.1fs)" % (rec.id, suite, rec.claim,
                                         rec.status.upper(), elapsed))
+    got, ref = _record_dict(rec), REFERENCE[rec.id]
+    assert _drift(ref["status"], got["status"], rec.id + ".status") == []
+    assert _drift(ref["measured"], got["measured"], rec.id + ".measured") == []
     return rec
 
 

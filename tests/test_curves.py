@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from weddle.curves import (BaseLocusPoint, CurvePoint, DegenerateSecant,
-                           GenusTwoCurve, hyperplane_section_degree,
-                           kummer_fit, phi, phi_constant_on_secant,
-                           quadric_restriction_check, quadrics_through_curve,
-                           sec_octic, secant_point, sample_secant_points,
-                           tricanonical, weddle_prime_fit,
+from weddle.curves import (BaseLocusPoint, CurvePoint, DegenerateConfiguration,
+                           DegenerateSecant, GenusTwoCurve,
+                           hyperplane_section_degree, kummer_fit, phi,
+                           phi_constant_on_secant, quadric_restriction_check,
+                           quadrics_through_curve, sec_octic, secant_point,
+                           sample_secant_points, singular_residual,
+                           tricanonical, web_of_quadrics, weddle_prime_fit,
                            weierstrass_images, weierstrass_tangent_sample)
 from weddle.fields import CC, GF, QQ
 from weddle.linalg import proj_ratio
@@ -135,8 +136,12 @@ def test_weddle_fit(curve, weddle):
     assert weddle.rigidity_nullity == 1
     assert weddle.rigidity_matches
     # fresh secant samples lie on the quartic exactly
-    for s in sample_secant_points(curve, random.Random(6), 20):
+    fresh = sample_secant_points(curve, random.Random(6), 20)
+    for s in fresh:
         assert DOM.is_zero(weddle.quartic.evaluate(list(s)))
+    # singular at the six branch images, smooth at a fresh point
+    assert singular_residual(weddle.quartic, weierstrass_images(curve), DOM) == 0.0
+    assert singular_residual(weddle.quartic, fresh[:1], DOM) == 1.0
 
 
 def test_quadrics_through_curve(curve):
@@ -152,6 +157,13 @@ def test_quadrics_through_curve(curve):
     assert restr["vanish_at_nodes"]
     assert restr["target_dimension"] == 4
     assert restr["same_span"]
+
+
+def test_web_of_quadrics_needs_general_position():
+    # quadrics through a line form a space of dimension 10 - 3
+    collinear = [(DOM.one(), DOM.from_int(t), DOM.zero(), DOM.zero()) for t in range(6)]
+    with pytest.raises(DegenerateConfiguration):
+        web_of_quadrics(collinear, DOM)
 
 
 def test_phi_base_locus_and_generic(curve):
@@ -223,3 +235,10 @@ def test_float_path_matches_narrative():
     assert rep.fit_nullity == 1
     assert rep.nodes_singular
     assert all(ok for ok, _ in rep.line_results)
+    # off the nodes, the floating residual ignores the scale of the form,
+    # and of a point with max-abs at least 1
+    W, x = rep.quartic, [1.0, 2.0, -3.0 + 1j, 0.5j]
+    r = singular_residual(W, [x], CC)
+    assert r > 1e-3
+    assert singular_residual(W.scale(7.5 - 2j), [x], CC) == pytest.approx(r, rel=1e-12)
+    assert singular_residual(W, [[3.25 * c for c in x]], CC) == pytest.approx(r, rel=1e-12)

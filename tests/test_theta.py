@@ -7,6 +7,7 @@ import pytest
 
 from weddle.burkhardt import steinerian_plus
 from weddle.fields import CC, GF
+from weddle.heisenberg import plus_minus_components
 from weddle.linalg import chordal_distance
 from weddle.symplectic import BASE_ODD, Characteristic, all_characteristics
 from weddle.theta import (DomainError, OMEGA_DIAGONALISH,
@@ -117,7 +118,7 @@ def test_level3_contract():
 
 def test_involution_all_characteristics():
     for m in CHARS:
-        rep = involution_matrix(m, OMEGA_GENERIC, random.Random(2), samples=3)
+        rep = involution_matrix(m, OMEGA_GENERIC, random.Random(2))
         assert rep.sign == m.parity
         assert rep.square_residual == 0.0
         assert rep.invariant_dimension == (5 if m.parity == 1 else 4)
@@ -167,7 +168,7 @@ def test_surface_quadrics_and_commuting_square():
     assert sq.fresh_residual < 1e-7
     for m in CHARS:
         if m.parity == -1:
-            st = steinerian_of_theta_null(m, OMEGA_GENERIC)
+            st = steinerian_of_theta_null(theta_null(m, OMEGA_GENERIC))
             assert chordal_distance(st, sq.r) < 1e-6
 
 
@@ -183,7 +184,8 @@ def test_plus_kernel_matches_surface():
 
 def test_steinerian_of_theta_null_needs_odd():
     with pytest.raises(ValueError):
-        steinerian_of_theta_null(Characteristic(2, (0, 0), (0, 0)), OMEGA_GENERIC)
+        steinerian_of_theta_null(theta_null(Characteristic(2, (0, 0), (0, 0)),
+                                            OMEGA_GENERIC))
 
 
 def test_theta_divisor_points_lie_on_divisor():
@@ -225,8 +227,9 @@ def test_symmetroid_exact():
 
 
 def test_symmetroid_floating_from_theta_nodes():
-    wrep = weddle_from_theta(OMEGA_GENERIC, BASE_ODD, random.Random(9),
-                             with_net=False, with_rigidity=False)
-    rep = symmetroid([list(n) for n in wrep.nodes], CC)
+    # the odd parts of the half periods in the odd eigenspace, at max-abs 1
+    odd = [np.array(plus_minus_components(row["coords"])[1])
+           for row in half_period_census(BASE_ODD, OMEGA_GENERIC) if row["in_minus"]]
+    rep = symmetroid([list(v / np.abs(v).max()) for v in odd], CC)
     assert rep.quadric_space_dim == 4
     assert rep.gradient_residual < 1e-8
