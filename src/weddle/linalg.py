@@ -409,38 +409,67 @@ def check_int64_prime(p: int) -> None:
 
 
 def rref_mod_p(a: np.ndarray, p: int):
+    """Reduced row echelon form of an integer matrix mod a prime p.
+
+    Returns (rows, pivots): the non-zero rows of the RREF as an int64 array
+    with entries in [0, p), and the list of pivot columns.  p must pass
+    check_int64_prime (p^2 < 2^63); every intermediate stays inside int64.
+
+    Gauss-Jordan elimination that updates only the trailing columns and
+    delays reduction: each pivot reduces its search column and its row,
+    and the trailing block is reduced only when the next update could
+    overflow.
+    """
     check_int64_prime(p)
     a = np.array(a, dtype=np.int64) % p
     nr, nc = a.shape
+    # A reduced entry lies in [0, p) and each update subtracts at most
+    # (p - 1)^2, so it takes (2**63 - 1) // (p - 1)**2 updates without
+    # wrapping: one on the reduced block and `budget` more after it.
+    budget = (2 ** 63 - 1) // (p - 1) ** 2 - 1
+    pending = 0
+    buf = np.empty(nr * nc, dtype=np.int64)
     r = 0
     pivots = []
     for c in range(nc):
-        nz = np.nonzero(a[r:, c])[0]
+        col = a[:, c]
+        col %= p
+        nz = np.flatnonzero(col[r:])
         if nz.size == 0:
             continue
-        piv = r + nz[0]
+        piv = r + int(nz[0])
         if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
+            a[[r, piv], c:] = a[[piv, r], c:]
+        row = a[r, c:]
+        row %= p
+        row *= pow(int(row[0]), -1, p)
+        row %= p
+        mult = col.copy()
+        mult[r] = 0
+        if pending > budget:
+            a[:, c + 1:] %= p
+            pending = 0
+        update = buf[:nr * (nc - c)].reshape(nr, nc - c)
+        np.multiply.outer(mult, row, out=update)
+        a[:, c:] -= update
+        pending += 1
         pivots.append(c)
         r += 1
         if r == nr:
             break
-    return a[:r], pivots
+    out = a[:r]
+    out %= p
+    return out, pivots
 
 
 def nullspace_mod_p(a: np.ndarray, p: int) -> np.ndarray:
     rref, pivots = rref_mod_p(a, p)
-    nc = a.shape[1]
-    free = [c for c in range(nc) if c not in set(pivots)]
-    basis = np.zeros((len(free), nc), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for i, c in enumerate(pivots):
-            basis[k, c] = (-rref[i, f]) % p
+    is_free = np.ones(rref.shape[1], dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, rref.shape[1]), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (-rref[:, free]).T % p
     return basis
 
 
@@ -576,8 +605,13 @@ def fit_hypersurface(points, degree: int, domain: Domain,
         forms = [_vector_to_form(v, exps, domain) for v in basis]
         return FitResult(forms, None)
     if isinstance(domain, ComplexField):
-        rows = np.array([monomial_row([complex(x) for x in pt], exps, CC)
-                         for pt in points], dtype=complex)
+        # the SVD threshold is relative to the whole matrix, so each point is
+        # scaled to max-abs 1: a projective point's condition has no scale
+        pts = np.array([[complex(x) for x in pt] for pt in points])
+        top = np.abs(pts).max(axis=1, keepdims=True)
+        pts = pts / np.where(top > 0, top, 1.0)
+        rows = np.array([monomial_row([complex(x) for x in pt], exps, CC) for pt in pts],
+                        dtype=complex)
         basis, thr, s = _svd_kernel(rows, rel_threshold)
         forms = [_vector_to_form(v, exps, domain) for v in basis]
         return FitResult(forms, thr, s)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from weddle.fields import CC, GF, QQ, QW, Cyc, Fp
@@ -233,12 +233,21 @@ def test_complex_nullspace_threshold():
 def test_nullspace_mod_p_matches_exact():
     rng = random.Random(9)
     dom = GF(31)
-    rows = [[rng.randrange(31) for _ in range(6)] for _ in range(4)]
-    fast = nullspace_mod_p(np.array(rows), 31)
-    exact = nullspace([[dom.coerce(x) for x in r] for r in rows], dom)
-    assert len(fast) == len(exact)
-    for vf, ve in zip(fast, exact):
-        assert [int(x) for x in vf] == [x.val for x in ve]
+    full = [[rng.randrange(31) for _ in range(6)] for _ in range(4)]
+    # rank 3: column 1 is zero, column 3 is 2*col0 + col2, and row 3 is
+    # row0 + 5*row1, so the pivots skip columns 1 and 3
+    deficient = [[rng.randrange(31) for _ in range(7)] for _ in range(3)]
+    for r in deficient:
+        r[1] = 0
+        r[3] = (2 * r[0] + r[2]) % 31
+    deficient.append([(a + 5 * b) % 31 for a, b in zip(deficient[0], deficient[1])])
+    assert rref_mod_p(np.array(deficient), 31)[1] == [0, 2, 4]
+    for rows in (full, deficient):
+        fast = nullspace_mod_p(np.array(rows), 31)
+        exact = nullspace([[dom.coerce(x) for x in r] for r in rows], dom)
+        assert len(fast) == len(exact)
+        for vf, ve in zip(fast, exact):
+            assert [int(x) for x in vf] == [x.val for x in ve]
 
 
 # the largest prime with p^2 < 2^63, and the smallest prime above it
@@ -265,6 +274,46 @@ def test_mod_p_paths_refuse_int64_overflow():
     x = SparsePoly.variable(0, 2, QQ)
     with pytest.raises(ValueError):
         eval_poly_mod_p([x * x], np.ones((1, 2), dtype=np.int64), p)
+
+
+# p = 1753413037 takes only 3 unreduced updates of (p - 1)^2 in int64, so
+# the trailing block is reduced mid-elimination on every matrix of rank >= 4
+P_THREE_UPDATES = 1753413037
+# unit upper triangular with -1 above the diagonal: without those reductions
+# its entries would fall to about -2.7 * 2^63 at that prime
+UPPER_MINUS_ONES = [[1 if j == i else (P_THREE_UPDATES - 1 if j > i else 0)
+                     for j in range(10)] for i in range(9)]
+
+
+@st.composite
+def _matrices_mod_p(draw):
+    """(p, rows): a random matrix of up to 9 x 10 entries mod p, sometimes
+    with a dependent last row and sometimes with a zero column."""
+    p = draw(st.sampled_from([2, 3, 101, 1000003, P_THREE_UPDATES, P_INT64_MAX]))
+    nr, nc = draw(st.integers(1, 9)), draw(st.integers(1, 10))
+    rows = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr))
+    if nr > 1 and draw(st.booleans()):
+        k = draw(st.integers(0, p - 1))
+        rows[-1] = [(a + k * b) % p for a, b in zip(rows[0], rows[1])]
+    if draw(st.booleans()):
+        zero = draw(st.integers(0, nc - 1))
+        for r in rows:
+            r[zero] = 0
+    return p, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices_mod_p())
+@example((P_THREE_UPDATES, UPPER_MINUS_ONES))
+def test_rref_mod_p_matches_bareiss(case):
+    p, rows = case
+    dom = GF(p)
+    fast, fast_piv = rref_mod_p(np.array(rows, dtype=np.int64), p)
+    exact, exact_piv = rref_bareiss([[dom.coerce(x) for x in r] for r in rows], dom)
+    assert fast_piv == exact_piv
+    assert fast.dtype == np.int64
+    assert fast.tolist() == [[x.val for x in r] for r in exact]
 
 
 NV = 3

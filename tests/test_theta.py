@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from weddle.burkhardt import steinerian_plus
+from weddle.curves import web_of_quadrics
 from weddle.fields import CC, GF
 from weddle.heisenberg import plus_minus_components
 from weddle.linalg import chordal_distance
@@ -233,3 +234,10 @@ def test_symmetroid_floating_from_theta_nodes():
     rep = symmetroid([list(v / np.abs(v).max()) for v in odd], CC)
     assert rep.quadric_space_dim == 4
     assert rep.gradient_residual < 1e-8
+
+
+def test_floating_web_of_quadrics_ignores_node_scale():
+    # the same nodes unscaled: the fit scales each point, so the kernel is 4
+    odd = [plus_minus_components(row["coords"])[1]
+           for row in half_period_census(BASE_ODD, OMEGA_GENERIC) if row["in_minus"]]
+    assert len(web_of_quadrics(odd, CC)) == 4
