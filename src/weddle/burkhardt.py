@@ -29,7 +29,7 @@ import numpy as np
 
 from .fields import CC, Domain, GF, PrimeField, QQ
 from .heisenberg import REPS, idx2, involution_j, rep_of
-from .linalg import (Matrix, ShapeError, eval_poly_mod_p, fit_hypersurface,
+from .linalg import (Matrix, ShapeError, eval_polys, fit_hypersurface,
                      nullspace, proj_points_mod_p, proj_ratio, sub_pfaffian_kernel)
 from .poly import SparsePoly, aligned_coefficients, exponents_of_degree
 from .symplectic import ResourceCapError, check_enum_cap
@@ -331,7 +331,7 @@ def count_fibers_ff(p: int):
         raise ShapeError("need a prime p = 1 mod 3, p <= 200")
     check_enum_cap(p ** 3 + p ** 2 + p + 1)
     pts = proj_points_mod_p(p, 3)
-    vals = eval_poly_mod_p(steinerian_quartics(), pts, p)
+    vals = eval_polys(steinerian_quartics(), pts, GF(p))
     base_mask = np.all(vals == 0, axis=1)
     n_base = int(base_mask.sum())
     img = vals[~base_mask]
@@ -357,7 +357,7 @@ def count_base_locus_ff(p: int, k: int = 1) -> int:
     check_enum_cap(sum(p ** (k * d) for d in range(4)))
     if k == 1:
         pts = proj_points_mod_p(p, 3)
-        vals = eval_poly_mod_p(steinerian_quartics(), pts, p)
+        vals = eval_polys(steinerian_quartics(), pts, GF(p))
         return int(np.all(vals == 0, axis=1).sum())
     return _base_locus_quadratic_ext(p)
 

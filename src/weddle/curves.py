@@ -16,8 +16,8 @@ from itertools import combinations
 import numpy as np
 
 from .fields import ComplexField, Domain, PrimeField
-from .linalg import (FitResult, chordal_distance, fit_hypersurface, nullspace,
-                     proj_ratio, rank)
+from .linalg import (FitResult, chordal_distance, eval_polys, fit_hypersurface,
+                     nullspace, proj_ratio, rank)
 from .poly import SparsePoly, aligned_coefficients, exponents_of_degree
 
 # the ten splits of six nodes into two complementary triples
@@ -282,17 +282,13 @@ def singular_residual(form: SparsePoly, points, domain: Domain) -> float:
     """How far the points are from being singular points of form.  Exact
     domains give 0.0 when every partial vanishes at every point, else 1.0.
     Floats give the largest |dF(x)| / (|F|_2 max(1, max|x|)^(d-1))."""
-    grads = form.gradient()
+    vals = eval_polys(form.gradient(), points, domain)
     if domain.is_exact:
-        return 0.0 if all(domain.is_zero(g.evaluate(list(x)))
-                          for x in points for g in grads) else 1.0
-    fn = coefficient_norm(form)
-    worst = 0.0
-    for x in points:
-        scale = max(max(abs(complex(c)) for c in x), 1.0)
-        top = max(abs(complex(g.evaluate(list(x)))) for g in grads)
-        worst = max(worst, top / (fn * scale ** (form.total_degree() - 1)))
-    return worst
+        return 0.0 if _vanishes(vals, domain, 0.0) else 1.0
+    scale = np.maximum(np.abs(np.asarray(points, dtype=complex)).max(axis=1), 1.0)
+    top = np.abs(vals).max(axis=1)
+    worst = top / (coefficient_norm(form) * scale ** (form.total_degree() - 1))
+    return float(worst.max(initial=0.0))
 
 
 def _unique_quartic(draw, samples: int, domain: Domain) -> SparsePoly:
@@ -400,8 +396,7 @@ def quadric_restriction_check(curve: GenusTwoCurve, quadrics) -> dict:
     rows = [[q.terms.get(e, domain.zero()) for e in exps4] for q in restricted]
     inj = rank(rows, domain) == 4
     nodes = weierstrass_images(curve)
-    vanish = _vanishes([q.evaluate(list(n)) for q in restricted for n in nodes],
-                       domain, 1e-8)
+    vanish = _vanishes(eval_polys(restricted, nodes, domain), domain, 1e-8)
     web = web_of_quadrics(nodes, domain)
     trows = [[q.terms.get(e, domain.zero()) for e in exps4] for q in web]
     same_span = rank(rows + trows, domain) == 4 if domain.is_exact else None
@@ -485,11 +480,12 @@ def _rand_param(rng, domain: Domain):
 
 
 def _vanishes(values, domain: Domain, tol: float) -> bool:
-    """Every value is zero: exactly in an exact domain, below tol in
-    modulus for floats."""
+    """Every entry of the array (or sequence) of values is zero: exactly in
+    an exact domain, below tol in modulus for floats."""
+    values = np.asarray(values)
     if domain.is_exact:
-        return all(domain.is_zero(v) for v in values)
-    return all(abs(complex(v)) < tol for v in values)
+        return not np.any(values != 0)
+    return bool(np.all(np.abs(values.astype(complex)) < tol))
 
 
 def _same_point(u, v, domain: Domain, tol: float = 1e-8) -> bool:
@@ -557,11 +553,9 @@ def sec_octic(curve: GenusTwoCurve, rng,
         raise RuntimeError("octic fit nullity %d" % len(fit.forms))
     F = fit.forms[0]
     # fresh membership
-    fresh = []
-    for _ in range(30):
-        P, Q = _secant_pair(curve, rng)
-        fresh.append(F.evaluate([a + domain.from_int(2) * b for a, b in zip(P, Q)]))
-    fresh_ok = _vanishes(fresh, domain, 1e-6)
+    fresh = [[a + domain.from_int(2) * b for a, b in zip(*_secant_pair(curve, rng))]
+             for _ in range(30)]
+    fresh_ok = _vanishes(eval_polys([F], fresh, domain), domain, 1e-6)
     if weddle is None:
         weddle = weddle_prime_fit(curve, rng).quartic
     is_square = _same_point(*aligned_coefficients([restrict_to_hyperplane(F)],

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import CC, ComplexField, Domain, PrimeField, QQ
+from .fields import ComplexField, Domain, PrimeField
 from .poly import SparsePoly, exponents_of_degree
 
 
@@ -55,13 +55,7 @@ class Matrix:
     def mat_vec(self, v):
         if len(v) != self.ncols:
             raise ShapeError("dimension mismatch")
-        out = []
-        for row in self.rows:
-            acc = row[0] * v[0]
-            for a, b in zip(row[1:], v[1:]):
-                acc = acc + a * b
-            out.append(acc)
-        return out
+        return [_dot(row, v) for row in self.rows]
 
     def mat_mul(self, other):
         if self.ncols != other.nrows:
@@ -196,7 +190,7 @@ def nullspace_from_rref(rref, pivots, ncols, domain: Domain):
     return basis
 
 
-def nullspace(m, domain: Domain = None, method="bareiss"):
+def nullspace(m, domain: Domain, method="bareiss"):
     """Basis of the right kernel.  Empty list iff full column rank.
 
     Exact domains use fraction-free elimination ("naive" selects the
@@ -204,12 +198,9 @@ def nullspace(m, domain: Domain = None, method="bareiss"):
     relative threshold; use nullspace_complex directly to tune it.
     """
     rows = m.rows if isinstance(m, Matrix) else [list(r) for r in m]
-    if domain is None:
-        domain = _infer_domain(rows)
     if isinstance(domain, ComplexField):
         arr = np.array([[complex(x) for x in r] for r in rows])
-        basis, _ = nullspace_complex(arr)
-        return [list(v) for v in basis]
+        return [list(v) for v in nullspace_complex(arr)[0]]
     if not isinstance(domain, Domain):
         raise UnsupportedDomainError("nullspace needs a field scalar domain")
     if any(isinstance(x, SparsePoly) for r in rows for x in r):
@@ -224,7 +215,7 @@ def rank(m, domain: Domain):
     at or above the default relative threshold of the SVD kernel."""
     rows = m.rows if isinstance(m, Matrix) else m
     if isinstance(domain, ComplexField):
-        return len(rows[0]) - len(_svd_kernel(rows)[0])
+        return len(rows[0]) - len(nullspace_complex(rows)[0])
     _, pivots = rref_bareiss(rows, domain)
     return len(pivots)
 
@@ -248,22 +239,6 @@ def solve_overdetermined(rows, rhs, domain: Domain):
     if any(not domain.is_zero(_dot(r, sol) - v) for r, v in zip(rows, rhs)):
         raise RuntimeError("inconsistent solution")
     return sol
-
-
-def _infer_domain(rows):
-    from fractions import Fraction
-
-    from .fields import Cyc, Fp, GF, QW
-    x = rows[0][0]
-    if isinstance(x, Fp):
-        return GF(x.p)
-    if isinstance(x, Cyc):
-        return QW
-    if isinstance(x, (int, Fraction)):
-        return QQ
-    if isinstance(x, (float, complex)):
-        return CC
-    raise UnsupportedDomainError("cannot infer scalar domain from %r" % (x,))
 
 
 # ---------------------------------------------------------------------------
@@ -490,56 +465,10 @@ def proj_points_mod_p(p: int, dim: int = 3) -> np.ndarray:
     return np.concatenate(charts, axis=0)
 
 
-def _monomial_columns_mod_p(points: np.ndarray, exps, p: int):
-    """Yield the column x^e mod p over the (N, n) int64 points for each
-    exponent vector e, all from one table of powers of the points."""
-    powers = [points % p]
-    for _ in range(max(max(e) for e in exps) - 1):
-        powers.append(powers[-1] * powers[0] % p)
-    for exp in exps:
-        col = np.ones(points.shape[0], dtype=np.int64)
-        for v, e in enumerate(exp):
-            if e:
-                col = col * powers[e - 1][:, v] % p
-        yield col
-
-
-def eval_poly_mod_p(polys, points: np.ndarray, p: int) -> np.ndarray:
-    """Values mod p of integer- or rational-coefficient SparsePolys on an
-    (N, n) int64 array of points, shape (N, len(polys)).  Each monomial
-    column is computed once, however many of the polynomials share it."""
-    check_int64_prime(p)
-    exps = sorted({e for f in polys for e in f.terms})
-    out = np.zeros((len(polys), points.shape[0]), dtype=np.int64)
-    for exp, col in zip(exps, _monomial_columns_mod_p(points, exps, p)):
-        for row, f in zip(out, polys):
-            if exp in f.terms:
-                # both factors are below p, so the sum stays below p^2
-                row += _coeff_mod_p(f.terms[exp], p) * col
-                row %= p
-    return out.T
-
-
-def _coeff_mod_p(c, p: int) -> int:
-    from fractions import Fraction
-
-    from .fields import Fp
-    if isinstance(c, Fp):
-        return c.val
-    f = Fraction(c)
-    return f.numerator * pow(f.denominator, -1, p) % p
-
-
-def nullspace_complex(a: np.ndarray, rel_threshold: float = 1e-8):
+def nullspace_complex(a, rel_threshold: float = 1e-8):
     """SVD kernel with threshold relative to the top singular value.
 
-    Returns (basis_rows, absolute_threshold)."""
-    basis, thr, _ = _svd_kernel(a, rel_threshold)
-    return basis, thr
-
-
-def _svd_kernel(a, rel_threshold: float = 1e-8):
-    """(basis_rows, absolute_threshold, singular_values) of the SVD kernel."""
+    Returns (basis_rows, absolute_threshold, singular_values)."""
     a = np.asarray(a, dtype=complex)
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     top = s[0] if s.size else 0.0
@@ -547,6 +476,73 @@ def _svd_kernel(a, rel_threshold: float = 1e-8):
     # rows of vh are conjugate-transposed right singular vectors
     null_rows = [np.conj(vh[i]) for i in range(a.shape[1]) if i >= s.size or s[i] < thr]
     return null_rows, thr, s
+
+
+# ---------------------------------------------------------------------------
+# polynomial evaluation at many points
+
+
+def _elem(x, domain: Domain):
+    """x in the domain's array form: its residue in [0, p) over GF(p), else
+    the coerced element."""
+    x = domain.coerce(x)
+    return x.val if isinstance(domain, PrimeField) else x
+
+
+def _array_form(rows, domain: Domain) -> np.ndarray:
+    """Rows of scalars as a 2-d array in the domain's array form: int64 in
+    [0, p) over GF(p), complex over CC, Fraction or Cyc objects over Q and
+    Q(w).  An int64 array over GF(p) is only reduced mod p."""
+    if isinstance(domain, PrimeField) and isinstance(rows, np.ndarray) \
+            and rows.dtype == np.int64:
+        return rows % domain.p
+    dtype = {PrimeField: np.int64, ComplexField: complex}.get(type(domain), object)
+    return np.array([[_elem(x, domain) for x in r] for r in rows], dtype=dtype)
+
+
+def _monomial_columns(pts: np.ndarray, exps, domain: Domain):
+    """Yield the column x^e over the rows of pts (in the domain's array form)
+    for each exponent vector e, all from one table of powers of the points.
+    Over GF(p) every product is reduced mod p."""
+    p = domain.p if isinstance(domain, PrimeField) else None
+
+    def mul(a, b):
+        return a * b if p is None else a * b % p
+
+    powers = [np.ascontiguousarray(pts.T)]
+    for _ in range(max((max(e) for e in exps), default=1) - 1):
+        powers.append(mul(powers[-1], powers[0]))
+    one = np.full(pts.shape[0], _elem(1, domain), dtype=pts.dtype)
+    for exp in exps:
+        col = one
+        for v, e in enumerate(exp):
+            if e:
+                col = mul(col, powers[e - 1][v])
+        yield col
+
+
+def eval_polys(polys, points, domain: Domain) -> np.ndarray:
+    """Values of the SparsePolys at the points, shape (N, len(polys)), in
+    the domain's array form (see _array_form).  Points and coefficients are
+    coerced into the domain, except that an int64 array of points over GF(p)
+    is used as an array; p must pass check_int64_prime.  The monomial
+    columns are streamed one at a time, each computed once however many of
+    the polynomials share it."""
+    p = domain.p if isinstance(domain, PrimeField) else None
+    if p is not None:
+        check_int64_prime(p)
+    pts = _array_form(points, domain)
+    exps = sorted({e for f in polys for e in f.terms})
+    coeffs = [{e: _elem(c, domain) for e, c in f.terms.items()} for f in polys]
+    out = np.full((len(polys), pts.shape[0]), _elem(0, domain), dtype=pts.dtype)
+    for exp, col in zip(exps, _monomial_columns(pts, exps, domain)):
+        for row, cf in zip(out, coeffs):
+            if exp in cf:
+                row += cf[exp] * col
+                if p is not None:
+                    # both factors are below p, so the sum stays below p^2
+                    row %= p
+    return out.T
 
 
 # ---------------------------------------------------------------------------
@@ -566,24 +562,6 @@ class FitResult:
         return len(self.forms)
 
 
-def monomial_row(point, exps, domain: Domain):
-    powers = []
-    maxe = max(max(e) for e in exps)
-    for x in point:
-        ps = [domain.one()]
-        for _ in range(maxe):
-            ps.append(ps[-1] * x)
-        powers.append(ps)
-    row = []
-    for exp in exps:
-        t = domain.one()
-        for v, e in enumerate(exp):
-            if e:
-                t = t * powers[v][e]
-        row.append(t)
-    return row
-
-
 def fit_hypersurface(points, degree: int, domain: Domain,
                      rel_threshold: float = 1e-8) -> FitResult:
     """Basis of degree-d forms vanishing at all the given projective points.
@@ -597,35 +575,23 @@ def fit_hypersurface(points, degree: int, domain: Domain,
     if any(len(p) != nvars for p in points):
         raise ShapeError("points of mixed dimension")
     exps = exponents_of_degree(nvars, degree)
-    if isinstance(domain, PrimeField):
-        p = domain.p
-        pts = np.array([[_int_val(x) for x in pt] for pt in points], dtype=np.int64)
-        a = np.stack(list(_monomial_columns_mod_p(pts, exps, p)), axis=1)
-        basis = nullspace_mod_p(a, p)
-        forms = [_vector_to_form(v, exps, domain) for v in basis]
-        return FitResult(forms, None)
+    pts = _array_form(points, domain)
     if isinstance(domain, ComplexField):
         # the SVD threshold is relative to the whole matrix, so each point is
         # scaled to max-abs 1: a projective point's condition has no scale
-        pts = np.array([[complex(x) for x in pt] for pt in points])
         top = np.abs(pts).max(axis=1, keepdims=True)
         pts = pts / np.where(top > 0, top, 1.0)
-        rows = np.array([monomial_row([complex(x) for x in pt], exps, CC) for pt in pts],
-                        dtype=complex)
-        basis, thr, s = _svd_kernel(rows, rel_threshold)
-        forms = [_vector_to_form(v, exps, domain) for v in basis]
-        return FitResult(forms, thr, s)
-    rows = [monomial_row([domain.coerce(x) for x in pt], exps, domain) for pt in points]
-    basis = nullspace(rows, domain)
-    forms = [_vector_to_form(v, exps, domain) for v in basis]
-    return FitResult(forms, None)
-
-
-def _int_val(x):
-    from .fields import Fp
-    if isinstance(x, Fp):
-        return x.val
-    return int(x)
+    a = np.empty((len(points), len(exps)), dtype=pts.dtype)
+    for k, col in enumerate(_monomial_columns(pts, exps, domain)):
+        a[:, k] = col
+    thr = s = None
+    if isinstance(domain, PrimeField):
+        basis = nullspace_mod_p(a, domain.p)
+    elif isinstance(domain, ComplexField):
+        basis, thr, s = nullspace_complex(a, rel_threshold)
+    else:
+        basis = nullspace(a.tolist(), domain)
+    return FitResult([_vector_to_form(v, exps, domain) for v in basis], thr, s)
 
 
 def _vector_to_form(vec, exps, domain: Domain):

@@ -26,9 +26,9 @@ from .burkhardt import matrix_plus, steinerian_quartics
 from .curves import (TRIPLE_SPLITS, DegenerateConfiguration, _rigidity,
                      _unique_quartic, coefficient_norm, line_in_hypersurface,
                      singular_residual, twenty_five_lines, web_of_quadrics)
-from .fields import CC
+from .fields import CC, GF
 from .heisenberg import REPS, idx2, involution_j, plus_minus_components
-from .linalg import (Matrix, chordal_distance, det_ring, eval_poly_mod_p,
+from .linalg import (Matrix, chordal_distance, det_ring, eval_polys,
                      fit_hypersurface, nullspace, nullspace_complex,
                      proj_points_mod_p, rank, solve_overdetermined)
 from .poly import SparsePoly, aligned_coefficients
@@ -393,14 +393,12 @@ def surface_quadrics(omega: PeriodMatrix, rng) -> SurfaceQuadrics:
     a = np.array(rows)
     _, s, vh = np.linalg.svd(a)
     r = np.conj(vh[-1])
-    resid = 0.0
     from .burkhardt import quadrics_f
-    fa = quadrics_f(list(r), CC)
+    fresh = []
     for _ in range(30):
         x = level3_coords(random_z(omega, rng), omega)
-        x = x / np.abs(x).max()
-        for f in fa:
-            resid = max(resid, abs(f.evaluate(list(x))) / np.abs(r).max())
+        fresh.append(x / np.abs(x).max())
+    resid = np.abs(eval_polys(quadrics_f(list(r), CC), fresh, CC)).max() / np.abs(r).max()
     if resid > 1e-7:
         raise RuntimeError("translated quadrics do not vanish: residual %g" % resid)
     return SurfaceQuadrics(r, float(s[-1]), float(s[-2]), float(resid))
@@ -465,10 +463,8 @@ def weddle_from_theta(omega: PeriodMatrix, kappa: Characteristic, rng) -> Weddle
 
     W = _unique_quartic(draw, 80, CC)
     wnorm = coefficient_norm(W)
-    fresh = 0.0
-    for _ in range(30):
-        zc = _odd_image(random_z(omega, rng), h, omega)
-        fresh = max(fresh, abs(W.evaluate(list(zc))) / wnorm)
+    fresh_pts = [_odd_image(random_z(omega, rng), h, omega) for _ in range(30)]
+    fresh = np.abs(eval_polys([W], fresh_pts, CC)).max() / wnorm
     nodes = [_odd_part(row["coords"])
              for row in half_period_census(kappa, omega) if row["in_minus"]]
     if len(nodes) != 6:
@@ -531,8 +527,7 @@ def twisted_cubic_net_dimension(omega: PeriodMatrix, kappa: Characteristic,
     h = halfperiod(kappa, omega)
     curve_pts = [_odd_image(z, h, omega)
                  for z in theta_divisor_points(kappa, omega, rng, 24)]
-    a = np.array([[q.evaluate(list(pt)) for q in web] for pt in curve_pts])
-    return len(nullspace_complex(a, 1e-6)[0])
+    return len(nullspace_complex(eval_polys(web, curve_pts, CC), 1e-6)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -612,5 +607,5 @@ def symmetroid_singular_count_mod_p(report: SymmetroidReport, p: int) -> int:
     """Exhaustive count of singular points of the determinantal quartic
     over P^3(F_p)."""
     pts = proj_points_mod_p(p, 3)
-    vals = eval_poly_mod_p(report.det_quartic.gradient(), pts, p)
+    vals = eval_polys(report.det_quartic.gradient(), pts, GF(p))
     return int(np.all(vals == 0, axis=1).sum())

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from weddle.cli import main
 from weddle.suite import CHECKS, Context, RunConfig, _record_dict
 
 CFG = RunConfig(suites=("all",), seed=0)
@@ -153,3 +154,18 @@ def test_ac13_symmetroid():
     rec = _run("check_symmetroid")
     assert rec.status == "pass"
     assert rec.measured["singular_count_enumerated"] == 16
+
+
+def test_curve_suite_at_large_prime_matches_benchmark_reference(tmp_path):
+    # the curve_p1e6 benchmark workload at operation seed 0: exact mod-p
+    # elimination and evaluation at p = 1000003, held to the benchmark's
+    # reference report (read only)
+    ref = json.loads((Path(__file__).parents[1] / "perfbench" / "reference"
+                      / "curve_p1e6.json").read_text())
+    out = tmp_path / "report.json"
+    assert main(["run", "--suite", "curve", "--p", "1000003", "--seed", "0",
+                 "--out", str(out)]) == 0
+    got = json.loads(out.read_text())
+    for rec in got["records"]:
+        del rec["runtime_ms"]
+    assert _drift(ref, got, "curve_p1e6") == []

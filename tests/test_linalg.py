@@ -6,14 +6,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from weddle.fields import CC, GF, QQ, QW, Cyc, Fp
+from weddle.fields import CC, GF, QQ, QW, Cyc
 from weddle.linalg import (Matrix, ShapeError, UnsupportedDomainError,
-                           adjugate, det_bareiss, det_ring, eval_poly_mod_p,
+                           adjugate, det_bareiss, det_ring, eval_polys,
                            fit_hypersurface, nullspace, nullspace_complex,
                            nullspace_mod_p, pfaffian, proj_points_mod_p,
                            proj_ratio, rank, rref_bareiss, rref_mod_p,
                            rref_naive, sub_pfaffian_kernel)
-from weddle.poly import SparsePoly
+from weddle.poly import SparsePoly, aligned_coefficients
 
 # the classical skew quadric-coefficient pattern, evaluated at Z = (1,1,1,1);
 # reproducing its kernel is required before the Steinerian construction
@@ -223,10 +223,10 @@ def test_fit_agrees_mod_p():
 
 def test_complex_nullspace_threshold():
     a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]])
-    basis, thr = nullspace_complex(a, rel_threshold=1e-8)
+    basis, thr, _ = nullspace_complex(a, rel_threshold=1e-8)
     assert len(basis) == 1
     assert max(abs(a @ basis[0])) < 1e-9
-    basis_tight, _ = nullspace_complex(a, rel_threshold=1e-12)
+    basis_tight, _, _ = nullspace_complex(a, rel_threshold=1e-12)
     assert len(basis_tight) == 0
 
 
@@ -273,7 +273,7 @@ def test_mod_p_paths_refuse_int64_overflow():
         rref_mod_p(np.eye(2, dtype=np.int64), p)
     x = SparsePoly.variable(0, 2, QQ)
     with pytest.raises(ValueError):
-        eval_poly_mod_p([x * x], np.ones((1, 2), dtype=np.int64), p)
+        eval_polys([x * x], np.ones((1, 2), dtype=np.int64), GF(p))
 
 
 # p = 1753413037 takes only 3 unreduced updates of (p - 1)^2 in int64, so
@@ -319,35 +319,82 @@ def test_rref_mod_p_matches_bareiss(case):
 NV = 3
 COEFFS = st.one_of(st.integers(-50, 50),
                    st.fractions(-5, 5, max_denominator=7)).filter(bool)
+EVAL_DOMAINS = (GF(31), GF(101), GF(P_INT64_MAX), QQ, QW, CC)
 
 
 @st.composite
 def _poly_lists(draw):
-    """Non-zero polynomials over Q that either all share one monomial or
-    have pairwise disjoint monomial sets."""
+    """Polynomials over Q that either all share one monomial or have
+    pairwise disjoint monomial sets, with up to two constant or zero
+    polynomials among them; the list may be empty."""
     mons = draw(st.lists(st.tuples(*[st.integers(0, 3)] * NV),
                          min_size=1, max_size=12, unique=True))
-    k = draw(st.integers(1, 4))
+    k = draw(st.integers(0, 4))
     if draw(st.booleans()):
         supports = [[mons[0]] + draw(st.lists(st.sampled_from(mons), unique=True))
                     for _ in range(k)]
     else:
         supports = [mons[j::k] for j in range(min(k, len(mons)))]
-    return [SparsePoly(NV, QQ, {e: draw(COEFFS) for e in sup}) for sup in supports]
+    polys = [SparsePoly(NV, QQ, {e: draw(COEFFS) for e in sup}) for sup in supports]
+    for const in draw(st.lists(st.one_of(st.just(0), COEFFS), max_size=2)):
+        polys.insert(draw(st.integers(0, len(polys))), SparsePoly.constant(NV, QQ, const))
+    return polys
 
 
-@settings(max_examples=80, deadline=None)
-@given(polys=_poly_lists(), p=st.sampled_from([31, 101, P_INT64_MAX]), data=st.data())
-def test_eval_poly_mod_p_agrees_with_scalar_evaluation(polys, p, data):
-    pts = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=NV, max_size=NV),
-                             min_size=1, max_size=6))
-    vals = eval_poly_mod_p(polys, np.array(pts, dtype=np.int64), p)
+def _draw_point(data, dom):
+    if dom is CC:
+        part = st.floats(-2, 2)
+        return [complex(data.draw(part), data.draw(part)) for _ in range(NV)]
+    if dom is QQ:
+        return [data.draw(COEFFS | st.just(0)) for _ in range(NV)]
+    if dom is QW:
+        return [Cyc(data.draw(COEFFS | st.just(0)), data.draw(COEFFS | st.just(0)))
+                for _ in range(NV)]
+    return [data.draw(st.integers(0, dom.p - 1)) for _ in range(NV)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys=_poly_lists(), dom=st.sampled_from(EVAL_DOMAINS), data=st.data())
+def test_eval_polys_agrees_with_scalar_evaluation(polys, dom, data):
+    if data.draw(st.booleans()):
+        # coefficients in the domain itself instead of Q
+        polys = [f.map_coefficients(dom, dom.coerce) for f in polys]
+    pts = [_draw_point(data, dom) for _ in range(data.draw(st.integers(1, 6)))]
+    if dom not in (QQ, QW, CC) and data.draw(st.booleans()):
+        # points as proj_points_mod_p gives them
+        vals = eval_polys(polys, np.array(pts, dtype=np.int64), dom)
+    else:
+        vals = eval_polys(polys, pts, dom)
     assert vals.shape == (len(pts), len(polys))
-    dom = GF(p)
     for i, pt in enumerate(pts):
+        pt = [dom.coerce(x) for x in pt]
         for j, f in enumerate(polys):
             # coerce: a constant polynomial evaluates to its rational constant
-            assert vals[i, j] == dom.coerce(f.evaluate([Fp(x, p) for x in pt])).val
+            want = dom.coerce(f.evaluate(pt))
+            if dom is CC:
+                # relative to the sum of the moduli of the terms
+                size = f.map_coefficients(CC, lambda c: abs(complex(c))).evaluate(
+                    [abs(x) for x in pt]).real
+                assert abs(vals[i, j] - want) <= 1e-12 * size
+            elif dom in (QQ, QW):
+                assert vals[i, j] == want
+            else:
+                assert vals.dtype == np.int64 and vals[i, j] == want.val
+
+
+def test_prime_field_fit_reads_rational_points_exactly():
+    # (1/2 : 1) and (1 : 2) are one point of P^1, so the line 2x - y is the
+    # fit; reading 1/2 as an integer would give two points and no line
+    dom = GF(101)
+    x, y = (SparsePoly.variable(i, 2, dom) for i in range(2))
+    (line,) = fit_hypersurface([[Fraction(1, 2), 1], [1, 2]], 1, dom)
+    assert proj_ratio(*aligned_coefficients([line], [2 * x - y]), dom) is not None
+
+
+def test_mod_p_evaluation_refuses_a_foreign_modulus():
+    f = SparsePoly.variable(0, 2, GF(31)) * 3
+    with pytest.raises(ValueError, match="wrong modulus"):
+        eval_polys([f], np.ones((1, 2), dtype=np.int64), GF(101))
 
 
 def test_proj_points_census():
