@@ -372,10 +372,16 @@ def test_eval_polys_agrees_with_scalar_evaluation(polys, dom, data):
             # coerce: a constant polynomial evaluates to its rational constant
             want = dom.coerce(f.evaluate(pt))
             if dom is CC:
-                # relative to the sum of the moduli of the terms
+                # relative to the sum of the moduli of the terms, plus the
+                # absolute error of gradual underflow: a product that lands
+                # among the subnormals is rounded to a multiple of the
+                # smallest one, and later factors (|x| <= 2, |c| <= 5) scale
+                # that error; the floor is far below every normal float
                 size = f.map_coefficients(CC, lambda c: abs(complex(c))).evaluate(
                     [abs(x) for x in pt]).real
-                assert abs(vals[i, j] - want) <= 1e-12 * size
+                floor = (2 ** (f.total_degree() + 6) * len(f.terms)
+                         * np.finfo(float).smallest_subnormal)
+                assert abs(vals[i, j] - want) <= 1e-12 * size + floor
             elif dom in (QQ, QW):
                 assert vals[i, j] == want
             else:
