@@ -295,15 +295,17 @@ def _transform_monomial_matrix(M: Matrix, perm, signs):
         row = []
         for j in range(5):
             src = M.rows[perm[i]][perm[j]]
+            sij = signs[i] * signs[j]
             terms = {}
             for exp, c in src.terms.items():
                 nexp = [0] * 5
-                sgn = 1
+                sgn = sij
                 for var, e in enumerate(exp):
                     if e:
                         nexp[inv[var]] += e
                         sgn *= signs[inv[var]] ** e
-                terms[tuple(nexp)] = c * sgn * signs[i] * signs[j]
+                # one int sign, so one Fraction negation at most
+                terms[tuple(nexp)] = c if sgn > 0 else -c
             row.append(SparsePoly(5, QQ, terms))
         out.append(row)
     return Matrix(out)

@@ -10,6 +10,7 @@ Fp, Cyc, or complex.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 def is_prime(n: int) -> bool:
@@ -110,13 +111,33 @@ class Fp:
 
 
 class Cyc:
-    """u + v*w with w a primitive cube root of unity, u, v rational."""
+    """u + v*w with w a primitive cube root of unity, u, v rational.
 
-    __slots__ = ("u", "v")
+    Stored as three ints: u = a/d and v = b/d with d > 0 and
+    gcd(a, b, d) = 1.  The form is canonical, so equal values have equal
+    (a, b, d).  ``u`` and ``v`` are read back as Fractions."""
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, u, v=0):
-        self.u = Fraction(u)
-        self.v = Fraction(v)
+        if type(u) is int and type(v) is int:
+            self.a, self.b, self.d = u, v, 1
+            return
+        u, v = Fraction(u), Fraction(v)
+        du, dv = u.denominator, v.denominator
+        d = du // gcd(du, dv) * dv
+        # the lcm of reduced denominators leaves gcd(a, b, d) = 1
+        self.a = u.numerator * (d // du)
+        self.b = v.numerator * (d // dv)
+        self.d = d
+
+    @property
+    def u(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def v(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def _coerce(self, other):
         if isinstance(other, Cyc):
@@ -129,7 +150,10 @@ class Cyc:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return Cyc(self.u + o.u, self.v + o.v)
+        d1, d2 = self.d, o.d
+        if d1 == d2:
+            return _reduced(self.a + o.a, self.b + o.b, d1)
+        return _reduced(self.a * d2 + o.a * d1, self.b * d2 + o.b * d1, d1 * d2)
 
     __radd__ = __add__
 
@@ -137,37 +161,43 @@ class Cyc:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return Cyc(self.u - o.u, self.v - o.v)
+        d1, d2 = self.d, o.d
+        if d1 == d2:
+            return _reduced(self.a - o.a, self.b - o.b, d1)
+        return _reduced(self.a * d2 - o.a * d1, self.b * d2 - o.b * d1, d1 * d2)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return Cyc(o.u - self.u, o.v - self.v)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        # (u1 + v1 w)(u2 + v2 w), w^2 = -1 - w
-        return Cyc(self.u * o.u - self.v * o.v,
-                   self.u * o.v + self.v * o.u - self.v * o.v)
+        # (a1 + b1 w)(a2 + b2 w), w^2 = -1 - w
+        a1, b1, a2, b2 = self.a, self.b, o.a, o.b
+        bb = b1 * b2
+        return _reduced(a1 * a2 - bb, a1 * b2 + b1 * a2 - bb, self.d * o.d)
 
     __rmul__ = __mul__
 
     def norm(self) -> Fraction:
-        return self.u * self.u - self.u * self.v + self.v * self.v
+        a, b, d = self.a, self.b, self.d
+        return Fraction(a * a - a * b + b * b, d * d)
 
     def conj(self):
         """Image under w -> w^2."""
-        return Cyc(self.u - self.v, -self.v)
+        return _cyc(self.a - self.b, -self.b, self.d)
 
     def inv(self):
-        n = self.norm()
+        a, b, d = self.a, self.b, self.d
+        n = a * a - a * b + b * b
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(w)")
-        c = self.conj()
-        return Cyc(c.u / n, c.v / n)
+        # conj / norm = ((a - b) - b w) d / (a^2 - ab + b^2), with n > 0
+        return _reduced((a - b) * d, -b * d, n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -182,38 +212,63 @@ class Cyc:
         return o * self.inv()
 
     def __neg__(self):
-        return Cyc(-self.u, -self.v)
+        return _cyc(-self.a, -self.b, self.d)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self.u == o.u and self.v == o.v
+        if isinstance(other, Cyc):
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, int):
+            return self.b == 0 and self.d == 1 and self.a == other
+        if isinstance(other, Fraction):
+            return (self.b == 0 and self.a == other.numerator
+                    and self.d == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
+        # the hash of the Fraction pair; an int hashes as its Fraction
+        if self.d == 1:
+            return hash((self.a, self.b))
         return hash((self.u, self.v))
 
     def __bool__(self):
-        return self.u != 0 or self.v != 0
+        return self.a != 0 or self.b != 0
 
     def __complex__(self):
+        # int / int rounds the exact quotient once, as float(Fraction) does
         w = complex(-0.5, 0.75 ** 0.5)
-        return float(self.u) + float(self.v) * w
+        return self.a / self.d + self.b / self.d * w
 
     def __repr__(self):
-        if self.v == 0:
+        if self.b == 0:
             return "Cyc(%s)" % self.u
         return "Cyc(%s, %s)" % (self.u, self.v)
 
 
+_new_object = object.__new__
+
+
+def _cyc(a: int, b: int, d: int) -> Cyc:
+    """(a + b w) / d, already canonical."""
+    x = _new_object(Cyc)
+    x.a, x.b, x.d = a, b, d
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> Cyc:
+    """(a + b w) / d for d > 0, put in canonical form."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _cyc(a, b, d)
+
+
+_OMEGA_POWERS = (Cyc(1), Cyc(0, 1), Cyc(-1, -1))
+
+
 def omega_power(k: int) -> Cyc:
     """w^k as an exact Cyc value."""
-    k %= 3
-    if k == 0:
-        return Cyc(1)
-    if k == 1:
-        return Cyc(0, 1)
-    return Cyc(-1, -1)
+    return _OMEGA_POWERS[k % 3]
 
 
 class Domain:
@@ -243,6 +298,9 @@ class RationalField(Domain):
 
     def coerce(self, x):
         return Fraction(x)
+
+    def is_zero(self, x) -> bool:
+        return not x
 
     def random(self, rng, bound=10):
         return Fraction(rng.randint(-bound, bound))
@@ -318,10 +376,13 @@ class CyclotomicField(Domain):
     def coerce(self, x):
         if isinstance(x, Cyc):
             return x
-        return Cyc(Fraction(x))
+        return Cyc(x)
+
+    def is_zero(self, x) -> bool:
+        return not x
 
     def omega(self):
-        return Cyc(0, 1)
+        return _OMEGA_POWERS[1]
 
     def random(self, rng, bound=10):
         return Cyc(rng.randint(-bound, bound), rng.randint(-bound, bound))

@@ -156,16 +156,27 @@ def test_ac13_symmetroid():
     assert rec.measured["singular_count_enumerated"] == 16
 
 
-def test_curve_suite_at_large_prime_matches_benchmark_reference(tmp_path):
-    # the curve_p1e6 benchmark workload at operation seed 0: exact mod-p
-    # elimination and evaluation at p = 1000003, held to the benchmark's
-    # reference report (read only)
+# the benchmark workloads (perfbench/run.py WORKLOADS) as suites and prime
+BENCHMARK_WORKLOADS = {
+    "sympchar_heis": (("sympchar", "heis"), 101),
+    "burk_p101": (("burk",), 101),
+    "curve_p1e6": (("curve",), 1000003),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_WORKLOADS))
+def test_benchmark_workload_matches_reference(workload, tmp_path):
+    # each benchmark workload at operation seed 0, held to its reference
+    # report in perfbench/reference/ (read only)
+    suites, p = BENCHMARK_WORKLOADS[workload]
     ref = json.loads((Path(__file__).parents[1] / "perfbench" / "reference"
-                      / "curve_p1e6.json").read_text())
+                      / ("%s.json" % workload)).read_text())
     out = tmp_path / "report.json"
-    assert main(["run", "--suite", "curve", "--p", "1000003", "--seed", "0",
-                 "--out", str(out)]) == 0
+    args = ["run"]
+    for suite in suites:
+        args += ["--suite", suite]
+    assert main(args + ["--p", str(p), "--seed", "0", "--out", str(out)]) == 0
     got = json.loads(out.read_text())
     for rec in got["records"]:
         del rec["runtime_ms"]
-    assert _drift(ref, got, "curve_p1e6") == []
+    assert _drift(ref, got, workload) == []

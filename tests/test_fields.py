@@ -1,7 +1,11 @@
+import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weddle.fields import (CC, GF, QQ, QW, Cyc, Fp, domain_by_name,
                            format_scalar, is_prime, omega_power, parse_scalar)
@@ -24,15 +28,24 @@ def test_fp_arithmetic():
         a / Fp(0, 11)
 
 
-def test_fp_field_axioms_random():
-    rng = random.Random(0)
-    dom = GF(101)
-    for _ in range(50):
-        a, b, c = (dom.random(rng) for _ in range(3))
-        assert (a + b) + c == a + (b + c)
-        assert a * (b + c) == a * b + a * c
-        if b != 0:
-            assert (a / b) * b == a
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from((2, 3, 101, 1000003)),
+       ints=st.tuples(*[st.integers(-10**7, 10**7)] * 3))
+def test_fp_field_axioms_random(p, ints):
+    a, b, c = (Fp(n, p) for n in ints)
+    x, y, z = (n % p for n in ints)
+    assert (a + b).val == (x + y) % p and (a - b).val == (x - y) % p
+    assert (a * b).val == x * y % p and (-a).val == -x % p
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + 0 == a and a * 1 == a and a + (-a) == 0 and a - b == a + (-b)
+    assert ints[0] + b == Fp(ints[0], p) + b and ints[0] * b == a * b
+    if b:
+        assert (a / b) * b == a and b * (1 / b) == 1
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
 
 
 def test_cyclotomic_relation():
@@ -51,6 +64,81 @@ def test_cyclotomic_inverse_and_norm():
             continue
         assert x * x.inv() == Cyc(1)
         assert x.norm() == (x * x.conj()).u
+
+
+# reference model of Q(w): a pair (u, v) of Fractions for u + v w, with the
+# formulas of the two-Fraction representation
+def _ref(x):
+    if isinstance(x, Cyc):
+        return x.u, x.v
+    return Fraction(x), Fraction(0)
+
+
+def _ref_mul(p, q):
+    (u1, v1), (u2, v2) = p, q
+    return u1 * u2 - v1 * v2, u1 * v2 + v1 * u2 - v1 * v2
+
+
+def _ref_norm(p):
+    u, v = p
+    return u * u - u * v + v * v
+
+
+def _ref_inv(p):
+    n = _ref_norm(p)
+    return (p[0] - p[1]) / n, -p[1] / n
+
+
+REF_OPS = {
+    operator.add: lambda p, q: (p[0] + q[0], p[1] + q[1]),
+    operator.sub: lambda p, q: (p[0] - q[0], p[1] - q[1]),
+    operator.mul: _ref_mul,
+    operator.truediv: lambda p, q: _ref_mul(p, _ref_inv(q)),
+}
+
+_rationals = st.one_of(st.integers(-10**6, 10**6),
+                       st.fractions(max_denominator=10**4),
+                       st.sampled_from((0, 1, -1, Fraction(1, 2))))
+_cycs = st.builds(Cyc, _rationals, _rationals)
+
+
+def _assert_canonical(x):
+    assert type(x) is Cyc
+    assert all(type(n) is int for n in (x.a, x.b, x.d))
+    assert x.d > 0 and gcd(x.a, x.b, x.d) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_cycs, y=st.one_of(_cycs, _rationals), swap=st.booleans())
+def test_cyclotomic_matches_fraction_pair_model(x, y, swap):
+    _assert_canonical(x)
+    assert x == Cyc(*_ref(x))
+    for op, ref_op in REF_OPS.items():
+        lhs, rhs = (y, x) if swap else (x, y)
+        if op is operator.truediv and not rhs:
+            with pytest.raises(ZeroDivisionError):
+                op(lhs, rhs)
+            continue
+        got = op(lhs, rhs)
+        _assert_canonical(got)
+        assert (got.u, got.v) == ref_op(_ref(lhs), _ref(rhs))
+    _assert_canonical(-x)
+    assert (-x).u == -x.u and (-x).v == -x.v
+    _assert_canonical(x.conj())
+    assert (x.conj().u, x.conj().v) == (x.u - x.v, -x.v)
+    assert x.norm() == _ref_norm(_ref(x)) and type(x.norm()) is Fraction
+    if x:
+        _assert_canonical(x.inv())
+        assert (x.inv().u, x.inv().v) == _ref_inv(_ref(x))
+    else:
+        for zero_division in (x.inv, lambda: 1 / x, lambda: x / x):
+            with pytest.raises(ZeroDivisionError):
+                zero_division()
+    assert hash(x) == hash((x.u, x.v))
+    assert (x == x.u) == (x.v == 0) and (x == 0) == (not x)
+    assert parse_scalar(QW, format_scalar(QW, x)) == x
+    w = complex(-0.5, 0.75 ** 0.5)
+    assert complex(x) == float(x.u) + float(x.v) * w
 
 
 def test_fp_omega_needs_one_mod_three():

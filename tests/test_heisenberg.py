@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weddle.fields import Cyc, QW, omega_power
 from weddle.heisenberg import (GenPerm, HeisAutomorphism, HeisElement,
@@ -30,10 +32,10 @@ def rand_h():
 
 def test_group_law_basics():
     e = h_identity(2)
-    for _ in range(20):
-        h = rand_h()
+    for h in G2:
         assert h_mul(h, e) == h == h_mul(e, h)
-        assert h_mul(h, h_inv(h)) == e
+        assert h_mul(h, h_inv(h)) == e == h_mul(h_inv(h), h)
+        assert h_inv(h_inv(h)) == h
     h1 = HeisElement(0, (1, 0), (0, 0))
     h2 = HeisElement(0, (0, 0), (1, 0))
     p12, p21 = h_mul(h1, h2), h_mul(h2, h1)
@@ -41,10 +43,11 @@ def test_group_law_basics():
     assert (p12.t - p21.t) % 3 != 0  # the two orders differ by a scalar twist
 
 
-def test_group_law_associative_random():
-    for _ in range(200):
-        a, b, c = rand_h(), rand_h(), rand_h()
-        assert h_mul(h_mul(a, b), c) == h_mul(a, h_mul(b, c))
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.sampled_from(G2)] * 3))
+def test_group_law_associative_random(triple):
+    a, b, c = triple
+    assert h_mul(h_mul(a, b), c) == h_mul(a, h_mul(b, c))
 
 
 def test_genus_mismatch():
@@ -123,17 +126,19 @@ def test_schrodinger_multiplicative_and_faithful():
     assert len(images) == 243
 
 
-def test_genperm_matches_full_matrix_product():
-    for _ in range(5):
-        h1, h2 = rand_h(), rand_h()
-        A, B = schrodinger(h1), schrodinger(h2)
-        full = A.to_matrix().mat_mul(B.to_matrix())
-        gp = A.compose(B).to_matrix()
-        assert all(full.rows[i][j] == gp.rows[i][j]
-                   for i in range(9) for j in range(9))
-        T = A.to_matrix()
-        assert genperm_right(T, B).rows == T.mat_mul(B.to_matrix()).rows
-        assert genperm_left(B, T).rows == B.to_matrix().mat_mul(T).rows
+_genperms = st.one_of(
+    st.builds(GenPerm, st.permutations(range(9)),
+              st.lists(st.integers(-3, 5), min_size=9, max_size=9)),
+    st.builds(schrodinger, st.sampled_from(G2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_genperms, _genperms)
+def test_genperm_matches_full_matrix_product(A, B):
+    T = A.to_matrix()
+    assert A.compose(B).to_matrix().rows == T.mat_mul(B.to_matrix()).rows
+    assert genperm_right(T, B).rows == T.mat_mul(B.to_matrix()).rows
+    assert genperm_left(B, T).rows == B.to_matrix().mat_mul(T).rows
 
 
 def test_involution_j():
