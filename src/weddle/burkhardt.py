@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations, product, tee
 
 import numpy as np
 
@@ -160,20 +160,27 @@ class BurkhardtDerivation:
     samples_used: int
 
 
-def _sample_steinerian_points(domain: Domain, rng, count: int):
-    pts = []
-    tries = 0
-    fn = steinerian_minus
-    while len(pts) < count:
-        tries += 1
-        if tries > 50 * count:
+def _sample_steinerian_points(domain: Domain, rng, count: int) -> np.ndarray:
+    """count points r(z) of the Steinerian image, one per row in the domain's
+    array form (see linalg.eval_polys), z drawn with domain.random and
+    dropped when it is a base point.  Each batch draws only as many z as
+    points are still missing, so the draws and the kept points are those of
+    calling steinerian_minus on one z at a time.  At most 50 * count z are
+    drawn."""
+    budget = 50 * count
+    batches = []
+    kept = 0
+    while kept < count:
+        n = min(count - kept, budget)
+        if n == 0:
             raise RuntimeError("sampling starved; field too small?")
-        z = [domain.random(rng) for _ in range(4)]
-        q = fn(z, domain)
-        if q is None:
-            continue
-        pts.append(q)
-    return pts
+        budget -= n
+        z = [[domain.random(rng) for _ in range(4)] for _ in range(n)]
+        vals = eval_polys(steinerian_quartics(), z, domain)
+        vals = vals[(vals != 0).any(axis=1)]
+        batches.append(vals)
+        kept += len(vals)
+    return np.concatenate(batches)
 
 
 def derive_burkhardt(domain: Domain, rng, samples: int = 160) -> BurkhardtDerivation:
@@ -270,45 +277,46 @@ def hessian_match(B: SparsePoly):
     """All (scalar, signed permutation) pairs reconciling the matrix of
     second partials of B with the symmetric quadric matrix.  Signs are
     canonicalized with the first entry +1 (a global flip acts trivially on
-    quadratic entries)."""
+    quadratic entries).  Signs change no monomial support, so the signs of
+    a permutation are tried only when its supports match those of the
+    Hessian."""
     H = hessian_matrix(B)
     M = matrix_plus()
     matches = []
     for perm in permutations(range(5)):
+        if not all({e for e, _ in _transformed_terms(M, perm, (1,) * 5, i, j)}
+                   == H.rows[i][j].terms.keys() for i in range(5) for j in range(5)):
+            continue
         for signbits in product((1, -1), repeat=4):
             signs = (1,) + signbits
-            cand = _transform_monomial_matrix(M, perm, signs)
-            c = matrix_ratio(H, cand)
+            # equal supports, so the terms of H and of the candidate pair up;
+            # both sides are lazy, so proj_ratio stops at the first mismatch
+            h, m = tee((H.rows[i][j].terms[e], c) for i in range(5) for j in range(5)
+                       for e, c in _transformed_terms(M, perm, signs, i, j))
+            c = proj_ratio((x for x, _ in h), (y for _, y in m), QQ)
             if c is not None:
                 matches.append(HessianMatch(c, perm, signs))
     return matches
 
 
+def _transformed_terms(M: Matrix, perm, signs, i: int, j: int):
+    """The (exponent, coefficient) terms of entry (i, j) of
+    _transform_monomial_matrix(M, perm, signs)."""
+    sij = signs[i] * signs[j]
+    for exp, c in M.rows[perm[i]][perm[j]].terms.items():
+        nexp = tuple(exp[p] for p in perm)
+        sgn = sij
+        for s, e in zip(signs, nexp):
+            sgn *= s ** e
+        # one int sign, so one Fraction negation at most
+        yield nexp, (c if sgn > 0 else -c)
+
+
 def _transform_monomial_matrix(M: Matrix, perm, signs):
     """Entry (i, j) becomes s_i s_j M[perm(i)][perm(j)] with variable
     Y_{perm(k)} renamed to s_k Y_k."""
-    inv = [0] * 5
-    for k, p in enumerate(perm):
-        inv[p] = k
-    out = []
-    for i in range(5):
-        row = []
-        for j in range(5):
-            src = M.rows[perm[i]][perm[j]]
-            sij = signs[i] * signs[j]
-            terms = {}
-            for exp, c in src.terms.items():
-                nexp = [0] * 5
-                sgn = sij
-                for var, e in enumerate(exp):
-                    if e:
-                        nexp[inv[var]] += e
-                        sgn *= signs[inv[var]] ** e
-                # one int sign, so one Fraction negation at most
-                terms[tuple(nexp)] = c if sgn > 0 else -c
-            row.append(SparsePoly(5, QQ, terms))
-        out.append(row)
-    return Matrix(out)
+    return Matrix([[SparsePoly(5, QQ, dict(_transformed_terms(M, perm, signs, i, j)))
+                    for j in range(5)] for i in range(5)])
 
 
 def matrix_ratio(A: Matrix, B: Matrix):
@@ -331,6 +339,7 @@ def count_fibers_ff(p: int):
     over P^3(F_p), plus the count of rational base points."""
     if p % 3 != 1 or p > 200:
         raise ShapeError("need a prime p = 1 mod 3, p <= 200")
+    assert p ** 5 < 2 ** 63
     check_enum_cap(p ** 3 + p ** 2 + p + 1)
     pts = proj_points_mod_p(p, 3)
     vals = eval_polys(steinerian_quartics(), pts, GF(p))
@@ -344,7 +353,8 @@ def count_fibers_ff(p: int):
     first_nz = np.argmax(img != 0, axis=1)
     scale = inv[img[np.arange(img.shape[0]), first_nz]]
     img = img * scale[:, None] % p
-    _, counts = np.unique(img, axis=0, return_counts=True)
+    # one int64 key per row, its digits base p the coordinates
+    _, counts = np.unique(img @ p ** np.arange(5), return_counts=True)
     hist = {}
     for c in counts:
         hist[int(c)] = hist.get(int(c), 0) + 1
@@ -386,7 +396,8 @@ def _base_locus_quadratic_ext(p: int) -> int:
         return ((x[0] * y[0] + d * (x[1] * y[1])) % p,
                 (x[0] * y[1] + x[1] * y[0]) % p)
 
-    good = np.ones(n, dtype=bool)
+    # a point leaves as soon as one quartic is nonzero there; the first
+    # quartic is a monomial, so most points leave after it
     for quartic in steinerian_quartics():
         acc = (np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
         for exp, c in quartic.terms.items():
@@ -396,5 +407,7 @@ def _base_locus_quadratic_ext(p: int) -> int:
                 for _ in range(e):
                     term = fmul(term, coords[v])
             acc = ((acc[0] + term[0]) % p, (acc[1] + term[1]) % p)
-        good &= (acc[0] == 0) & (acc[1] == 0)
-    return int(good.sum())
+        zero = (acc[0] == 0) & (acc[1] == 0)
+        coords = [(a[zero], b[zero]) for a, b in coords]
+        n = int(zero.sum())
+    return n

@@ -566,10 +566,12 @@ def fit_hypersurface(points, degree: int, domain: Domain,
                      rel_threshold: float = 1e-8) -> FitResult:
     """Basis of degree-d forms vanishing at all the given projective points.
 
-    The kernel of the monomial evaluation matrix.  Few points simply give a
-    larger space; inconsistent point dimensions are a shape error.
+    The kernel of the monomial evaluation matrix.  The points are rows of
+    scalars, or over GF(p) also an (N, n) int64 array (see _array_form).
+    Few points simply give a larger space; inconsistent point dimensions are
+    a shape error.
     """
-    if not points:
+    if len(points) == 0:
         raise ShapeError("no points")
     nvars = len(points[0])
     if any(len(p) != nvars for p in points):

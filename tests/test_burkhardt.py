@@ -1,21 +1,27 @@
 import os
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
+import numpy as np
 import pytest
 
-from weddle.burkhardt import (ResourceCapError, burkhardt_vanishes_symbolically,
+from weddle.burkhardt import (ResourceCapError, _base_locus_quadratic_ext,
+                              _nonresidue, _sample_steinerian_points,
+                              burkhardt_vanishes_symbolically,
                               count_base_locus_ff, count_fibers_ff,
                               derive_burkhardt, derive_burkhardt_exact,
                               hessian_determinant_degree, hessian_match,
-                              matrix_minus, matrix_plus, quadrics_f,
+                              hessian_matrix, matrix_minus, matrix_plus,
+                              quadrics_f,
                               rational_reconstruct, steinerian_minus,
                               steinerian_plus, steinerian_quartics,
                               translate_poly, j_poly)
 from weddle.fields import GF, QQ
 from weddle.heisenberg import REPS, idx2
-from weddle.linalg import Matrix, det_ring, nullspace
-from weddle.poly import SparsePoly
+from weddle.linalg import (Matrix, det_ring, eval_polys, nullspace,
+                           proj_points_mod_p, proj_ratio)
+from weddle.poly import SparsePoly, aligned_coefficients
 
 rng = random.Random(0)
 
@@ -196,16 +202,39 @@ def test_rational_reconstruction():
         assert rational_reconstruct(c, m) == val
 
 
+def _brute_force_hessian_matches(B):
+    """Every one of the 1,920 signed permutations, each applied to the whole
+    quadric matrix by substitution: the oracle for the support filter of
+    hessian_match."""
+    flat_h = [x for r in hessian_matrix(B).rows for x in r]
+    M = matrix_plus()
+    out = []
+    for perm in permutations(range(5)):
+        for signbits in product((1, -1), repeat=4):
+            signs = (1,) + signbits
+            # Y_{perm(k)} -> s_k Y_k
+            forms = [None] * 5
+            for k, pk in enumerate(perm):
+                forms[pk] = SparsePoly.variable(k, 5, QQ).scale(Fraction(signs[k]))
+            cand = [M.rows[pi][pj].substitute_linear(forms).scale(Fraction(si * sj))
+                    for pi, si in zip(perm, signs) for pj, sj in zip(perm, signs)]
+            c = proj_ratio(*aligned_coefficients(flat_h, cand), QQ)
+            if c is not None:
+                out.append((c, perm, signs))
+    return out
+
+
 def test_hessian_match():
     B = derive_burkhardt_exact(random.Random(11))
     matches = hessian_match(B)
-    assert matches
+    assert [(m.scalar, m.permutation, m.signs) for m in matches] \
+        == _brute_force_hessian_matches(B)
+    assert len(matches) == 24
     assert len({m.scalar for m in matches}) == 1
     assert any(m.permutation == (0, 1, 2, 3, 4) and m.signs == (1,) * 5
                for m in matches)
     assert hessian_determinant_degree(B) == 10
     # Hessian entries are quadrics
-    from weddle.burkhardt import hessian_matrix
     H = hessian_matrix(B)
     assert all(H.rows[i][j].total_degree() in (-1, 2)
                for i in range(5) for j in range(5))
@@ -238,6 +267,41 @@ def test_steinerian_plus_generic_and_degenerate():
     assert len(kern) == 5
 
 
+def _fiber_histogram_reference(p):
+    """Fiber sizes by np.unique over whole rows, each image point scaled to
+    first nonzero coordinate 1 with Python's modular inverse."""
+    vals = eval_polys(steinerian_quartics(), proj_points_mod_p(p, 3), GF(p))
+    img = vals[(vals != 0).any(axis=1)]
+    first = img[np.arange(len(img)), np.argmax(img != 0, axis=1)]
+    inv = np.array([pow(int(x), -1, p) for x in first], dtype=np.int64)
+    _, counts = np.unique(img * inv[:, None] % p, axis=0, return_counts=True)
+    sizes, mult = np.unique(counts, return_counts=True)
+    return {int(k): int(v) for k, v in zip(sizes, mult)}
+
+
+def _base_locus_all_quartics(p):
+    """Points of P^3(F_{p^2}) where all five quartics vanish, each quartic
+    evaluated on every point; F_{p^2} = F_p[s]/(s^2 - d), the integer i read
+    as (i mod p) + (i div p) s."""
+    d = _nonresidue(p)
+    pts = proj_points_mod_p(p * p, 3)
+    re, im = pts % p, pts // p
+    zero = np.ones(len(pts), dtype=bool)
+    for quartic in steinerian_quartics():
+        acc_re = np.zeros(len(pts), dtype=np.int64)
+        acc_im = np.zeros(len(pts), dtype=np.int64)
+        for exp, c in quartic.terms.items():
+            t_re = np.full(len(pts), int(c) % p, dtype=np.int64)
+            t_im = np.zeros(len(pts), dtype=np.int64)
+            for v, e in enumerate(exp):
+                for _ in range(e):
+                    t_re, t_im = ((t_re * re[:, v] + d * t_im * im[:, v]) % p,
+                                  (t_re * im[:, v] + t_im * re[:, v]) % p)
+            acc_re, acc_im = (acc_re + t_re) % p, (acc_im + t_im) % p
+        zero &= (acc_re == 0) & (acc_im == 0)
+    return int(zero.sum())
+
+
 def test_fiber_histogram_and_base_locus():
     res = count_fibers_ff(31)
     assert res["points"] == 31 ** 3 + 31 ** 2 + 31 + 1
@@ -246,6 +310,47 @@ def test_fiber_histogram_and_base_locus():
         == res["points"] - res["base_points"]
     assert count_base_locus_ff(31, 1) == 40
     assert count_base_locus_ff(7, 2) == 40
+
+
+@pytest.mark.parametrize("p", [7, 31])
+def test_fiber_histogram_matches_row_unique(p):
+    assert count_fibers_ff(p)["fiber_histogram"] == _fiber_histogram_reference(p)
+
+
+def test_base_locus_filter_matches_all_quartics():
+    assert _base_locus_quadratic_ext(7) == _base_locus_all_quartics(7) == 40
+
+
+def _scalar_steinerian_sample(domain, rng, count):
+    """One z at a time through steinerian_minus; the kept points as
+    residues and the number of z drawn."""
+    pts, draws = [], 0
+    while len(pts) < count:
+        draws += 1
+        if draws > 50 * count:
+            raise RuntimeError("sampling starved")
+        r = steinerian_minus([domain.random(rng) for _ in range(4)], domain)
+        if r is not None:
+            pts.append([x.val for x in r])
+    return pts, draws
+
+
+@pytest.mark.parametrize("p, count", [(7, 60), (101, 160)])
+def test_batched_sampler_matches_scalar_loop(p, count):
+    dom = GF(p)
+    for seed in range(3):
+        rng_ref, rng = random.Random(seed), random.Random(seed)
+        ref, draws = _scalar_steinerian_sample(dom, rng_ref, count)
+        assert _sample_steinerian_points(dom, rng, count).tolist() == ref
+        assert rng.getstate() == rng_ref.getstate()
+        if p == 7:
+            # base points and the zero vector were drawn and dropped
+            assert draws > count
+
+
+def test_sampler_starves_over_f2():
+    with pytest.raises(RuntimeError, match="sampling starved"):
+        _sample_steinerian_points(GF(2), random.Random(0), 200)
 
 
 def test_enumeration_caps():

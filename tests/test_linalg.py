@@ -221,6 +221,19 @@ def test_fit_agrees_mod_p():
     assert rank(rowsQ + rowsP, dom) == 3
 
 
+def test_fit_takes_an_int64_array_over_gf_p():
+    dom = GF(101)
+    rng = random.Random(9)
+    # twisted cubic points, t^3 not reduced below p
+    pts = [[1, t, t * t, t ** 3] for t in (rng.randrange(101) for _ in range(12))]
+    fit_arr = fit_hypersurface(np.array(pts, dtype=np.int64), 2, dom)
+    fit_fp = fit_hypersurface([[dom.from_int(x) for x in p] for p in pts], 2, dom)
+    assert len(fit_arr.forms) == 3
+    assert fit_arr.forms == fit_fp.forms
+    with pytest.raises(ShapeError):
+        fit_hypersurface(np.zeros((0, 4), dtype=np.int64), 2, dom)
+
+
 def test_complex_nullspace_threshold():
     a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]])
     basis, thr, _ = nullspace_complex(a, rel_threshold=1e-8)
