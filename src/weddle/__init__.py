@@ -22,11 +22,11 @@ from .burkhardt import (count_base_locus_ff, count_fibers_ff,
                         hessian_match, matrix_minus, matrix_plus, quadrics_f,
                         steinerian_minus, steinerian_plus, steinerian_quartics)
 from .theta import (PeriodMatrix, ThetaValue, halfperiod, level3_coords,
-                    surface_quadrics, symmetroid, theta_char, theta_halfint,
-                    theta_null, weddle_from_theta)
+                    surface_quadrics, theta_char, theta_halfint, theta_null,
+                    weddle_from_theta)
 from .curves import (CurvePoint, GenusTwoCurve, kummer_fit, phi,
                      quadrics_through_curve, sec_octic, secant_point,
-                     tricanonical, weddle_prime_fit)
+                     symmetroid, tricanonical, weddle_prime_fit)
 from .suite import RunConfig, run_suite
 
 __version__ = "0.1.0"

@@ -29,8 +29,9 @@ import numpy as np
 
 from .fields import CC, Domain, GF, PrimeField, QQ
 from .heisenberg import REPS, idx2, involution_j, rep_of
-from .linalg import (Matrix, ShapeError, eval_polys, fit_hypersurface,
-                     nullspace, proj_points_mod_p, proj_ratio, sub_pfaffian_kernel)
+from .linalg import (Matrix, ShapeError, count_common_zeros_mod_p, eval_polys,
+                     fit_hypersurface, nullspace, proj_points_mod_p, proj_ratio,
+                     sub_pfaffian_kernel)
 from .poly import SparsePoly, aligned_coefficients, exponents_of_degree
 from .symplectic import ResourceCapError, check_enum_cap
 
@@ -266,13 +267,6 @@ class HessianMatch:
     signs: tuple
 
 
-def hessian_matrix(B: SparsePoly) -> Matrix:
-    rows = []
-    for i in range(5):
-        rows.append([B.partial(i).partial(j) for j in range(5)])
-    return Matrix(rows)
-
-
 def hessian_match(B: SparsePoly):
     """All (scalar, signed permutation) pairs reconciling the matrix of
     second partials of B with the symmetric quadric matrix.  Signs are
@@ -280,7 +274,7 @@ def hessian_match(B: SparsePoly):
     quadratic entries).  Signs change no monomial support, so the signs of
     a permutation are tried only when its supports match those of the
     Hessian."""
-    H = hessian_matrix(B)
+    H = Matrix(B.hessian())
     M = matrix_plus()
     matches = []
     for perm in permutations(range(5)):
@@ -327,7 +321,7 @@ def matrix_ratio(A: Matrix, B: Matrix):
 
 def hessian_determinant_degree(B: SparsePoly) -> int:
     from .linalg import det_ring
-    return det_ring(hessian_matrix(B)).total_degree()
+    return det_ring(Matrix(B.hessian())).total_degree()
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +362,7 @@ def count_base_locus_ff(p: int, k: int = 1) -> int:
         raise ShapeError("need p = 1 mod 3, p <= 200, k in {1, 2}")
     check_enum_cap(sum(p ** (k * d) for d in range(4)))
     if k == 1:
-        pts = proj_points_mod_p(p, 3)
-        vals = eval_polys(steinerian_quartics(), pts, GF(p))
-        return int(np.all(vals == 0, axis=1).sum())
+        return count_common_zeros_mod_p(steinerian_quartics(), p)
     return _base_locus_quadratic_ext(p)
 
 

@@ -1,7 +1,9 @@
 """Genus-2 curve geometry: the tricanonical embedding in P^4, secant
 construction of the six-node quartic in the invariant hyperplane, the
 quadrics through the curve and its classifying map to the sixteen-node
-quartic, and the degree-8 secant hypersurface.
+quartic, and the degree-8 secant hypersurface.  Also the six-node layer
+that the theta side shares: the web of quadrics through six nodes and its
+determinantal symmetroid, a sixteen-node quartic.
 
 Everything runs verbatim over a prime field (all incidences exact) or over
 complex floats (checks against tolerances).
@@ -16,8 +18,9 @@ from itertools import combinations
 import numpy as np
 
 from .fields import ComplexField, Domain, PrimeField
-from .linalg import (FitResult, chordal_distance, eval_polys, fit_hypersurface,
-                     nullspace, proj_ratio, rank)
+from .linalg import (FitResult, Matrix, chordal_distance, det_ring, eval_polys,
+                     fit_hypersurface, nullspace, proj_ratio, rank,
+                     solve_overdetermined)
 from .poly import SparsePoly, aligned_coefficients, exponents_of_degree
 
 # the ten splits of six nodes into two complementary triples
@@ -37,7 +40,7 @@ class BaseLocusPoint(ValueError):
     pass
 
 
-class DegenerateConfiguration(RuntimeError):
+class DegenerateConfiguration(ValueError):
     """Node set failed a general-position requirement; resample."""
 
 
@@ -107,10 +110,17 @@ class GenusTwoCurve:
         """A random curve point off the branch points."""
         dom = self.domain
         if isinstance(dom, PrimeField):
+            def nonzero_square(v):
+                return pow(v.val, (dom.p - 1) // 2, dom.p) == 1
+            # by Hasse-Weil such a point exists for p >= 29
+            if dom.p < 29 and not any(nonzero_square(self.f(dom.from_int(x)))
+                                      for x in range(dom.p)):
+                raise ValueError("F_%d has no affine curve point off the branch "
+                                 "points" % dom.p)
             while True:
                 x = dom.random(rng)
                 v = self.f(x)
-                if pow(v.val, (dom.p - 1) // 2, dom.p) != 1:
+                if not nonzero_square(v):
                     continue
                 y = dom.sqrt(v)
                 if rng.random() < 0.5:
@@ -224,7 +234,7 @@ def sample_secant_points(curve: GenusTwoCurve, rng, count: int):
 def plane_through(points, domain: Domain):
     basis = nullspace([list(p) for p in points], domain)
     if len(basis) != 1:
-        raise ValueError("points do not span a plane")
+        raise DegenerateConfiguration("points do not span a plane")
     return basis[0]
 
 
@@ -318,6 +328,66 @@ def web_of_quadrics(nodes, domain: Domain) -> list:
         raise DegenerateConfiguration("quadrics through the nodes have dimension %d"
                                       % len(forms))
     return forms
+
+
+# ---------------------------------------------------------------------------
+# the determinantal symmetroid of six nodes
+
+
+@dataclass
+class SymmetroidReport:
+    det_quartic: SparsePoly
+    rank3_points: list
+    rank2_points: list
+    gradient_residual: float
+    quadric_space_dim: int
+
+
+def symmetroid(nodes, domain: Domain) -> SymmetroidReport:
+    """Determinantal quartic of the web of quadrics through six general
+    points of P^3, with its sixteen singular points: six rank-3 quadrics
+    whose vertices are the nodes and ten rank-2 plane pairs from
+    complementary triples.  Each quadric enters as its Hessian, twice its
+    symmetric matrix, which changes no kernel or rank and scales the
+    quartic by 16."""
+    nodes = [[domain.coerce(x) for x in n] for n in nodes]
+    web = web_of_quadrics(nodes, domain)
+    origin = (0,) * 4
+    hs = [Matrix([[h.terms.get(origin, domain.zero()) for h in row]
+                  for row in q.hessian()]) for q in web]
+    # the pencil sum_k t_k H_k as a 16 x 4 matrix; row 4i+j holds entry (i, j)
+    pencil = Matrix([[h.rows[i][j] for h in hs] for i in range(4) for j in range(4)])
+    # det of the symmetric pencil, a quartic in the four parameters
+    units = [tuple(int(k == m) for m in range(4)) for k in range(4)]
+    entries = [SparsePoly(4, domain, dict(zip(units, row))) for row in pencil.rows]
+    F = det_ring(Matrix([entries[4 * i:4 * i + 4] for i in range(4)]))
+    rank3 = []
+    for n in nodes:
+        # the pencil points whose quadric has the node as a vertex
+        kern = nullspace(Matrix([h.mat_vec(n) for h in hs]).transpose(), domain)
+        if len(kern) != 1:
+            raise DegenerateConfiguration("vertex condition does not pin a "
+                                          "unique pencil point")
+        t = kern[0]
+        quadric = pencil.mat_vec(t)
+        if rank([quadric[4 * i:4 * i + 4] for i in range(4)], domain) != 3:
+            raise DegenerateConfiguration("vertex quadric does not have rank 3")
+        rank3.append(t)
+    rank2 = []
+    upper = [4 * i + j for i in range(4) for j in range(i, 4)]
+    for tri, comp in TRIPLE_SPLITS:
+        a = plane_through([nodes[i] for i in tri], domain)
+        b = plane_through([nodes[i] for i in comp], domain)
+        # the Hessian of the plane pair (a.x)(b.x)
+        prod = [a[i] * b[j] + a[j] * b[i] for i in range(4) for j in range(4)]
+        if rank([prod[4 * i:4 * i + 4] for i in range(4)], domain) != 2:
+            raise DegenerateConfiguration("plane pair quadric does not have rank 2")
+        # express the plane-pair quadric in the pencil basis
+        t = solve_overdetermined([pencil.rows[r] for r in upper],
+                                 [prod[r] for r in upper], domain)
+        rank2.append(t)
+    return SymmetroidReport(F, rank3, rank2, singular_residual(F, rank3 + rank2, domain),
+                            len(web))
 
 
 # ---------------------------------------------------------------------------

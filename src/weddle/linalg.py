@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ComplexField, Domain, PrimeField
+from .fields import ComplexField, Domain, GF, PrimeField
 from .poly import SparsePoly, exponents_of_degree
 
 
@@ -545,6 +545,13 @@ def eval_polys(polys, points, domain: Domain) -> np.ndarray:
     return out.T
 
 
+def count_common_zeros_mod_p(forms, p: int, dim: int = 3) -> int:
+    """Number of points of P^dim(F_p) where every form vanishes, by
+    evaluating the forms at all of them."""
+    vals = eval_polys(forms, proj_points_mod_p(p, dim), GF(p))
+    return int(np.all(vals == 0, axis=1).sum())
+
+
 # ---------------------------------------------------------------------------
 # hypersurface interpolation
 
@@ -562,8 +569,7 @@ class FitResult:
         return len(self.forms)
 
 
-def fit_hypersurface(points, degree: int, domain: Domain,
-                     rel_threshold: float = 1e-8) -> FitResult:
+def fit_hypersurface(points, degree: int, domain: Domain) -> FitResult:
     """Basis of degree-d forms vanishing at all the given projective points.
 
     The kernel of the monomial evaluation matrix.  The points are rows of
@@ -590,7 +596,7 @@ def fit_hypersurface(points, degree: int, domain: Domain,
     if isinstance(domain, PrimeField):
         basis = nullspace_mod_p(a, domain.p)
     elif isinstance(domain, ComplexField):
-        basis, thr, s = nullspace_complex(a, rel_threshold)
+        basis, thr, s = nullspace_complex(a)
     else:
         basis = nullspace(a.tolist(), domain)
     return FitResult([_vector_to_form(v, exps, domain) for v in basis], thr, s)

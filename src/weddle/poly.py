@@ -181,6 +181,11 @@ class SparsePoly:
     def gradient(self):
         return [self.partial(i) for i in range(self.nvars)]
 
+    def hessian(self):
+        """The matrix of second partials, as a list of rows; a quadric's
+        is twice its symmetric matrix."""
+        return [d.gradient() for d in self.gradient()]
+
     def substitute_linear(self, forms):
         """Plug a linear form (given as a SparsePoly) in for each variable."""
         if len(forms) != self.nvars:

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import burkhardt, curves, heisenberg, symplectic, theta
 from .fields import GF, QQ, Cyc, QW
-from .linalg import Matrix, chordal_distance, nullspace, proj_ratio
+from .linalg import (Matrix, chordal_distance, count_common_zeros_mod_p,
+                     nullspace, proj_ratio)
 from .poly import aligned_coefficients
 
 SUITES = ("sympchar", "heis", "burk", "theta", "curve", "cross")
@@ -472,14 +473,14 @@ def check_symmetroid(ctx: Context) -> CheckRecord:
         nodes = [[dom.random(rng) for _ in range(4)] for _ in range(6)]
         attempts = attempt + 1
         try:
-            rep = theta.symmetroid(nodes, dom)
+            rep = curves.symmetroid(nodes, dom)
             break
-        except theta.DegenerateConfiguration:
+        except curves.DegenerateConfiguration:
             continue
     if rep is None:
         return CheckRecord("AC13", "determinantal quartic singular at exactly 16 points",
                            "fail", {"error": "no general-position draw in 12 tries"})
-    count = theta.symmetroid_singular_count_mod_p(rep, ctx.cfg.p)
+    count = count_common_zeros_mod_p(rep.det_quartic.gradient(), ctx.cfg.p)
     pts = rep.rank3_points + rep.rank2_points
     distinct = curves._all_distinct(pts, dom)
     ok = (rep.quadric_space_dim == 4 and len(rep.rank3_points) == 6

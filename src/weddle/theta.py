@@ -1,7 +1,7 @@
 """Numeric theta functions with characteristics on the genus-2 Siegel
 space, the level-3 coordinates of an abelian surface, theta-null points,
-the quartic surface with six nodes cut out by the odd eigenspace, and the
-determinantal symmetroid attached to six nodes.
+and the quartic surface with six nodes cut out by the odd eigenspace.
+Constructions on the nodes alone, over any field, live in curves.py.
 
 Series convention: theta[alpha; beta](z, Om) sums over r in Z^2 of
 exp(pi i (r+alpha).Om.(r+alpha) + 2 pi i (r+alpha).(z+beta)) for real
@@ -23,14 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .burkhardt import matrix_plus, steinerian_quartics
-from .curves import (TRIPLE_SPLITS, DegenerateConfiguration, _rigidity,
-                     _unique_quartic, coefficient_norm, line_in_hypersurface,
-                     singular_residual, twenty_five_lines, web_of_quadrics)
-from .fields import CC, GF
+from .curves import (_rigidity, _unique_quartic, coefficient_norm,
+                     line_in_hypersurface, singular_residual, twenty_five_lines,
+                     web_of_quadrics)
+from .fields import CC
 from .heisenberg import REPS, idx2, involution_j, plus_minus_components
-from .linalg import (Matrix, chordal_distance, det_ring, eval_polys,
-                     fit_hypersurface, nullspace, nullspace_complex,
-                     proj_points_mod_p, rank, solve_overdetermined)
+from .linalg import (chordal_distance, eval_polys, fit_hypersurface,
+                     nullspace_complex)
 from .poly import SparsePoly, aligned_coefficients
 from .symplectic import Characteristic, all_characteristics, check_enum_cap
 
@@ -528,84 +527,3 @@ def twisted_cubic_net_dimension(omega: PeriodMatrix, kappa: Characteristic,
     curve_pts = [_odd_image(z, h, omega)
                  for z in theta_divisor_points(kappa, omega, rng, 24)]
     return len(nullspace_complex(eval_polys(web, curve_pts, CC), 1e-6)[0])
-
-
-# ---------------------------------------------------------------------------
-# the determinantal symmetroid of six nodes
-
-
-@dataclass
-class SymmetroidReport:
-    det_quartic: SparsePoly
-    rank3_points: list
-    rank2_points: list
-    gradient_residual: float
-    quadric_space_dim: int
-
-
-def _quadric_to_sym_matrix(q: SparsePoly, domain):
-    mat = [[domain.zero() for _ in range(4)] for _ in range(4)]
-    half = domain.one() / domain.from_int(2)
-    for exp, c in q.terms.items():
-        idxs = [i for i, e in enumerate(exp) for _ in range(e)]
-        i, j = idxs
-        c = domain.coerce(c)
-        if i == j:
-            mat[i][i] = mat[i][i] + c
-        else:
-            mat[i][j] = mat[i][j] + c * half
-            mat[j][i] = mat[j][i] + c * half
-    return mat
-
-
-def symmetroid(nodes, domain) -> SymmetroidReport:
-    """Determinantal quartic of the pencil of quadrics through six general
-    points of P^3, with its sixteen singular points: six rank-3 quadrics
-    whose vertices are the nodes and ten rank-2 plane pairs from
-    complementary triples."""
-    nodes = [[domain.coerce(x) for x in n] for n in nodes]
-    web = web_of_quadrics(nodes, domain)
-    qs = [_quadric_to_sym_matrix(q, domain) for q in web]
-    # the pencil sum_k t_k Q_k as a 16 x 4 matrix; row 4i+j holds entry (i, j)
-    pencil = Matrix([[q[i][j] for q in qs] for i in range(4) for j in range(4)])
-    # det of the symmetric pencil, a quartic in the four parameters
-    units = [tuple(int(k == m) for m in range(4)) for k in range(4)]
-    entries = [SparsePoly(4, domain, dict(zip(units, row))) for row in pencil.rows]
-    F = det_ring(Matrix([entries[4 * i:4 * i + 4] for i in range(4)]))
-    rank3 = []
-    for n in nodes:
-        # the pencil points whose quadric has the node as a vertex
-        kern = nullspace(Matrix([Matrix(q).mat_vec(n) for q in qs]).transpose(), domain)
-        if len(kern) != 1:
-            raise DegenerateConfiguration("vertex condition does not pin a "
-                                          "unique pencil point")
-        t = kern[0]
-        quadric = pencil.mat_vec(t)
-        if rank([quadric[4 * i:4 * i + 4] for i in range(4)], domain) != 3:
-            raise DegenerateConfiguration("vertex quadric does not have rank 3")
-        rank3.append(t)
-    rank2 = []
-    upper = [4 * i + j for i in range(4) for j in range(i, 4)]
-    for tri, comp in TRIPLE_SPLITS:
-        n1 = nullspace([nodes[i] for i in tri], domain)
-        n2 = nullspace([nodes[i] for i in comp], domain)
-        if len(n1) != 1 or len(n2) != 1:
-            raise DegenerateConfiguration("triple does not span a plane")
-        a, b = n1[0], n2[0]
-        prod = [a[i] * b[j] + a[j] * b[i] for i in range(4) for j in range(4)]
-        if rank([prod[4 * i:4 * i + 4] for i in range(4)], domain) != 2:
-            raise DegenerateConfiguration("plane pair quadric does not have rank 2")
-        # express the plane-pair quadric in the pencil basis
-        t = solve_overdetermined([pencil.rows[r] for r in upper],
-                                 [prod[r] for r in upper], domain)
-        rank2.append(t)
-    return SymmetroidReport(F, rank3, rank2, singular_residual(F, rank3 + rank2, domain),
-                            len(web))
-
-
-def symmetroid_singular_count_mod_p(report: SymmetroidReport, p: int) -> int:
-    """Exhaustive count of singular points of the determinantal quartic
-    over P^3(F_p)."""
-    pts = proj_points_mod_p(p, 3)
-    vals = eval_polys(report.det_quartic.gradient(), pts, GF(p))
-    return int(np.all(vals == 0, axis=1).sum())

@@ -12,8 +12,7 @@ from weddle.burkhardt import (ResourceCapError, _base_locus_quadratic_ext,
                               count_base_locus_ff, count_fibers_ff,
                               derive_burkhardt, derive_burkhardt_exact,
                               hessian_determinant_degree, hessian_match,
-                              hessian_matrix, matrix_minus, matrix_plus,
-                              quadrics_f,
+                              matrix_minus, matrix_plus, quadrics_f,
                               rational_reconstruct, steinerian_minus,
                               steinerian_plus, steinerian_quartics,
                               translate_poly, j_poly)
@@ -206,7 +205,7 @@ def _brute_force_hessian_matches(B):
     """Every one of the 1,920 signed permutations, each applied to the whole
     quadric matrix by substitution: the oracle for the support filter of
     hessian_match."""
-    flat_h = [x for r in hessian_matrix(B).rows for x in r]
+    flat_h = [x for r in B.hessian() for x in r]
     M = matrix_plus()
     out = []
     for perm in permutations(range(5)):
@@ -235,8 +234,8 @@ def test_hessian_match():
                for m in matches)
     assert hessian_determinant_degree(B) == 10
     # Hessian entries are quadrics
-    H = hessian_matrix(B)
-    assert all(H.rows[i][j].total_degree() in (-1, 2)
+    H = B.hessian()
+    assert all(H[i][j].total_degree() in (-1, 2)
                for i in range(5) for j in range(5))
 
 

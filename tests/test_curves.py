@@ -1,18 +1,23 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from weddle.curves import (BaseLocusPoint, CurvePoint, DegenerateConfiguration,
                            DegenerateSecant, GenusTwoCurve,
                            hyperplane_section_degree, kummer_fit, phi,
-                           phi_constant_on_secant, quadric_restriction_check,
-                           quadrics_through_curve, sec_octic, secant_point,
-                           sample_secant_points, singular_residual,
-                           tricanonical, web_of_quadrics, weddle_prime_fit,
+                           phi_constant_on_secant, plane_through,
+                           quadric_restriction_check, quadrics_through_curve,
+                           sec_octic, secant_point, sample_secant_points,
+                           singular_residual, symmetroid, tricanonical,
+                           web_of_quadrics, weddle_prime_fit,
                            weierstrass_images, weierstrass_tangent_sample)
 from weddle.fields import CC, GF, QQ
-from weddle.linalg import proj_ratio
+from weddle.heisenberg import plus_minus_components
+from weddle.linalg import count_common_zeros_mod_p, proj_ratio
+from weddle.symplectic import BASE_ODD
+from weddle.theta import OMEGA_GENERIC, half_period_census
 
 P = 101
 DOM = GF(P)
@@ -164,6 +169,33 @@ def test_web_of_quadrics_needs_general_position():
     collinear = [(DOM.one(), DOM.from_int(t), DOM.zero(), DOM.zero()) for t in range(6)]
     with pytest.raises(DegenerateConfiguration):
         web_of_quadrics(collinear, DOM)
+
+
+def test_plane_through_needs_three_independent_points():
+    collinear = [(DOM.one(), DOM.from_int(t), DOM.zero(), DOM.zero()) for t in range(3)]
+    with pytest.raises(DegenerateConfiguration):
+        plane_through(collinear, DOM)
+
+
+def test_symmetroid_exact():
+    dom = GF(101)
+    r = random.Random(8)
+    nodes = [[dom.random(r) for _ in range(4)] for _ in range(6)]
+    rep = symmetroid(nodes, dom)
+    assert rep.quadric_space_dim == 4
+    assert len(rep.rank3_points) == 6
+    assert len(rep.rank2_points) == 10
+    assert rep.gradient_residual == 0.0
+    assert count_common_zeros_mod_p(rep.det_quartic.gradient(), 101) == 16
+
+
+def test_symmetroid_floating_from_theta_nodes():
+    # the odd parts of the half periods in the odd eigenspace, at max-abs 1
+    odd = [np.array(plus_minus_components(row["coords"])[1])
+           for row in half_period_census(BASE_ODD, OMEGA_GENERIC) if row["in_minus"]]
+    rep = symmetroid([list(v / np.abs(v).max()) for v in odd], CC)
+    assert rep.quadric_space_dim == 4
+    assert rep.gradient_residual < 1e-8
 
 
 def test_phi_base_locus_and_generic(curve):

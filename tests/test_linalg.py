@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from weddle.fields import CC, GF, QQ, QW, Cyc
 from weddle.linalg import (Matrix, ShapeError, UnsupportedDomainError,
-                           adjugate, det_bareiss, det_ring, eval_polys,
+                           adjugate, count_common_zeros_mod_p, det_bareiss,
+                           det_ring, eval_polys,
                            fit_hypersurface, nullspace, nullspace_complex,
                            nullspace_mod_p, pfaffian, proj_points_mod_p,
                            proj_ratio, rank, rref_bareiss, rref_mod_p,
@@ -422,6 +423,13 @@ def test_proj_points_census():
         expect = sum(p ** k for k in range(dim + 1))
         assert pts.shape == (expect, dim + 1)
         assert len({tuple(r) for r in pts.tolist()}) == expect
+
+
+def test_count_common_zeros_mod_p():
+    x = [SparsePoly.variable(i, 3, QQ) for i in range(3)]
+    # x2 = 0 is a line of P^2(F_5), and x0 x1 cuts two points out of it
+    assert count_common_zeros_mod_p([x[2]], 5, 2) == 6
+    assert count_common_zeros_mod_p([x[0] * x[1], x[2]], 5, 2) == 2
 
 
 # ---------------------------------------------------------------------------

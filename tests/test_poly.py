@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 from math import comb
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from weddle.fields import GF, QQ, QW
 from weddle.poly import (SparsePoly, exponents_of_degree, poly_from_text,
                          poly_to_text)
@@ -55,6 +58,44 @@ def test_partial_derivative_product_rule():
     lhs = (a * b).partial(0)
     rhs = a.partial(0) * b + a * b.partial(0)
     assert lhs == rhs
+
+
+@st.composite
+def _form_and_points(draw, degree=None):
+    """A form of the given degree (1..4 if None) in 1..4 variables over Q or
+    GF(p), and two points."""
+    domain = draw(st.sampled_from([QQ, GF(2), GF(3), GF(101)]))
+    nvars = draw(st.integers(1, 4))
+    exps = exponents_of_degree(nvars, degree or draw(st.integers(1, 4)))
+    ints = st.integers(-20, 20)
+    f = SparsePoly(nvars, domain, {e: domain.from_int(draw(ints)) for e in exps})
+    x, y = ([domain.from_int(draw(ints)) for _ in range(nvars)] for _ in range(2))
+    return f, x, y
+
+
+@settings(max_examples=100, deadline=None)
+@given(_form_and_points(degree=2))
+def test_hessian_of_a_quadric_is_its_polar_form(fxy):
+    # x^t H y = f(x + y) - f(x) - f(y): H is twice the symmetric matrix
+    f, x, y = fxy
+    H = f.hessian()
+    n = f.nvars
+    lhs = sum((x[i] * H[i][j].evaluate(x) * y[j] for i in range(n) for j in range(n)),
+              f.domain.zero())
+    xy = [a + b for a, b in zip(x, y)]
+    assert lhs == f.evaluate(xy) - f.evaluate(x) - f.evaluate(y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_form_and_points())
+def test_hessian_euler_identity(fxy):
+    # sum_j x_j H_ij(x) = (d - 1) df/dx_i (x) for a form of degree d
+    f, x, _ = fxy
+    H, grad = f.hessian(), f.gradient()
+    dom, d = f.domain, f.total_degree()
+    for i in range(f.nvars):
+        lhs = sum((x[j] * H[i][j].evaluate(x) for j in range(f.nvars)), dom.zero())
+        assert lhs == dom.from_int(d - 1) * grad[i].evaluate(x)
 
 
 def test_substitute_linear():

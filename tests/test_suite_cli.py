@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -179,3 +181,35 @@ def test_report_floats_have_fixed_precision():
     text = report_to_json(report)
     assert "e-" in report["config"]["tol"] or "e+" in report["config"]["tol"]
     json.loads(text)
+
+
+@pytest.mark.parametrize("verb", [["run", "--suite", "curve"], ["weddle-curve"],
+                                  ["kummer"], ["sec-octic"]])
+def test_cli_field_without_affine_curve_points_exits_2(verb):
+    # over F_7 the sextic with roots 0..5 is 0 at x = 0..5 and a non-residue
+    # at x = 6; a subprocess with a timeout, so that a hang fails the test
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(root / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "weddle"] + verb + ["--p", "7"],
+                          env=env, cwd=root, capture_output=True, text=True,
+                          timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: F_7 has no affine curve point")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_cli_degenerate_web_exits_2(monkeypatch, capsys):
+    import weddle.theta
+    from weddle.curves import web_of_quadrics
+
+    def collinear_web(nodes, domain):
+        # quadrics through six points of a line form a space of dimension 7
+        return web_of_quadrics([[1, t, 0, 0] for t in range(6)], domain)
+
+    monkeypatch.setattr(weddle.theta, "web_of_quadrics", collinear_web)
+    assert main(["weddle-theta"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: quadrics through the nodes have dimension 7")
+    assert err.count("\n") == 1

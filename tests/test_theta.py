@@ -7,7 +7,7 @@ import pytest
 
 from weddle.burkhardt import steinerian_plus
 from weddle.curves import web_of_quadrics
-from weddle.fields import CC, GF
+from weddle.fields import CC
 from weddle.heisenberg import plus_minus_components
 from weddle.linalg import chordal_distance
 from weddle.symplectic import BASE_ODD, Characteristic, all_characteristics
@@ -17,7 +17,6 @@ from weddle.theta import (DomainError, OMEGA_DIAGONALISH,
                           level3_contract_check, level3_coords,
                           quadric_space_nullity, random_z,
                           steinerian_of_theta_null, surface_quadrics,
-                          symmetroid, symmetroid_singular_count_mod_p,
                           theta_char, theta_divisor_points, theta_halfint,
                           theta_null, weddle_from_theta)
 
@@ -213,27 +212,6 @@ def test_weddle_needs_odd_characteristic():
     with pytest.raises(ValueError):
         weddle_from_theta(OMEGA_GENERIC, Characteristic(2, (0, 0), (0, 0)),
                           random.Random(0))
-
-
-def test_symmetroid_exact():
-    dom = GF(101)
-    r = random.Random(8)
-    nodes = [[dom.random(r) for _ in range(4)] for _ in range(6)]
-    rep = symmetroid(nodes, dom)
-    assert rep.quadric_space_dim == 4
-    assert len(rep.rank3_points) == 6
-    assert len(rep.rank2_points) == 10
-    assert rep.gradient_residual == 0.0
-    assert symmetroid_singular_count_mod_p(rep, 101) == 16
-
-
-def test_symmetroid_floating_from_theta_nodes():
-    # the odd parts of the half periods in the odd eigenspace, at max-abs 1
-    odd = [np.array(plus_minus_components(row["coords"])[1])
-           for row in half_period_census(BASE_ODD, OMEGA_GENERIC) if row["in_minus"]]
-    rep = symmetroid([list(v / np.abs(v).max()) for v in odd], CC)
-    assert rep.quadric_space_dim == 4
-    assert rep.gradient_residual < 1e-8
 
 
 def test_floating_web_of_quadrics_ignores_node_scale():
