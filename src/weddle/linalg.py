@@ -545,10 +545,10 @@ def eval_polys(polys, points, domain: Domain) -> np.ndarray:
     return out.T
 
 
-def count_common_zeros_mod_p(forms, p: int, dim: int = 3) -> int:
-    """Number of points of P^dim(F_p) where every form vanishes, by
-    evaluating the forms at all of them."""
-    vals = eval_polys(forms, proj_points_mod_p(p, dim), GF(p))
+def count_common_zeros_mod_p(forms, p: int) -> int:
+    """Number of points of P^n(F_p) where every form in n+1 variables
+    vanishes, by evaluating the forms at all of them."""
+    vals = eval_polys(forms, proj_points_mod_p(p, forms[0].nvars - 1), GF(p))
     return int(np.all(vals == 0, axis=1).sum())
 
 

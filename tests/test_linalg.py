@@ -428,8 +428,8 @@ def test_proj_points_census():
 def test_count_common_zeros_mod_p():
     x = [SparsePoly.variable(i, 3, QQ) for i in range(3)]
     # x2 = 0 is a line of P^2(F_5), and x0 x1 cuts two points out of it
-    assert count_common_zeros_mod_p([x[2]], 5, 2) == 6
-    assert count_common_zeros_mod_p([x[0] * x[1], x[2]], 5, 2) == 2
+    assert count_common_zeros_mod_p([x[2]], 5) == 6
+    assert count_common_zeros_mod_p([x[0] * x[1], x[2]], 5) == 2
 
 
 # ---------------------------------------------------------------------------
