@@ -110,22 +110,32 @@ class GenusTwoCurve:
         """A random curve point off the branch points."""
         dom = self.domain
         if isinstance(dom, PrimeField):
+            # f by Horner and the Euler test on plain ints: the draws, one
+            # randrange(p) per trial, are those of dom.random
+            p = dom.p
+            coeffs = [c.val for c in reversed(self.coeffs)]
+
+            def f(x):
+                acc = 0
+                for c in coeffs:
+                    acc = (acc * x + c) % p
+                return acc
+
             def nonzero_square(v):
-                return pow(v.val, (dom.p - 1) // 2, dom.p) == 1
+                return pow(v, (p - 1) // 2, p) == 1
             # by Hasse-Weil such a point exists for p >= 29
-            if dom.p < 29 and not any(nonzero_square(self.f(dom.from_int(x)))
-                                      for x in range(dom.p)):
+            if p < 29 and not any(nonzero_square(f(x)) for x in range(p)):
                 raise ValueError("F_%d has no affine curve point off the branch "
-                                 "points" % dom.p)
+                                 "points" % p)
             while True:
-                x = dom.random(rng)
-                v = self.f(x)
+                x = rng.randrange(p)
+                v = f(x)
                 if not nonzero_square(v):
                     continue
                 y = dom.sqrt(v)
                 if rng.random() < 0.5:
                     y = -y
-                return CurvePoint(x, y)
+                return CurvePoint(dom.from_int(x), y)
         if isinstance(dom, ComplexField):
             import cmath
             x = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))

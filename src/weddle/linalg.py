@@ -383,58 +383,130 @@ def check_int64_prime(p: int) -> None:
                          "(need p^2 < 2^63)" % p)
 
 
-def rref_mod_p(a: np.ndarray, p: int):
-    """Reduced row echelon form of an integer matrix mod a prime p.
+# widest panel of rref_mod_p, and the columns of one trailing product
+_PANEL = 24
+_CHUNK = 64
 
-    Returns (rows, pivots): the non-zero rows of the RREF as an int64 array
-    with entries in [0, p), and the list of pivot columns.  p must pass
-    check_int64_prime (p^2 < 2^63); every intermediate stays inside int64.
 
-    Gauss-Jordan elimination that updates only the trailing columns and
-    delays reduction: each pivot reduces its search column and its row,
-    and the trailing block is reduced only when the next update could
-    overflow.
+def _panel_plan(p: int):
+    """(dtype, width) of rref_mod_p's panels at the prime p.
+
+    A panel of `width` columns makes at most `width` rank-1 updates, each
+    moving an entry by at most (p-1)^2, and a trailing entry t + e.u adds
+    `width` products of factors in [0, p) to t in [0, p), so every entry
+    stays below width (p-1)^2 + p in size.  float64 holds that exactly,
+    and BLAS forms the products, while it is below 2^53; larger primes use
+    int64 with the width that keeps it within 2^63.
     """
-    check_int64_prime(p)
-    a = np.array(a, dtype=np.int64) % p
-    nr, nc = a.shape
-    # A reduced entry lies in [0, p) and each update subtracts at most
-    # (p - 1)^2, so it takes (2**63 - 1) // (p - 1)**2 updates without
-    # wrapping: one on the reduced block and `budget` more after it.
-    budget = (2 ** 63 - 1) // (p - 1) ** 2 - 1
-    pending = 0
-    buf = np.empty(nr * nc, dtype=np.int64)
-    r = 0
+    if _PANEL * (p - 1) ** 2 + p < 2 ** 53:
+        return np.float64, _PANEL
+    return np.int64, min(_PANEL, (2 ** 63 - p) // (p - 1) ** 2)
+
+
+def _reduce(x: np.ndarray, p: int, out: np.ndarray) -> None:
+    """out = x mod p for an integer-valued array x, which is float64 only
+    while 0 <= x < 2^53.  Then x / p rounds to a float with the same floor,
+    so x - floor(x / p) p is exact, and much faster than np.remainder."""
+    if x.dtype == np.int64:
+        np.remainder(x, p, out=out)
+        return
+    q = np.floor(x / p)
+    q *= p
+    np.subtract(x, q, out=out, casting="unsafe")
+
+
+def _eliminate_panel(w: np.ndarray, p: int, r: int, rows: np.ndarray) -> list:
+    """Gauss-Jordan on the left half of w = [P | 0] in place, one rank-1
+    update per pivot, with pivots from row r on; returns the pivot columns
+    of P and leaves w reduced mod p.  Each row swap is also made on `rows`.
+
+    The j-th pivot row first gets a 1 in column j of the right half, so
+    that half ends as E: each row's multiples of the pivot rows of P as
+    they were.  An update subtracts at most (p-1)^2 from an entry, and a
+    panel of _panel_plan's width makes too few to wrap int64, so only each
+    pivot's search column and row are reduced before the end.
+    """
+    nr, half = w.shape[0], w.shape[1] // 2
     pivots = []
-    for c in range(nc):
-        col = a[:, c]
+    for c in range(half):
+        if r == nr:
+            break
+        col = w[:, c]
         col %= p
         nz = np.flatnonzero(col[r:])
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
         if piv != r:
-            a[[r, piv], c:] = a[[piv, r], c:]
-        row = a[r, c:]
+            w[[r, piv]] = w[[piv, r]]
+            rows[[r, piv]] = rows[[piv, r]]
+        # right-half columns past this pivot's are still zero in every row
+        end = half + len(pivots) + 1
+        w[r, end - 1] = 1
+        row = w[r, c:end]
         row %= p
         row *= pow(int(row[0]), -1, p)
         row %= p
         mult = col.copy()
         mult[r] = 0
-        if pending > budget:
-            a[:, c + 1:] %= p
-            pending = 0
-        update = buf[:nr * (nc - c)].reshape(nr, nc - c)
-        np.multiply.outer(mult, row, out=update)
-        a[:, c:] -= update
-        pending += 1
+        w[:, c:end] -= np.multiply.outer(mult, row)
         pivots.append(c)
         r += 1
+    w %= p
+    return pivots
+
+
+def rref_mod_p(a: np.ndarray, p: int):
+    """Reduced row echelon form of an integer matrix mod a prime p.
+
+    Returns (rows, pivots): the non-zero rows of the RREF as an int64 array
+    with entries in [0, p), and the list of pivot columns.  p must pass
+    check_int64_prime (p^2 < 2^63).
+
+    Blocked Gauss-Jordan.  A panel of at most `width` columns is eliminated
+    by rank-1 steps on its own columns, with row swaps moving whole rows.
+    Its k pivots then update the trailing columns T in one product: with
+    B the k x k pivot block of the panel as it was and M its pivot columns,
+    the pivot rows become B^-1 T[pivot rows] and every other row of T
+    loses M B^-1 T[pivot rows].  The panel's steps yield B^-1 and -M B^-1
+    (the multipliers E of _eliminate_panel), so no inverse is formed.
+
+    Every product is exact: float64 (BLAS) while
+    width (p-1)^2 + p < 2^53, else int64 with width (p-1)^2 + p <= 2^63,
+    so the width is 1 at the largest admissible prime.  The trailing
+    product is formed a column block at a time in one nr x _CHUNK buffer,
+    so the matrix itself is the only full-size array.
+    """
+    check_int64_prime(p)
+    a = np.array(a, dtype=np.int64)
+    a %= p
+    nr, nc = a.shape
+    dtype, width = _panel_plan(p)
+    buf = np.empty(nr * min(_CHUNK, nc), dtype=dtype)
+    r = 0
+    pivots = []
+    for c0 in range(0, nc, width):
         if r == nr:
             break
-    out = a[:r]
-    out %= p
-    return out, pivots
+        cw = min(width, nc - c0)
+        w = np.zeros((nr, 2 * cw), dtype=np.int64)
+        w[:, :cw] = a[:, c0:c0 + cw]
+        cols = _eliminate_panel(w, p, r, a)
+        a[:, c0:c0 + cw] = w[:, :cw]
+        k = len(cols)
+        if k and c0 + cw < nc:
+            piv = slice(r, r + k)
+            e = w[:, cw:cw + k].astype(dtype)
+            for j in range(c0 + cw, nc, _CHUNK):
+                t = a[:, j:j + _CHUNK]
+                prod = buf[:t.size].reshape(t.shape)
+                np.matmul(e, t[piv].astype(dtype), out=prod)
+                t[piv] = 0
+                prod += t
+                _reduce(prod, p, out=t)
+        pivots += [c0 + c for c in cols]
+        r += k
+    return a[:r], pivots
 
 
 def nullspace_mod_p(a: np.ndarray, p: int) -> np.ndarray:

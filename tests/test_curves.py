@@ -65,6 +65,36 @@ def test_tricanonical_involution_flips_last(curve):
         assert vl[:4] == v[:4] and vl[4] == -v[4]
 
 
+def _sample_point_fp(curve, rng):
+    """sample_point's earlier loop over Fp objects, the oracle for the
+    integer loop that replaced it."""
+    dom = curve.domain
+    while True:
+        x = dom.random(rng)
+        v = curve.f(x)
+        if pow(v.val, (dom.p - 1) // 2, dom.p) != 1:
+            continue
+        y = dom.sqrt(v)
+        if rng.random() < 0.5:
+            y = -y
+        return CurvePoint(x, y)
+
+
+@pytest.mark.parametrize("p", [29, 101, 1000003])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_point_draws_match_the_fp_loop(p, seed):
+    dom = GF(p)
+    for c in (GenusTwoCurve(dom, roots=[0, 1, 2, 3, 4, 5]),
+              GenusTwoCurve(dom, coeffs=[3, 1, 4, 1, 5, 9, 2])):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(40):
+            got, want = c.sample_point(fast), _sample_point_fp(c, slow)
+            assert (got.x, got.y) == (want.x, want.y)
+            assert isinstance(got.x, type(want.x))
+            assert c.point(got.x, got.y) == got
+        assert fast.getstate() == slow.getstate()
+
+
 def test_minus_section_vanishes_exactly_at_weierstrass(curve):
     # the last coordinate is y; its zero set on the curve is y = 0
     for x in range(P):

@@ -14,6 +14,7 @@ from weddle.linalg import (Matrix, ShapeError, UnsupportedDomainError,
                            nullspace_mod_p, pfaffian, proj_points_mod_p,
                            proj_ratio, rank, rref_bareiss, rref_mod_p,
                            rref_naive, sub_pfaffian_kernel)
+from weddle.linalg import _PANEL, _panel_plan, check_int64_prime
 from weddle.poly import SparsePoly, aligned_coefficients
 
 # the classical skew quadric-coefficient pattern, evaluated at Z = (1,1,1,1);
@@ -291,12 +292,13 @@ def test_mod_p_paths_refuse_int64_overflow():
 
 
 # p = 1753413037 takes only 3 unreduced updates of (p - 1)^2 in int64, so
-# the trailing block is reduced mid-elimination on every matrix of rank >= 4
+# its panels are 3 columns wide and each spends the whole int64 budget
 P_THREE_UPDATES = 1753413037
-# unit upper triangular with -1 above the diagonal: without those reductions
-# its entries would fall to about -2.7 * 2^63 at that prime
+# unit upper triangular with -1 above the diagonal, over three panels of the
+# widest width: without the reductions between panels its entries would fall
+# far below -2^63 at that prime
 UPPER_MINUS_ONES = [[1 if j == i else (P_THREE_UPDATES - 1 if j > i else 0)
-                     for j in range(10)] for i in range(9)]
+                     for j in range(3 * _PANEL + 1)] for i in range(3 * _PANEL)]
 
 
 @st.composite
@@ -328,6 +330,122 @@ def test_rref_mod_p_matches_bareiss(case):
     assert fast_piv == exact_piv
     assert fast.dtype == np.int64
     assert fast.tolist() == [[x.val for x in r] for r in exact]
+
+
+def _rref_mod_p_rank1(a: np.ndarray, p: int):
+    """The unblocked kernel rref_mod_p had before its panels, verbatim: one
+    rank-1 update of the whole trailing block per pivot.  The oracle of the
+    blocked kernel."""
+    check_int64_prime(p)
+    a = np.array(a, dtype=np.int64) % p
+    nr, nc = a.shape
+    # A reduced entry lies in [0, p) and each update subtracts at most
+    # (p - 1)^2, so it takes (2**63 - 1) // (p - 1)**2 updates without
+    # wrapping: one on the reduced block and `budget` more after it.
+    budget = (2 ** 63 - 1) // (p - 1) ** 2 - 1
+    pending = 0
+    buf = np.empty(nr * nc, dtype=np.int64)
+    r = 0
+    pivots = []
+    for c in range(nc):
+        col = a[:, c]
+        col %= p
+        nz = np.flatnonzero(col[r:])
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv], c:] = a[[piv, r], c:]
+        row = a[r, c:]
+        row %= p
+        row *= pow(int(row[0]), -1, p)
+        row %= p
+        mult = col.copy()
+        mult[r] = 0
+        if pending > budget:
+            a[:, c + 1:] %= p
+            pending = 0
+        update = buf[:nr * (nc - c)].reshape(nr, nc - c)
+        np.multiply.outer(mult, row, out=update)
+        a[:, c:] -= update
+        pending += 1
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    out = a[:r]
+    out %= p
+    return out, pivots
+
+
+# 94906249 is the largest prime whose one-term float64 product (p-1)^2 + p
+# is below 2^53, and 94906297 the next prime
+WIDE_PRIMES = [2, 3, 101, 1000003, 94906249, 94906297, P_THREE_UPDATES,
+               P_INT64_MAX]
+
+
+def test_panel_plan_is_exact_and_widest():
+    for p in WIDE_PRIMES:
+        dtype, width = _panel_plan(p)
+        limit = 2 ** 53 if dtype is np.float64 else 2 ** 63 + 1
+        assert 1 <= width <= _PANEL
+        assert width * (p - 1) ** 2 + p < limit
+        assert width == _PANEL or (width + 1) * (p - 1) ** 2 + p >= limit
+    assert _panel_plan(1000003) == (np.float64, _PANEL)
+    assert _panel_plan(P_THREE_UPDATES) == (np.int64, 3)
+    assert _panel_plan(P_INT64_MAX) == (np.int64, 1)
+
+
+@st.composite
+def _wide_matrices_mod_p(draw):
+    """(p, a): an int64 matrix mod p of up to 90 x 110, over several panels.
+    Its entries come from a seeded generator; the draw decides the shape,
+    some rows that are combinations of earlier rows, a zero column, and a
+    band of _PANEL columns in the span of the columns before it, so that
+    a whole panel finds no pivot."""
+    p = draw(st.sampled_from(WIDE_PRIMES))
+    nr, nc = draw(st.integers(1, 90)), draw(st.integers(1, 110))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.integers(0, p, size=(nr, nc), dtype=np.int64)
+    for i in draw(st.sets(st.integers(2, 89), max_size=60)):
+        if i < nr:
+            j, k = rng.integers(0, i, size=2)
+            a[i] = (a[j] + int(rng.integers(0, p)) * a[k] % p) % p
+    if draw(st.booleans()):
+        a[:, draw(st.integers(0, nc - 1))] = 0
+    if nc > _PANEL and draw(st.booleans()):
+        start = _PANEL * draw(st.integers(1, (nc - 1) // _PANEL))
+        for c in range(start, min(start + _PANEL, nc)):
+            j, k = rng.integers(0, start, size=2)
+            a[:, c] = (a[:, j] + int(rng.integers(0, p)) * a[:, k] % p) % p
+    return p, a
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_matrices_mod_p())
+@example((P_THREE_UPDATES, np.array(UPPER_MINUS_ONES, dtype=np.int64)))
+def test_blocked_rref_mod_p_matches_rank1_kernel(case):
+    p, a = case
+    fast, fast_piv = rref_mod_p(a, p)
+    slow, slow_piv = _rref_mod_p_rank1(a, p)
+    assert fast_piv == slow_piv
+    assert fast.dtype == np.int64
+    assert np.array_equal(fast, slow)
+
+
+def test_rref_mod_p_at_octic_size():
+    # the shape and rank of the secant octic fit: 620 points, 495 octic
+    # monomials in five variables, a one-dimensional kernel
+    p = 1000003
+    rng = np.random.default_rng(14)
+    left = rng.integers(0, p, size=(620, 494), dtype=np.int64)
+    right = rng.integers(0, p, size=(494, 495), dtype=np.int64)
+    a = (left @ right) % p  # each entry below 494 p^2 < 2^63
+    fast, fast_piv = rref_mod_p(a, p)
+    slow, slow_piv = _rref_mod_p_rank1(a, p)
+    assert len(fast_piv) == 494
+    assert fast_piv == slow_piv
+    assert np.array_equal(fast, slow)
 
 
 NV = 3
