@@ -155,30 +155,34 @@ def _curve_from_args(args):
     return GenusTwoCurve(GF(args.p), roots=roots)
 
 
+def _form_text(form):
+    """A fitted form as text, or None when the fit was not unique."""
+    from .poly import poly_to_text
+    return None if form is None else poly_to_text(form)
+
+
 def cmd_weddle_curve(args):
     from .curves import weddle_prime_fit
-    from .poly import poly_to_text
     rep = weddle_prime_fit(_curve_from_args(args), random.Random(args.seed))
     _out(args, {"fit_nullity": rep.fit_nullity,
                 "nodes_singular": rep.nodes_singular,
                 "lines_ok": all(ok for ok, _ in rep.line_results),
                 "rigidity_nullity": rep.rigidity_nullity,
                 "rigidity_matches": rep.rigidity_matches,
-                "quartic": poly_to_text(rep.quartic)})
-    return 0
+                "quartic": _form_text(rep.quartic)})
+    return 0 if rep.fit_nullity == 1 else 1
 
 
 def cmd_kummer(args):
     from .curves import kummer_fit
-    from .poly import poly_to_text
     rep = kummer_fit(_curve_from_args(args), random.Random(args.seed))
     _out(args, {"fit_nullity": rep.fit_nullity,
                 "nodes": len(rep.nodes),
                 "nodes_distinct": rep.nodes_distinct,
                 "nodes_singular": rep.nodes_singular,
                 "tangents_share_image": rep.origin_node_consistent,
-                "quartic": poly_to_text(rep.quartic)})
-    return 0
+                "quartic": _form_text(rep.quartic)})
+    return 0 if rep.fit_nullity == 1 else 1
 
 
 def cmd_sec_octic(args):
@@ -188,7 +192,7 @@ def cmd_sec_octic(args):
                 "restriction_is_weddle_square": rep.restriction_is_weddle_square,
                 "fresh_ok": rep.fresh_residual_ok,
                 "curve_singular": rep.curve_singular})
-    return 0
+    return 0 if rep.fit_nullity == 1 else 1
 
 
 def cmd_run(args):

@@ -6,11 +6,14 @@ that the theta side shares: the web of quadrics through six nodes and its
 determinantal symmetroid, a sixteen-node quartic.
 
 Everything runs verbatim over a prime field (all incidences exact) or over
-complex floats (checks against tolerances).
+complex floats (checks against tolerances).  Random curve points come from
+one sampler, GenusTwoCurve.sample_rows, as rows of an array, and the
+secant, fresh and image points are array expressions in those rows.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -18,8 +21,8 @@ from itertools import combinations
 import numpy as np
 
 from .fields import ComplexField, Domain, PrimeField
-from .linalg import (FitResult, Matrix, chordal_distance, det_ring, eval_polys,
-                     fit_hypersurface, nullspace, proj_ratio, rank,
+from .linalg import (FitResult, Matrix, _array_form, chordal_distance, det_ring,
+                     eval_polys, fit_hypersurface, nullspace, proj_ratio, rank,
                      solve_overdetermined)
 from .poly import SparsePoly, aligned_coefficients, exponents_of_degree
 
@@ -108,10 +111,50 @@ class GenusTwoCurve:
 
     def sample_point(self, rng) -> CurvePoint:
         """A random curve point off the branch points."""
+        [row] = self.sample_rows(rng, 1)
+        x, y = row[0, 1].item(), row[0, 4].item()
+        return CurvePoint(self.domain.coerce(x), self.domain.coerce(y))
+
+    def sample_rows(self, rng, n: int, points: int = 1, params: int = 0):
+        """n rounds of draws, each of `points` random curve points off the
+        branch points and then `params` random non-zero parameters: the
+        draws of as many sample_point and _rand_param calls, in that order.
+
+        Returns one (n, 5) array per point of a round, whose rows are the
+        tricanonical images (1, x, x^2, x^3, y), then one length-n array per
+        parameter, all in eval_polys' array form: int64 in [0, p) over
+        GF(p), complex over CC."""
+        dom = self.domain
+        draw = self._affine_sampler()
+        xs, ys, ts = [], [], []
+        for _ in range(n):
+            for _ in range(points):
+                x, y = draw(rng)
+                xs.append(x)
+                ys.append(y)
+            for _ in range(params):
+                ts.append(_rand_param(rng, dom))
+        if isinstance(dom, PrimeField):
+            p = dom.p
+            x = np.array(xs, dtype=np.int64)
+            x2 = x * x % p
+            rows = np.stack([np.ones_like(x), x, x2, x2 * x % p,
+                             np.array(ys, dtype=np.int64)], axis=1)
+        else:
+            # complex products as tricanonical forms them, one point at a time
+            rows = np.array([(1, x, x * x, x * x * x, y) for x, y in zip(xs, ys)],
+                            dtype=complex).reshape(-1, 5)
+        rows = rows.reshape(n, points, 5)
+        ts = np.array(ts, dtype=rows.dtype).reshape(n, params)
+        return tuple(rows[:, k] for k in range(points)) + tuple(ts.T)
+
+    def _affine_sampler(self):
+        """rng -> (x, y), a random affine curve point off the branch points
+        with plain int (GF(p)) or complex coordinates.  Each trial draws x,
+        by one randrange(p) over GF(p); an accepted x is followed by one
+        random() for the sign of y."""
         dom = self.domain
         if isinstance(dom, PrimeField):
-            # f by Horner and the Euler test on plain ints: the draws, one
-            # randrange(p) per trial, are those of dom.random
             p = dom.p
             coeffs = [c.val for c in reversed(self.coeffs)]
 
@@ -121,28 +164,33 @@ class GenusTwoCurve:
                     acc = (acc * x + c) % p
                 return acc
 
-            def nonzero_square(v):
-                return pow(v, (p - 1) // 2, p) == 1
+            if p % 4 == 3:
+                # y = v^((p+1)/4) has y^2 = v exactly when v is a square, and
+                # it is the root that dom.sqrt returns
+                def root(v):
+                    y = pow(v, (p + 1) // 4, p)
+                    return y if v and y * y % p == v else None
+            else:
+                def root(v):
+                    return dom.sqrt(v).val if pow(v, (p - 1) // 2, p) == 1 else None
             # by Hasse-Weil such a point exists for p >= 29
-            if p < 29 and not any(nonzero_square(f(x)) for x in range(p)):
+            if p < 29 and all(root(f(x)) is None for x in range(p)):
                 raise ValueError("F_%d has no affine curve point off the branch "
                                  "points" % p)
-            while True:
-                x = rng.randrange(p)
-                v = f(x)
-                if not nonzero_square(v):
-                    continue
-                y = dom.sqrt(v)
-                if rng.random() < 0.5:
-                    y = -y
-                return CurvePoint(dom.from_int(x), y)
+
+            def draw(rng):
+                while True:
+                    x = rng.randrange(p)
+                    y = root(f(x))
+                    if y is not None:
+                        return x, (p - y if rng.random() < 0.5 else y)
+            return draw
         if isinstance(dom, ComplexField):
-            import cmath
-            x = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            y = cmath.sqrt(complex(self.f(x)))
-            if rng.random() < 0.5:
-                y = -y
-            return CurvePoint(x, y)
+            def draw(rng):
+                x = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                y = cmath.sqrt(complex(self.f(x)))
+                return x, (-y if rng.random() < 0.5 else y)
+            return draw
         raise ValueError("sampling needs a prime field or complex domain")
 
 
@@ -219,22 +267,32 @@ def weierstrass_images(curve: GenusTwoCurve):
     return [tricanonical(w, curve.domain)[:4] for w in curve.weierstrass_points()]
 
 
-def _secant_pair(curve: GenusTwoCurve, rng):
-    """Embedded images of two sampled curve points."""
-    return (tricanonical(curve.sample_point(rng), curve.domain),
-            tricanonical(curve.sample_point(rng), curve.domain))
+def _span_points(s, P, t, Q, domain: Domain) -> np.ndarray:
+    """The rows s_i P_i + t_i Q_i of two arrays of points in the domain's
+    array form; s and t are scalars or one entry per row."""
+    s = np.asarray(s)[..., None]
+    t = np.asarray(t)[..., None]
+    if isinstance(domain, PrimeField):
+        p = domain.p
+        return (s * P % p + t * Q % p) % p
+    return s * P + t * Q
 
 
-def sample_secant_points(curve: GenusTwoCurve, rng, count: int):
-    out = []
-    while len(out) < count:
-        p = curve.sample_point(rng)
-        q = curve.sample_point(rng)
-        try:
-            out.append(secant_point(p, q, curve.domain))
-        except DegenerateSecant:
-            continue
-    return out
+def sample_secant_points(curve: GenusTwoCurve, rng, count: int) -> np.ndarray:
+    """count >= 1 secant points (see secant_point) of random pairs of
+    curve points, as rows in the domain's array form.  A degenerate pair is
+    skipped and the deficit redrawn, so the pairs drawn are those of a loop
+    that draws one pair at a time until it has count secant points."""
+    domain = curve.domain
+    chunks, have = [], 0
+    while have < count:
+        P, Q = curve.sample_rows(rng, count - have, points=2)
+        v = _span_points(Q[:, 4], P, -P[:, 4], Q, domain)[:, :4]
+        # sampled points have y != 0, so only P = Q gives the zero point
+        ok = np.any(v != 0, axis=1)
+        chunks.append(v[ok])
+        have += int(ok.sum())
+    return np.concatenate(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +326,32 @@ def restrict_to_line(form: SparsePoly, u, v, domain: Domain) -> SparsePoly:
     return form.substitute_linear(forms)
 
 
-def line_in_hypersurface(form: SparsePoly, u, v, domain: Domain):
-    """Exact for exact domains.  For floats, u and v are scaled to max-abs 1
-    and the restricted coefficients are bounded relative to 16 |form|."""
+def lines_in_hypersurface(form: SparsePoly, lines, points, domain: Domain) -> list:
+    """(contained, residual) for each line (u, v).
+
+    Exact domains: a form of degree at most 4 vanishes on a line iff it
+    vanishes at five distinct points of it, the line's five rows of
+    `points` (see five_line_points); one evaluation decides every line and
+    the residual is 0.0.  Floats: u and v are scaled to max-abs 1 and the
+    coefficients of the restriction are bounded relative to 16 |form|."""
     if domain.is_exact:
-        return restrict_to_line(form, u, v, domain).is_zero(), 0.0
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    restricted = restrict_to_line(form, u / np.abs(u).max(), v / np.abs(v).max(), domain)
-    if restricted.is_zero():
-        return True, 0.0
-    worst = (max(abs(complex(c)) for c in restricted.terms.values())
-             / (16 * coefficient_norm(form)))
-    return worst < 1e-6, worst
+        if form.total_degree() > 4:
+            raise ValueError("five points decide lines only up to degree 4")
+        zero = eval_polys([form], points, domain).reshape(len(lines), 5) == 0
+        return [(bool(on), 0.0) for on in zero.all(axis=1)]
+    out = []
+    for u, v in lines:
+        u = np.asarray(u, dtype=complex)
+        v = np.asarray(v, dtype=complex)
+        restricted = restrict_to_line(form, u / np.abs(u).max(), v / np.abs(v).max(),
+                                      domain)
+        if restricted.is_zero():
+            out.append((True, 0.0))
+            continue
+        worst = (max(abs(complex(c)) for c in restricted.terms.values())
+                 / (16 * coefficient_norm(form)))
+        out.append((worst < 1e-6, worst))
+    return out
 
 
 def restrict_to_hyperplane(form: SparsePoly) -> SparsePoly:
@@ -311,15 +382,14 @@ def singular_residual(form: SparsePoly, points, domain: Domain) -> float:
     return float(worst.max(initial=0.0))
 
 
-def _unique_quartic(draw, samples: int, domain: Domain) -> SparsePoly:
-    """The quartic through draw(samples) points; when it is not unique, one
-    resample with twice the data before declaring failure."""
+def _unique_quartic(draw, samples: int, domain: Domain):
+    """(nullity, quartic) of the fit through draw(samples) points; when the
+    quartic is not unique, one resample with twice the data, and then the
+    quartic is None."""
     fit = fit_hypersurface(draw(samples), 4, domain)
     if len(fit.forms) != 1:
         fit = fit_hypersurface(draw(2 * samples), 4, domain)
-    if len(fit.forms) != 1:
-        raise RuntimeError("quartic fit nullity %d" % len(fit.forms))
-    return fit.forms[0]
+    return len(fit.forms), (fit.forms[0] if len(fit.forms) == 1 else None)
 
 
 def twenty_five_lines(nodes, domain: Domain):
@@ -329,6 +399,28 @@ def twenty_five_lines(nodes, domain: Domain):
         line_from_planes(plane_through([nodes[i] for i in tri], domain),
                          plane_through([nodes[i] for i in comp], domain), domain)
         for tri, comp in TRIPLE_SPLITS]
+
+
+def five_line_points(lines, domain: Domain) -> np.ndarray:
+    """The points u + t v, t = 1..5, of each line (u, v), five rows per line
+    in the domain's array form; floating points are scaled to max-abs 1.
+    They are five distinct points of the line in characteristic 0 or at
+    least 5."""
+    if isinstance(domain, PrimeField):
+        u = _array_form([u for u, _ in lines], domain)[:, None, :]
+        v = _array_form([v for _, v in lines], domain)[:, None, :]
+        t = np.arange(1, 6, dtype=np.int64)[None, :, None]
+        return ((u + t * v) % domain.p).reshape(-1, u.shape[2])
+    pts = []
+    for u, v in lines:
+        for k in range(5):
+            t = domain.from_int(k + 1)
+            pt = [a + t * b for a, b in zip(u, v)]
+            if not domain.is_exact:
+                top = max(abs(x) for x in pt)
+                pt = [x / top for x in pt]
+            pts.append(pt)
+    return _array_form(pts, domain)
 
 
 def web_of_quadrics(nodes, domain: Domain) -> list:
@@ -417,32 +509,29 @@ class WeddleCurveReport:
 
 def weddle_prime_fit(curve: GenusTwoCurve, rng) -> WeddleCurveReport:
     """The unique quartic through secant-hyperplane samples; singular at
-    the six embedded branch points and containing all 25 classical lines."""
+    the six embedded branch points and containing all 25 classical lines.
+    When the fit is not unique the quartic is None and fails every test."""
     domain = curve.domain
-    W = _unique_quartic(lambda n: sample_secant_points(curve, rng, n), 70, domain)
+    nullity, W = _unique_quartic(lambda n: sample_secant_points(curve, rng, n), 70,
+                                 domain)
     nodes = weierstrass_images(curve)
     lines = twenty_five_lines(nodes, domain)
-    line_results = [line_in_hypersurface(W, u, v, domain) for u, v in lines]
-    rig_nullity, G = _rigidity(lines, domain)
+    pts = five_line_points(lines, domain)
+    rig_nullity, G = _rigidity(pts, domain)
+    if W is None:
+        return WeddleCurveReport(None, nodes, nullity, False,
+                                 [(False, math.nan)] * len(lines), rig_nullity, False)
     rig_match = G is not None and _same_point(*aligned_coefficients([G], [W]),
                                               domain, 1e-6)
-    return WeddleCurveReport(W, nodes, 1, singular_residual(W, nodes, domain) < 1e-5,
-                             line_results, rig_nullity, rig_match)
+    return WeddleCurveReport(W, nodes, nullity, singular_residual(W, nodes, domain) < 1e-5,
+                             lines_in_hypersurface(W, lines, pts, domain),
+                             rig_nullity, rig_match)
 
 
-def _rigidity(lines, domain: Domain):
-    """Quartics through all the given lines: (dimension, the quartic when
-    it is unique else None).  Floating sample points are scaled to max-abs 1."""
-    pts = []
-    for u, v in lines:
-        for k in range(5):
-            t = domain.from_int(k + 1)
-            pt = [a + t * b for a, b in zip(u, v)]
-            if not domain.is_exact:
-                top = max(abs(x) for x in pt)
-                pt = [x / top for x in pt]
-            pts.append(pt)
-    fit = fit_hypersurface(pts, 4, domain)
+def _rigidity(points, domain: Domain):
+    """Quartics through the lines whose five_line_points are given:
+    (dimension, the quartic when it is unique else None)."""
+    fit = fit_hypersurface(points, 4, domain)
     return len(fit.forms), (fit.forms[0] if len(fit.forms) == 1 else None)
 
 
@@ -450,20 +539,11 @@ def _rigidity(lines, domain: Domain):
 # quadrics through the curve and the classifying map
 
 
-def sample_curve_points(curve: GenusTwoCurve, rng, count: int):
-    return [tricanonical(curve.sample_point(rng), curve.domain)
-            for _ in range(count)]
-
-
 def quadrics_through_curve(curve: GenusTwoCurve, rng) -> FitResult:
-    """The space of quadrics in P^4 vanishing on the embedded curve; its
-    dimension must be 4."""
-    pts = sample_curve_points(curve, rng, 45)
-    fit = fit_hypersurface(pts, 2, curve.domain)
-    if len(fit.forms) != 4:
-        raise RuntimeError("quadrics through the curve have dimension %d"
-                           % len(fit.forms))
-    return fit
+    """The space of quadrics in P^4 vanishing on 45 points of the embedded
+    curve; for the curve itself its dimension is 4."""
+    [pts] = curve.sample_rows(rng, 45)
+    return fit_hypersurface(pts, 2, curve.domain)
 
 
 def quadric_restriction_check(curve: GenusTwoCurve, quadrics) -> dict:
@@ -484,12 +564,14 @@ def quadric_restriction_check(curve: GenusTwoCurve, quadrics) -> dict:
             "target_dimension": len(web), "same_span": same_span}
 
 
-def phi(quadrics, point, domain: Domain):
-    """Evaluate the four curve quadrics; the base locus is the curve."""
-    vals = [q.evaluate(list(point)) for q in quadrics]
-    if _vanishes(vals, domain, 1e-12):
+def phi(quadrics, points, domain: Domain) -> np.ndarray:
+    """The images of the points (rows) under the curve quadrics, one row
+    each in the domain's array form.  The base locus is the curve, and a
+    point on it raises BaseLocusPoint."""
+    vals = eval_polys(quadrics, points, domain)
+    if _vanishes(vals, domain, 1e-12, axis=1).any():
         raise BaseLocusPoint("point lies on the base curve")
-    return tuple(vals)
+    return vals
 
 
 def weierstrass_tangent_sample(curve: GenusTwoCurve, i: int, t):
@@ -514,40 +596,37 @@ class KummerReport:
 def kummer_fit(curve: GenusTwoCurve, rng) -> KummerReport:
     """The unique quartic through the image of the secant variety, with
     its sixteen singular points: fifteen branch-pair secant images plus
-    the common image of the six tangent lines at the branch points."""
+    the common image of the six tangent lines at the branch points.  When
+    the fit is not unique the quartic is None and its tests fail."""
     domain = curve.domain
     quadrics = quadrics_through_curve(curve, rng).forms
-    pts = []
-    while len(pts) < 90:
-        P, Q = _secant_pair(curve, rng)
-        s, t = domain.coerce(_rand_param(rng, domain)), domain.coerce(_rand_param(rng, domain))
-        v = [s * a + t * b for a, b in zip(P, Q)]
-        try:
-            pts.append(phi(quadrics, v, domain))
-        except BaseLocusPoint:
-            continue
-    fit = fit_hypersurface(pts, 4, domain)
-    if len(fit.forms) != 1:
-        raise RuntimeError("image quartic fit nullity %d" % len(fit.forms))
-    K = fit.forms[0]
-    ws = curve.weierstrass_points()
-    nodes = []
-    for i in range(6):
-        for j in range(i + 1, 6):
-            Pi = tricanonical(ws[i], domain)
-            Pj = tricanonical(ws[j], domain)
-            v = [a + b for a, b in zip(Pi, Pj)]
-            nodes.append(phi(quadrics, v, domain))
+    # images of points s P + t Q of random secants; a point on the base
+    # curve is dropped and the deficit redrawn
+    chunks, have = [], 0
+    while have < 90:
+        P, Q, s, t = curve.sample_rows(rng, 90 - have, points=2, params=2)
+        imgs = eval_polys(quadrics, _span_points(s, P, t, Q, domain), domain)
+        imgs = imgs[~_vanishes(imgs, domain, 1e-12, axis=1)]
+        chunks.append(imgs)
+        have += len(imgs)
+    fit = fit_hypersurface(np.concatenate(chunks), 4, domain)
+    K = fit.forms[0] if len(fit.forms) == 1 else None
+    ws = _array_form([tricanonical(w, domain) for w in curve.weierstrass_points()],
+                     domain)
+    i, j = np.array(list(combinations(range(6), 2))).T
+    # the fifteen branch-pair secants, then points of the tangent lines at
+    # the branch points: all six at t = 1, and the first at t = 2 and 3
+    tangents = _array_form([weierstrass_tangent_sample(curve, k, 1) for k in range(6)]
+                           + [weierstrass_tangent_sample(curve, 0, t) for t in (2, 3)],
+                           domain)
+    imgs = phi(quadrics, np.concatenate([_span_points(1, ws[i], 1, ws[j], domain),
+                                         tangents]), domain)
     # the six tangent lines at branch points share one image point
-    origin_imgs = [phi(quadrics, weierstrass_tangent_sample(curve, i, 1), domain)
-                   for i in range(6)]
-    more = [phi(quadrics, weierstrass_tangent_sample(curve, 0, t), domain)
-            for t in (2, 3)]
-    origin_consistent = all(_same_point(origin_imgs[0], img, domain)
-                            for img in origin_imgs[1:] + more)
-    nodes.append(origin_imgs[0])
+    origin_consistent = all(_same_point(imgs[15], img, domain) for img in imgs[16:])
+    nodes = list(imgs[:16])
     return KummerReport(K, nodes, len(fit.forms), _all_distinct(nodes, domain),
-                        singular_residual(K, nodes, domain) < 1e-5, origin_consistent)
+                        K is not None and singular_residual(K, nodes, domain) < 1e-5,
+                        origin_consistent)
 
 
 def _rand_param(rng, domain: Domain):
@@ -559,18 +638,23 @@ def _rand_param(rng, domain: Domain):
     return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
 
 
-def _vanishes(values, domain: Domain, tol: float) -> bool:
-    """Every entry of the array (or sequence) of values is zero: exactly in
-    an exact domain, below tol in modulus for floats."""
+def _vanishes(values, domain: Domain, tol: float, axis=None):
+    """Whether the array (or sequence) of values is zero: exactly in an
+    exact domain, below tol in modulus for floats.  All entries when axis
+    is None, else one answer per index along the other axes."""
     values = np.asarray(values)
     if domain.is_exact:
-        return not np.any(values != 0)
-    return bool(np.all(np.abs(values.astype(complex)) < tol))
+        zero = values == 0
+    else:
+        zero = np.abs(values.astype(complex)) < tol
+    return bool(zero.all()) if axis is None else zero.all(axis=axis)
 
 
 def _same_point(u, v, domain: Domain, tol: float = 1e-8) -> bool:
     """Projective equality: exact by proj_ratio, floating by chordal distance."""
     if domain.is_exact:
+        # rows of an array compare as Python scalars
+        u, v = (x.tolist() if isinstance(x, np.ndarray) else x for x in (u, v))
         return proj_ratio(u, v, domain) is not None
     return chordal_distance([complex(x) for x in u], [complex(x) for x in v]) < tol
 
@@ -584,21 +668,18 @@ def _all_distinct(points, domain: Domain) -> bool:
 
 
 def phi_constant_on_secant(curve: GenusTwoCurve, rng) -> bool:
-    """The classifying map contracts each secant line to a point."""
+    """The classifying map contracts each secant line to a point: ten
+    random secants, each at P + t Q for t = 1, 2, 3; a secant with a point
+    on the base curve is passed over."""
     domain = curve.domain
     quadrics = quadrics_through_curve(curve, rng).forms
     for _ in range(10):
-        P, Q = _secant_pair(curve, rng)
-        imgs = []
-        for t in (1, 2, 3):
-            t = domain.coerce(t)
-            v = [a + t * b for a, b in zip(P, Q)]
-            try:
-                imgs.append(phi(quadrics, v, domain))
-            except BaseLocusPoint:
-                break
-        if len(imgs) == 3 and not (_same_point(imgs[0], imgs[1], domain)
-                                   and _same_point(imgs[0], imgs[2], domain)):
+        P, Q = curve.sample_rows(rng, 1, points=2)
+        imgs = eval_polys(quadrics, _span_points(1, P, np.arange(1, 4), Q, domain), domain)
+        if _vanishes(imgs, domain, 1e-12, axis=1).any():
+            continue
+        if not (_same_point(imgs[0], imgs[1], domain)
+                and _same_point(imgs[0], imgs[2], domain)):
             return False
     return True
 
@@ -620,30 +701,26 @@ def sec_octic(curve: GenusTwoCurve, rng,
               weddle: SparsePoly | None = None) -> SecantOcticReport:
     """Fit the degree-8 hypersurface through points of secant lines in P^4
     and check that its restriction to the invariant hyperplane is the
-    square of the six-node quartic."""
+    square of the six-node quartic.  When the fit is not unique the octic
+    is None and its tests fail."""
     domain = curve.domain
-    pts = []
-    while len(pts) < 620:
-        P, Q = _secant_pair(curve, rng)
-        s = domain.coerce(_rand_param(rng, domain))
-        t = domain.coerce(_rand_param(rng, domain))
-        pts.append(tuple(s * a + t * b for a, b in zip(P, Q)))
-    fit = fit_hypersurface(pts, 8, domain)
-    if len(fit.forms) != 1:
-        raise RuntimeError("octic fit nullity %d" % len(fit.forms))
-    F = fit.forms[0]
-    # fresh membership
-    fresh = [[a + domain.from_int(2) * b for a, b in zip(*_secant_pair(curve, rng))]
-             for _ in range(30)]
-    fresh_ok = _vanishes(eval_polys([F], fresh, domain), domain, 1e-6)
+    P, Q, s, t = curve.sample_rows(rng, 620, points=2, params=2)
+    fit = fit_hypersurface(_span_points(s, P, t, Q, domain), 8, domain)
+    # fresh membership at P + 2Q, and points of the curve, which must be
+    # singular points of the octic
+    P, Q = curve.sample_rows(rng, 30, points=2)
+    fresh = _span_points(1, P, 2, Q, domain)
     if weddle is None:
         weddle = weddle_prime_fit(curve, rng).quartic
-    is_square = _same_point(*aligned_coefficients([restrict_to_hyperplane(F)],
-                                                  [weddle * weddle]), domain)
-    # the singular locus contains the curve
-    on_curve = [tricanonical(curve.sample_point(rng), domain) for _ in range(20)]
+    [on_curve] = curve.sample_rows(rng, 20)
+    if len(fit.forms) != 1:
+        return SecantOcticReport(None, len(fit.forms), False, False, False)
+    F = fit.forms[0]
+    fresh_ok = _vanishes(eval_polys([F], fresh, domain), domain, 1e-6)
+    is_square = weddle is not None and _same_point(
+        *aligned_coefficients([restrict_to_hyperplane(F)], [weddle * weddle]), domain)
     curve_sing = singular_residual(F, on_curve, domain) < 1e-5
-    return SecantOcticReport(F, len(fit.forms), is_square, fresh_ok, curve_sing)
+    return SecantOcticReport(F, 1, is_square, fresh_ok, curve_sing)
 
 
 def hyperplane_section_degree(curve: GenusTwoCurve, rng):

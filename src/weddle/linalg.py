@@ -564,11 +564,11 @@ def _elem(x, domain: Domain):
 def _array_form(rows, domain: Domain) -> np.ndarray:
     """Rows of scalars as a 2-d array in the domain's array form: int64 in
     [0, p) over GF(p), complex over CC, Fraction or Cyc objects over Q and
-    Q(w).  An int64 array over GF(p) is only reduced mod p."""
-    if isinstance(domain, PrimeField) and isinstance(rows, np.ndarray) \
-            and rows.dtype == np.int64:
-        return rows % domain.p
+    Q(w).  An int64 array over GF(p) is only reduced mod p, and a complex
+    array over CC is used as it is."""
     dtype = {PrimeField: np.int64, ComplexField: complex}.get(type(domain), object)
+    if isinstance(rows, np.ndarray) and dtype is not object and rows.dtype == dtype:
+        return rows % domain.p if dtype == np.int64 else rows
     return np.array([[_elem(x, domain) for x in r] for r in rows], dtype=dtype)
 
 
@@ -597,9 +597,9 @@ def eval_polys(polys, points, domain: Domain) -> np.ndarray:
     """Values of the SparsePolys at the points, shape (N, len(polys)), in
     the domain's array form (see _array_form).  Points and coefficients are
     coerced into the domain, except that an int64 array of points over GF(p)
-    is used as an array; p must pass check_int64_prime.  The monomial
-    columns are streamed one at a time, each computed once however many of
-    the polynomials share it."""
+    or a complex one over CC is used as an array; p must pass
+    check_int64_prime.  The monomial columns are streamed one at a time,
+    each computed once however many of the polynomials share it."""
     p = domain.p if isinstance(domain, PrimeField) else None
     if p is not None:
         check_int64_prime(p)
@@ -645,7 +645,7 @@ def fit_hypersurface(points, degree: int, domain: Domain) -> FitResult:
     """Basis of degree-d forms vanishing at all the given projective points.
 
     The kernel of the monomial evaluation matrix.  The points are rows of
-    scalars, or over GF(p) also an (N, n) int64 array (see _array_form).
+    scalars, or an (N, n) array in the domain's array form (see _array_form).
     Few points simply give a larger space; inconsistent point dimensions are
     a shape error.
     """
@@ -676,8 +676,13 @@ def fit_hypersurface(points, degree: int, domain: Domain) -> FitResult:
 
 def _vector_to_form(vec, exps, domain: Domain):
     p = SparsePoly(len(exps[0]), domain)
+    if isinstance(domain, PrimeField):
+        # a residue vector: only its non-zero entries become terms
+        for k in np.flatnonzero(vec):
+            p.terms[exps[k]] = domain.coerce(int(vec[k]))
+        return p
     for exp, c in zip(exps, vec):
-        c = domain.coerce(int(c)) if isinstance(domain, PrimeField) else domain.coerce(c)
+        c = domain.coerce(c)
         if not domain.is_zero(c):
             p.terms[exp] = c
     return p

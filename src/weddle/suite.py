@@ -451,8 +451,10 @@ def check_curve_side(ctx: Context) -> CheckRecord:
 def check_rigidity(ctx: Context) -> CheckRecord:
     wc = ctx.weddle_curve()
     wt = ctx.weddle_theta()
-    curve_ok = wc.rigidity_nullity == 1 and wc.rigidity_matches
-    theta_ok = (wt.rigidity_nullity == 1 and wt.rigidity_match is not None
+    # each quartic must be the unique fit before the lines can pin it
+    curve_ok = wc.fit_nullity == 1 and wc.rigidity_nullity == 1 and wc.rigidity_matches
+    theta_ok = (wt.fit_nullity == 1 and wt.rigidity_nullity == 1
+                and wt.rigidity_match is not None
                 and wt.rigidity_match < ctx.cfg.tol)
     return CheckRecord("AC12", "each 25-line configuration pins a unique quartic",
                        "pass" if (curve_ok and theta_ok) else "fail",

@@ -24,8 +24,8 @@ import numpy as np
 
 from .burkhardt import matrix_plus, steinerian_quartics
 from .curves import (_rigidity, _unique_quartic, coefficient_norm,
-                     line_in_hypersurface, singular_residual, twenty_five_lines,
-                     web_of_quadrics)
+                     five_line_points, lines_in_hypersurface, singular_residual,
+                     twenty_five_lines, web_of_quadrics)
 from .fields import CC
 from .heisenberg import REPS, idx2, involution_j, plus_minus_components
 from .linalg import (chordal_distance, eval_polys, fit_hypersurface,
@@ -447,7 +447,8 @@ def weddle_from_theta(omega: PeriodMatrix, kappa: Characteristic, rng) -> Weddle
     half periods landing in the odd eigenspace, the fifteen node lines and
     ten complementary-triple lines, and the three-dimensional net of
     quadrics through the node set that vanish on the image of the
-    vanishing-divisor curve."""
+    vanishing-divisor curve.  When the fit is not unique the quartic is
+    None and its residuals are NaN."""
     if kappa.parity != -1:
         raise ValueError("the six-node surface needs an odd characteristic")
     h = halfperiod(kappa, omega)
@@ -460,22 +461,27 @@ def weddle_from_theta(omega: PeriodMatrix, kappa: Characteristic, rng) -> Weddle
                 out.append(zc)
         return out
 
-    W = _unique_quartic(draw, 80, CC)
-    wnorm = coefficient_norm(W)
+    nullity, W = _unique_quartic(draw, 80, CC)
     fresh_pts = [_odd_image(random_z(omega, rng), h, omega) for _ in range(30)]
-    fresh = np.abs(eval_polys([W], fresh_pts, CC)).max() / wnorm
     nodes = [_odd_part(row["coords"])
              for row in half_period_census(kappa, omega) if row["in_minus"]]
     if len(nodes) != 6:
         raise RuntimeError("expected 6 half periods in the odd eigenspace, got %d"
                            % len(nodes))
     lines = twenty_five_lines(nodes, CC)
-    line_resid = max(line_in_hypersurface(W, u, v, CC)[1] for u, v in lines)
     net_dim = twisted_cubic_net_dimension(omega, kappa, nodes, rng)
-    rig_null, G = _rigidity(lines, CC)
+    pts = five_line_points(lines, CC)
+    rig_null, G = _rigidity(pts, CC)
+    if W is None:
+        # no unique quartic: its residuals are not measured
+        return WeddleThetaReport(None, nodes, nullity, math.nan, math.nan, math.nan,
+                                 len(lines), net_dim, rig_null, None)
+    wnorm = coefficient_norm(W)
+    fresh = np.abs(eval_polys([W], fresh_pts, CC)).max() / wnorm
+    line_resid = max(r for _, r in lines_in_hypersurface(W, lines, pts, CC))
     rig_match = None if G is None else chordal_distance(
         *map(list, aligned_coefficients([G], [W])))
-    return WeddleThetaReport(W, nodes, 1, float(fresh),
+    return WeddleThetaReport(W, nodes, nullity, float(fresh),
                              float(singular_residual(W, nodes, CC)), float(line_resid),
                              len(lines), net_dim, rig_null, rig_match)
 

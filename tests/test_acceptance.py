@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from weddle.cli import main
-from weddle.suite import CHECKS, Context, RunConfig, _record_dict
+from weddle.suite import (CHECKS, Context, RunConfig, _record_dict, report_to_json,
+                          run_suite)
 
 CFG = RunConfig(suites=("all",), seed=0)
 CTX = Context(CFG)
@@ -180,3 +181,18 @@ def test_benchmark_workload_matches_reference(workload, tmp_path):
     for rec in got["records"]:
         del rec["runtime_ms"]
     assert _drift(ref, got, workload) == []
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_curve_p1000003_report_is_unchanged(seed):
+    # `weddle run --suite curve --p 1000003 --seed N`, held byte for byte
+    # (floats included) to data/curve_p1000003_seed<N>.json; only the
+    # runtimes are dropped
+    path = Path(__file__).parent / "data" / ("curve_p1000003_seed%d.json" % seed)
+    ref = json.loads(path.read_text())
+    got = json.loads(report_to_json(run_suite(RunConfig(suites=("curve",), p=1000003,
+                                                        seed=seed))))
+    for report in (ref, got):
+        for rec in report["records"]:
+            del rec["runtime_ms"]
+    assert got == ref

@@ -1,21 +1,25 @@
+import cmath
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import weddle.curves as curves
 from weddle.curves import (BaseLocusPoint, CurvePoint, DegenerateConfiguration,
-                           DegenerateSecant, GenusTwoCurve,
-                           hyperplane_section_degree, kummer_fit, phi,
-                           phi_constant_on_secant, plane_through,
-                           quadric_restriction_check, quadrics_through_curve,
-                           sec_octic, secant_point, sample_secant_points,
-                           singular_residual, symmetroid, tricanonical,
-                           web_of_quadrics, weddle_prime_fit,
-                           weierstrass_images, weierstrass_tangent_sample)
+                           DegenerateSecant, GenusTwoCurve, five_line_points,
+                           hyperplane_section_degree, kummer_fit,
+                           lines_in_hypersurface, phi, phi_constant_on_secant,
+                           plane_through, quadric_restriction_check,
+                           quadrics_through_curve, restrict_to_line, sec_octic,
+                           secant_point, sample_secant_points, singular_residual,
+                           symmetroid, tricanonical, twenty_five_lines,
+                           web_of_quadrics, weddle_prime_fit, weierstrass_images,
+                           weierstrass_tangent_sample)
 from weddle.fields import CC, GF, QQ
 from weddle.heisenberg import plus_minus_components
-from weddle.linalg import count_common_zeros_mod_p, proj_ratio
+from weddle.linalg import count_common_zeros_mod_p, nullspace, proj_ratio
+from weddle.poly import SparsePoly, exponents_of_degree
 from weddle.symplectic import BASE_ODD
 from weddle.theta import OMEGA_GENERIC, half_period_census
 
@@ -95,6 +99,239 @@ def test_sample_point_draws_match_the_fp_loop(p, seed):
         assert fast.getstate() == slow.getstate()
 
 
+def _sample_point_cc(curve, rng):
+    """sample_point's earlier loop over CC, the oracle for sample_rows."""
+    x = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+    y = cmath.sqrt(complex(curve.f(x)))
+    if rng.random() < 0.5:
+        y = -y
+    return CurvePoint(x, y)
+
+
+def _rand_param_old(rng, dom):
+    """The earlier scalar parameter draw: a non-zero residue, or a complex
+    number in the unit square."""
+    if dom is CC:
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    while True:
+        v = rng.randrange(dom.p)
+        if v:
+            return dom.from_int(v)
+
+
+def _old_point(curve, rng):
+    dom = curve.domain
+    point = _sample_point_cc if dom is CC else _sample_point_fp
+    return tricanonical(point(curve, rng), dom)
+
+
+def _plain(rows):
+    """Rows of Fp objects or residues as nested lists of ints; complex rows
+    as nested lists of complex."""
+    rows = np.asarray(rows, dtype=object).tolist()
+    return [[x if isinstance(x, complex) else int(getattr(x, "val", x)) for x in r]
+            for r in rows]
+
+
+@pytest.mark.parametrize("dom", [GF(29), GF(101), GF(1000003), CC], ids=str)
+@pytest.mark.parametrize("points, params", [(1, 0), (2, 0), (2, 2)])
+def test_sample_rows_draws_match_the_object_loop(dom, points, params):
+    for c in (GenusTwoCurve(dom, roots=[0, 1, 2, 3, 4, 5]),
+              GenusTwoCurve(dom, coeffs=[3, 1, 4, 1, 5, 9, 2])):
+        fast, slow = random.Random(points + params), random.Random(points + params)
+        got = c.sample_rows(fast, 30, points=points, params=params)
+        want = [[] for _ in range(points + params)]
+        for _ in range(30):
+            for k in range(points):
+                want[k].append(_old_point(c, slow))
+            for k in range(params):
+                want[points + k].append(_rand_param_old(slow, dom))
+        assert len(got) == points + params
+        for g, w in zip(got[:points], want[:points]):
+            assert g.shape == (30, 5)
+            assert g.dtype == (complex if dom is CC else np.int64)
+            assert _plain(g) == _plain(w)
+        for g, w in zip(got[points:], want[points:]):
+            assert _plain(g[:, None]) == _plain([[x] for x in w])
+        assert fast.getstate() == slow.getstate()
+
+
+class _Recorder:
+    """Records the points (as ints) of every fit_hypersurface and
+    eval_polys call that curves makes."""
+
+    def __init__(self, monkeypatch):
+        self.fits, self.evals = [], []
+        fit, ev = curves.fit_hypersurface, curves.eval_polys
+
+        def record_fit(points, degree, domain):
+            self.fits.append(_plain(points))
+            return fit(points, degree, domain)
+
+        def record_eval(polys, points, domain):
+            self.evals.append(_plain(points))
+            return ev(polys, points, domain)
+        monkeypatch.setattr(curves, "fit_hypersurface", record_fit)
+        monkeypatch.setattr(curves, "eval_polys", record_eval)
+
+
+def _old_secant_points(curve, rng, count):
+    """sample_secant_points' earlier loop over CurvePoint objects; also
+    returns the number of degenerate pairs it skipped."""
+    out, skipped = [], 0
+    while len(out) < count:
+        p, q = _sample_point_fp(curve, rng), _sample_point_fp(curve, rng)
+        try:
+            out.append(secant_point(p, q, curve.domain))
+        except DegenerateSecant:
+            skipped += 1
+    return out, skipped
+
+
+@pytest.mark.parametrize("p, seed", [(29, 0), (29, 1), (101, 2), (1000003, 3)])
+def test_weddle_secant_points_match_the_object_loop(monkeypatch, p, seed):
+    c = GenusTwoCurve(GF(p), roots=[0, 1, 2, 3, 4, 5])
+    rec = _Recorder(monkeypatch)
+    fast, slow = random.Random(seed), random.Random(seed)
+    rep = weddle_prime_fit(c, fast)
+    assert rep.fit_nullity == 1 and len(rec.fits) == 2  # secants, then the lines
+    want, skipped = _old_secant_points(c, slow, 70)
+    assert rec.fits[0] == _plain(want)
+    assert fast.getstate() == slow.getstate()
+    if p == 29:
+        # at p = 29 a pair repeats a point often enough to exercise the redraw
+        assert skipped > 0
+
+
+def test_secant_redraw_keeps_the_draws():
+    c = GenusTwoCurve(GF(29), roots=[0, 1, 2, 3, 4, 5])
+    for seed in range(5):
+        fast, slow = random.Random(seed), random.Random(seed)
+        got = sample_secant_points(c, fast, 200)
+        want, skipped = _old_secant_points(c, slow, 200)
+        assert skipped > 0
+        assert _plain(got) == _plain(want)
+        assert fast.getstate() == slow.getstate()
+
+
+def test_kummer_points_match_the_object_loop(monkeypatch, curve):
+    real = curves._rand_param
+
+    def often_zero(rng, domain):
+        # the same draws, but every fifth value becomes 0: then s P + t Q is
+        # a point of the curve (or 0), a base point of phi, and is redrawn
+        v = real(rng, domain)
+        return 0 if v % 5 == 0 else v
+    monkeypatch.setattr(curves, "_rand_param", often_zero)
+    rec = _Recorder(monkeypatch)
+    fast, slow = random.Random(21), random.Random(21)
+    rep = kummer_fit(curve, fast)
+    assert rep.fit_nullity == 1 and len(rec.fits) == 2
+    # the object loop: 45 curve points for the quadrics, then the images of
+    # random secant points off the base curve
+    want_q = [_old_point(curve, slow) for _ in range(45)]
+    assert rec.fits[0] == _plain(want_q)
+    quadrics = curves.fit_hypersurface(want_q, 2, DOM).forms
+    imgs, redrawn = [], 0
+    while len(imgs) < 90:
+        Pp, Qq = _old_point(curve, slow), _old_point(curve, slow)
+        s, t = DOM.coerce(often_zero(slow, DOM)), DOM.coerce(often_zero(slow, DOM))
+        v = [s * a + t * b for a, b in zip(Pp, Qq)]
+        img = [q.evaluate(v) for q in quadrics]
+        if all(DOM.is_zero(x) for x in img):
+            redrawn += 1
+            continue
+        imgs.append(img)
+    assert redrawn > 0
+    assert rec.fits[1] == _plain(imgs)
+    assert fast.getstate() == slow.getstate()
+
+
+def test_sec_octic_points_match_the_object_loop(monkeypatch, curve, weddle):
+    rec = _Recorder(monkeypatch)
+    fast, slow = random.Random(22), random.Random(22)
+    rep = sec_octic(curve, fast, weddle=weddle.quartic)
+    assert rep.fit_nullity == 1
+
+    def pair():
+        return _old_point(curve, slow), _old_point(curve, slow)
+    want = []
+    for _ in range(620):
+        Pp, Qq = pair()
+        s, t = _rand_param_old(slow, DOM), _rand_param_old(slow, DOM)
+        want.append([s * a + t * b for a, b in zip(Pp, Qq)])
+    fresh = [[a + DOM.from_int(2) * b for a, b in zip(*pair())] for _ in range(30)]
+    on_curve = [_old_point(curve, slow) for _ in range(20)]
+    assert rec.fits == [_plain(want)]
+    # the fresh points, then the curve points of the singularity test
+    assert rec.evals == [_plain(fresh), _plain(on_curve)]
+    assert fast.getstate() == slow.getstate()
+
+
+def test_phi_constant_on_secant_draws_match_the_object_loop(curve):
+    fast, slow = random.Random(23), random.Random(23)
+    assert phi_constant_on_secant(curve, fast)
+    [_old_point(curve, slow) for _ in range(45 + 20)]
+    assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("p", [101, 1000003])
+def test_five_point_line_test_matches_the_restriction(p):
+    dom = GF(p)
+    c = GenusTwoCurve(dom, roots=[0, 1, 2, 3, 4, 5])
+    W = weddle_prime_fit(c, random.Random(3)).quartic
+    nodes = weierstrass_images(c)
+    r = random.Random(p)
+
+    def rand_vec():
+        return [dom.random(r) for _ in range(4)]
+    lines = twenty_five_lines(nodes, dom)
+    # random lines, and lines through one node, lie on no Weddle quartic
+    other = ([(rand_vec(), rand_vec()) for _ in range(10)]
+             + [(list(nodes[k % 6]), rand_vec()) for k in range(12)])
+    # a quartic through the lines in the plane of nodes 0, 1, 2 only
+    plane = plane_through(nodes[:3], dom)
+    linear = SparsePoly(4, dom, {e: c for e, c in zip(exponents_of_degree(4, 1), plane)})
+    cubic = SparsePoly(4, dom, {e: dom.random(r) for e in exponents_of_degree(4, 3)})
+    some = linear * cubic
+    cases = [(W, lines, [True] * 25), (W, other, [False] * 22), (some, lines, None)]
+    for form, ls, expected in cases:
+        got = [ok for ok, res in lines_in_hypersurface(form, ls, five_line_points(ls, dom),
+                                                       dom)]
+        assert got == [restrict_to_line(form, u, v, dom).is_zero() for u, v in ls]
+        if expected is not None:
+            assert got == expected
+    some_flags = [ok for ok, _ in lines_in_hypersurface(
+        some, lines, five_line_points(lines, dom), dom)]
+    # the three node lines (0,1), (0,2), (1,2) and the line where the plane
+    # of nodes 0, 1, 2 meets that of 3, 4, 5
+    assert [k for k, ok in enumerate(some_flags) if ok] == [0, 1, 5, 15]
+    # a quartic through four of the five points of a line, but not the line:
+    # four linear forms, each vanishing at one point u + t v, t = 1..4
+    for u, v in other[:5]:
+        four = SparsePoly(4, dom, {(0, 0, 0, 0): dom.one()})
+        for t in range(1, 5):
+            pt = [a + dom.from_int(t) * b for a, b in zip(u, v)]
+            basis = nullspace([pt], dom)
+            coef = [dom.random(r) for _ in basis]
+            normal = [sum((c * x for c, x in zip(coef, col)), dom.zero())
+                      for col in zip(*basis)]
+            four = four * SparsePoly(4, dom, dict(zip(exponents_of_degree(4, 1), normal)))
+        assert not restrict_to_line(four, u, v, dom).is_zero()
+        assert lines_in_hypersurface(four, [(u, v)], five_line_points([(u, v)], dom),
+                                     dom) == [(False, 0.0)]
+
+
+def test_five_line_points_are_five_points_of_each_line():
+    lines = twenty_five_lines(weierstrass_images(GenusTwoCurve(
+        DOM, roots=[0, 1, 2, 3, 4, 5])), DOM)
+    pts = five_line_points(lines, DOM)
+    assert pts.shape == (125, 4) and pts.dtype == np.int64
+    for k, (u, v) in enumerate(lines):
+        want = [[(a + DOM.from_int(t) * b).val for a, b in zip(u, v)] for t in range(1, 6)]
+        assert pts[5 * k:5 * k + 5].tolist() == want
+
+
 def test_minus_section_vanishes_exactly_at_weierstrass(curve):
     # the last coordinate is y; its zero set on the curve is y = 0
     for x in range(P):
@@ -172,8 +409,8 @@ def test_weddle_fit(curve, weddle):
     assert weddle.rigidity_matches
     # fresh secant samples lie on the quartic exactly
     fresh = sample_secant_points(curve, random.Random(6), 20)
-    for s in fresh:
-        assert DOM.is_zero(weddle.quartic.evaluate(list(s)))
+    for s in fresh.tolist():
+        assert DOM.is_zero(weddle.quartic.evaluate(s))
     # singular at the six branch images, smooth at a fresh point
     assert singular_residual(weddle.quartic, weierstrass_images(curve), DOM) == 0.0
     assert singular_residual(weddle.quartic, fresh[:1], DOM) == 1.0
@@ -232,19 +469,19 @@ def test_phi_base_locus_and_generic(curve):
     quadrics = quadrics_through_curve(curve, random.Random(9)).forms
     p = curve.sample_point(random.Random(10))
     with pytest.raises(BaseLocusPoint):
-        phi(quadrics, tricanonical(p, DOM), DOM)
+        phi(quadrics, [tricanonical(p, DOM)], DOM)
     # generic point off the curve maps somewhere
     v = (DOM.one(), DOM.from_int(7), DOM.from_int(3), DOM.from_int(2),
          DOM.from_int(11))
-    img = phi(quadrics, v, DOM)
-    assert any(not DOM.is_zero(x) for x in img)
+    [img] = phi(quadrics, [v], DOM)
+    assert any(img != 0)
 
 
 def test_phi_constant_on_secants_and_tangents(curve):
     assert phi_constant_on_secant(curve, random.Random(11))
     quadrics = quadrics_through_curve(curve, random.Random(12)).forms
-    imgs = [phi(quadrics, weierstrass_tangent_sample(curve, i, 1), DOM)
-            for i in range(6)]
+    imgs = phi(quadrics, [weierstrass_tangent_sample(curve, i, 1) for i in range(6)],
+               DOM).tolist()
     for img in imgs[1:]:
         assert proj_ratio(imgs[0], img, DOM) is not None
 
@@ -266,8 +503,7 @@ def test_image_of_secant_hyperplane_point_matches_secant_image(curve):
         Q = tricanonical(q, DOM)
         mid = [a + b for a, b in zip(P, Q)]
         try:
-            img1 = phi(quadrics, s5, DOM)
-            img2 = phi(quadrics, mid, DOM)
+            img1, img2 = phi(quadrics, [s5, mid], DOM).tolist()
         except BaseLocusPoint:
             continue
         assert proj_ratio(img1, img2, DOM) is not None

@@ -213,3 +213,33 @@ def test_cli_degenerate_web_exits_2(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: quadrics through the nodes have dimension 7")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("p", [11, 13, 17, 23, 37])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_curve_run_at_small_primes_ends_in_a_record(p, seed, tmp_path, capsys):
+    # over these fields the curve has so few points that some fit is not
+    # unique; the run reports the nullity it found in a fail record (or
+    # refuses the prime in one line), never with a traceback
+    out = tmp_path / "report.json"
+    code = main(["run", "--suite", "curve", "--p", str(p), "--seed", str(seed),
+                 "--out", str(out)])
+    if code == 2:
+        assert capsys.readouterr().err.count("\n") == 1
+        return
+    assert code == 1
+    [rec] = json.loads(out.read_text())["records"]
+    assert rec["id"] == "AC11" and rec["status"] == "fail"
+    m = rec["measured"]
+    nullities = (m["weddle_nullity"], m["kummer_nullity"], m["octic_nullity"],
+                 m["quadrics_dimension"] - 3)
+    assert all(n >= 1 for n in nullities) and any(n > 1 for n in nullities)
+
+
+@pytest.mark.parametrize("verb", ["weddle-curve", "kummer", "sec-octic"])
+def test_curve_verbs_report_a_fit_that_is_not_unique(verb, capsys):
+    # at p = 11 each fit finds a space of forms, reported with exit 1
+    assert main([verb, "--p", "11"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["fit_nullity"] > 1
+    assert data.get("quartic", None) is None
