@@ -19,11 +19,14 @@ need to act.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
+
+import numpy as np
 
 from .fields import Cyc, QW, omega_power
 from .linalg import Matrix
-from .symplectic import InvariantViolation, SymplecticMat
+from .symplectic import InvariantViolation, SymplecticMat, standard_transvections
 
 REPS = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]
 
@@ -237,17 +240,17 @@ class HeisAutomorphism:
             raise InvariantViolation("automorphisms live over Z/3")
         self.M = M
         self.g = M.g
-        vecs = list(product(range(3), repeat=2 * self.g))
         if callable(f):
-            self.f = tuple(f(u) % 3 for u in vecs)
+            self.f = tuple(f(u) % 3 for u in product(range(3), repeat=2 * self.g))
         else:
             self.f = tuple(v % 3 for v in f)
         if len(self.f) != 3 ** (2 * self.g):
             raise ValueError("multiplier table of wrong size")
         if validate:
-            self._validate(vecs)
+            self._validate()
 
-    def _validate(self, vecs):
+    def _validate(self):
+        vecs = list(product(range(3), repeat=2 * self.g))
         images = [self.M.apply(u) for u in vecs]
         for u, Mu in zip(vecs, images):
             for v, Mv in zip(vecs, images):
@@ -308,17 +311,25 @@ def zeta(a, g: int = 2) -> HeisAutomorphism:
     return HeisAutomorphism(M, lambda u: weil_pairing(u, a), validate=False)
 
 
+@lru_cache(maxsize=None)
+def _flat_vectors(g: int):
+    """All u in (Z/3)^{2g} as rows, in the order of product(range(3), ...)
+    that indexes a multiplier table, with beta(u, u) beside them."""
+    U = np.array(list(product(range(3), repeat=2 * g)), dtype=np.int64)
+    return U, (U[:, g:] * U[:, :g]).sum(axis=1)
+
+
 def lift_symplectic(M: SymplecticMat) -> HeisAutomorphism:
     """The unique lift of M commuting with the -1 involution:
-    multiplier exponent (1/2)(beta(Mu, Mu) - beta(u, u)) with 1/2 = 2 mod 3."""
+    multiplier exponent (1/2)(beta(Mu, Mu) - beta(u, u)) with 1/2 = 2 mod 3,
+    for all u at once by one product of the vector table with M^t."""
     if M.n != 3:
         raise InvariantViolation("lift needs a matrix mod 3")
-
-    def f(u):
-        Mu = M.apply(u)
-        return 2 * (beta(Mu, Mu) - beta(u, u)) % 3
-
-    return HeisAutomorphism(M, f, validate=False)
+    g = M.g
+    U, beta_uu = _flat_vectors(g)
+    MU = U @ np.array(M.entries, dtype=np.int64).T % 3
+    f = 2 * ((MU[:, g:] * MU[:, :g]).sum(axis=1) - beta_uu) % 3
+    return HeisAutomorphism(M, f.tolist(), validate=False)
 
 
 def heisenberg_generators(g: int = 2):
@@ -343,8 +354,9 @@ def intertwiner(phi) -> Matrix:
     first nonzero entry in row-major order is 1.
 
     The constraint system couples unknowns in pairs with unit ratios, so it
-    is solved exactly by weighted union-find; the solution space must be
-    one-dimensional or the representation theory is broken.
+    is solved exactly by one traversal of the graph of those pairs; the
+    solution space must be one-dimensional or the representation theory is
+    broken, and RepresentationError says so.
     """
     if isinstance(phi, SymplecticMat):
         phi = lift_symplectic(phi)
@@ -354,72 +366,55 @@ def intertwiner(phi) -> Matrix:
     return T
 
 
-def intertwiner_dimension(phi) -> int:
-    if isinstance(phi, SymplecticMat):
-        phi = lift_symplectic(phi)
-    return _intertwiner_solve(phi)[1]
-
-
 def _intertwiner_solve(phi: HeisAutomorphism):
+    """(T, 1) for the unique intertwiner up to scale, else (None, dim).
+
+    The unknowns are the 81 entries T[i, c], index 9 i + c.  For each
+    generator h, with A = U(h) and B = U(phi(h)), the entry (i, a) of
+    T A = B T gives T[i, A.perm[a]] = w^(B.expo[k] - A.expo[a]) T[k, a]
+    with B.perm[k] = i: 324 edges with w-power ratios.  Each component of
+    that graph is walked once from its smallest index, which gets exponent
+    0; a component is forced to zero (dead) when an edge closes a cycle with
+    a ratio other than 1.  The solution space has one dimension per live
+    component."""
     if phi.g != 2:
         raise ValueError("intertwiners are materialized at genus 2")
     n = 81
-    parent = list(range(n))
-    weight = [0] * n      # value(i) = w^weight[i] * value(root)
-    dead = [False] * n    # component forced to zero
-
-    def find(i):
-        path = []
-        while parent[i] != i:
-            path.append(i)
-            i = parent[i]
-        w = 0
-        for j in reversed(path):
-            w = (weight[j] + w) % 3
-            parent[j] = i
-            weight[j] = w
-        return i
-
-    def union(i, j, d):
-        """value(i) = w^d * value(j)."""
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            if (weight[i] - weight[j]) % 3 != d % 3:
-                dead[ri] = True
-            return
-        # attach rj under ri: value(j) = w^{weight(j)} value(rj)
-        parent[rj] = ri
-        weight[rj] = (weight[i] - d - weight[j]) % 3
-        if dead[rj]:
-            dead[ri] = True
-
+    adj = [[] for _ in range(n)]   # (j, d): value(j) = w^d value(i)
     for h in heisenberg_generators(2):
         A = schrodinger(h)
         B = schrodinger(phi(h))
-        Binv_perm = [0] * 9
         for k in range(9):
-            Binv_perm[B.perm[k]] = k
-        for i in range(9):
-            k0 = Binv_perm[i]
+            row = 9 * B.perm[k]
+            bk = B.expo[k]
             for a in range(9):
-                # T[i, A.perm[a]] = w^(B.expo[k0] - A.expo[a]) T[k0, a]
-                union(i * 9 + A.perm[a], k0 * 9 + a,
-                      (B.expo[k0] - A.expo[a]) % 3)
-
-    roots = {}
-    for i in range(n):
-        r = find(i)
-        roots.setdefault(r, []).append(i)
-    live = [r for r in roots if not dead[r]]
-    dim = len(live)
-    if dim != 1:
-        return None, dim
-    root = live[0]
-    first = min(roots[root])
-    shift = -weight[first] % 3
+                i, j, d = row + A.perm[a], 9 * k + a, bk - A.expo[a]
+                adj[i].append((j, -d))
+                adj[j].append((i, d))
+    expo = [None] * n
+    live = []
+    for start in range(n):
+        if expo[start] is not None:
+            continue
+        expo[start] = 0
+        members = [start]
+        dead = False
+        for i in members:       # grows while it is walked
+            ei = expo[i]
+            for j, d in adj[i]:
+                ej = expo[j]
+                if ej is None:
+                    expo[j] = (ei + d) % 3
+                    members.append(j)
+                elif not dead and ej != (ei + d) % 3:
+                    dead = True
+        if not dead:
+            live.append(members)
+    if len(live) != 1:
+        return None, len(live)
     rows = [[Cyc(0)] * 9 for _ in range(9)]
-    for i in roots[root]:
-        rows[i // 9][i % 9] = omega_power((weight[i] + shift) % 3)
+    for i in live[0]:
+        rows[i // 9][i % 9] = omega_power(expo[i])
     return Matrix(rows), 1
 
 
@@ -460,17 +455,17 @@ def block_split(T: Matrix):
     return plus, minus, off_zero
 
 
-# small verified generating set of Sp(4, F3), used wherever a run over
-# "the standard generators" is required; generation is asserted by BFS
-# closure in the test suite
+# the vectors of standard_transvections(2, 3), used wherever a run over
+# "the standard generators" is required; generation is certified by the
+# order count of sp_group_elements and, apart from it, by a BFS closure in
+# the test suite
 STANDARD_SP4_F3_VECTORS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
                            (0, 0, 0, 1), (1, 1, 0, 0), (0, 0, 1, 1),
                            (1, 0, 1, 0), (0, 1, 0, 1))
 
 
 def standard_sp4_generators():
-    from .symplectic import transvection
-    return [transvection(v, 1, 3) for v in STANDARD_SP4_F3_VECTORS]
+    return standard_transvections(2, 3)
 
 
 def upsilon_plus_block(M: SymplecticMat) -> Matrix:

@@ -58,10 +58,26 @@ class Matrix:
         return [_dot(row, v) for row in self.rows]
 
     def mat_mul(self, other):
+        """The product, summed over the terms with both factors nonzero in
+        the order of k; an entry with no such term is r[0] c[0], a zero of
+        the entries' type."""
         if self.ncols != other.nrows:
             raise ShapeError("dimension mismatch")
-        cols = other.transpose().rows
-        return Matrix([[_dot(r, c) for c in cols] for r in self.rows])
+        supports = [[(j, x) for j, x in enumerate(row) if _nonzero(x)]
+                    for row in other.rows]
+        first = other.rows[0]
+        rows = []
+        for r in self.rows:
+            acc = [None] * other.ncols
+            for a, support in zip(r, supports):
+                if not _nonzero(a):
+                    continue
+                for j, x in support:
+                    y = a * x
+                    acc[j] = y if acc[j] is None else acc[j] + y
+            rows.append([r[0] * first[j] if y is None else y
+                         for j, y in enumerate(acc)])
+        return Matrix(rows)
 
     def delete_row_col(self, i, j=None):
         if j is None:

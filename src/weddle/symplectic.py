@@ -183,23 +183,20 @@ def transvection(v, scale=1, n=None, g=None):
     return SymplecticMat(M, n)
 
 
-def _transvection_vectors(g: int, n: int):
-    """Nonzero vectors up to scalar; enough since t_{cv} = t_{v, c^2}."""
-    seen = set()
-    out = []
-    for v in product(range(n), repeat=2 * g):
-        if all(x == 0 for x in v):
-            continue
-        reps = {tuple((c * x) % n for x in v) for c in range(1, n)}
-        key = min(reps)
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    return out
+def standard_transvections(g: int, n: int):
+    """The transvections t_v mod n for v in e_1..e_g, f_1..f_g,
+    e_i + e_{i+1}, f_i + f_{i+1} (i < g) and e_i + f_i, in that order:
+    5g - 2 of them.  sp_group_elements closes over this set, so its order
+    check certifies that the set generates Sp(2g, Z/n) at every enumerated
+    (g, n)."""
+    def unit(*idx):
+        return tuple(int(k in idx) for k in range(2 * g))
 
-
-def transvection_generators(g: int, n: int):
-    return [transvection(v, 1, n, g) for v in _transvection_vectors(g, n)]
+    vecs = ([unit(i) for i in range(g)] + [unit(g + i) for i in range(g)]
+            + [unit(i, i + 1) for i in range(g - 1)]
+            + [unit(g + i, g + i + 1) for i in range(g - 1)]
+            + [unit(i, g + i) for i in range(g)])
+    return [transvection(v, 1, n, g) for v in vecs]
 
 
 def gamma_index(g: int, n: int) -> int:
@@ -228,11 +225,13 @@ def gamma_index(g: int, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def sp_group_elements(g: int, n: int):
-    """All of Sp(2g, Z/n) by breadth-first closure over transvections.
+    """All of Sp(2g, Z/n) by breadth-first closure over the 5g - 2
+    standard_transvections.
 
-    Only n in {2, 3} is enumerated, and only up to enum_cap() elements; the
-    count is checked against the closed-form order.  Returns a tuple of
-    byte keys (row-major entries), sorted.
+    Only n in {2, 3} is enumerated, and only up to enum_cap() elements.  The
+    count is checked against the closed-form order, which certifies that
+    the transvections generate the group.  Returns a tuple of byte keys
+    (row-major entries), sorted.
 
     During the closure each matrix M is one int64 code, its row-major
     entries read as base-n digits with the first entry most significant, so
@@ -258,7 +257,7 @@ def sp_group_elements(g: int, n: int):
     columns = np.arange(n ** size)[:, None] // digit_w % n
     # tables[t][v] = sum_i (G_t v)_i * col_w[i], the code of G_t v as column 0
     tables = [(columns @ np.array(t.entries).T) % n @ col_w
-              for t in transvection_generators(g, n)]
+              for t in standard_transvections(g, n)]
 
     def entries(codes):
         out = np.empty((codes.size, size, size), dtype=np.uint8)
@@ -267,8 +266,12 @@ def sp_group_elements(g: int, n: int):
         return out
 
     visited = new = np.array([col_w @ digit_w])  # the identity
+    found, found_codes = [], []
     while new.size:
-        col_idx = digit_w @ entries(new)
+        mats = entries(new)
+        found.append(mats)
+        found_codes.append(new)
+        col_idx = digit_w @ mats
         codes = np.empty((len(tables), new.size), dtype=np.int64)
         for T, row in zip(tables, codes):
             np.matmul(T[col_idx], digit_w, out=row)
@@ -280,7 +283,10 @@ def sp_group_elements(g: int, n: int):
     if visited.size != order:
         raise AssertionError("BFS closure found %d elements, formula says %d"
                              % (visited.size, order))
-    return tuple(row.tobytes() for row in entries(visited).reshape(order, -1))
+    # every element was decoded once, in the round that found it
+    buf = np.concatenate(found)[np.argsort(np.concatenate(found_codes))].tobytes()
+    step = size * size
+    return tuple(buf[i:i + step] for i in range(0, len(buf), step))
 
 
 def group_order(g: int, n: int) -> int:
@@ -322,8 +328,9 @@ def act_characteristic(M: SymplecticMat, m: Characteristic) -> Characteristic:
 
 
 def orbit_characteristics(m: Characteristic):
-    """Orbit of m under Sp(2g, Z/2), by closure over transvections."""
-    gens = transvection_generators(m.g, 2)
+    """Orbit of m under Sp(2g, Z/2), by closure over the standard
+    transvections."""
+    gens = standard_transvections(m.g, 2)
     seen = {m}
     frontier = [m]
     while frontier:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weddle.fields import Cyc, QW, omega_power
+import weddle.heisenberg
 from weddle.heisenberg import (GenPerm, HeisAutomorphism, HeisElement,
                                RepresentationError, beta, block_split,
                                commutator_exponent, d_minus_one,
@@ -13,8 +14,8 @@ from weddle.heisenberg import (GenPerm, HeisAutomorphism, HeisElement,
                                enumerate_group, genperm_left, genperm_right,
                                h_identity, h_inv, h_mul,
                                heisenberg_generators, identity_automorphism,
-                               intertwiner, intertwiner_dimension,
-                               involution_j, lift_symplectic,
+                               intertwiner, involution_j,
+                               lift_symplectic,
                                plus_minus_components,
                                schrodinger, standard_sp4_generators,
                                upsilon_plus_block, weil_pairing, zeta)
@@ -291,7 +292,7 @@ def test_intertwiner_intertwines_everything():
 
 def test_schur_dimension_one_for_standard_generators():
     for M in standard_sp4_generators():
-        assert intertwiner_dimension(M) == 1
+        assert weddle.heisenberg._intertwiner_solve(lift_symplectic(M))[1] == 1
 
 
 def test_intertwiner_blocks_and_projectivity():
@@ -320,3 +321,159 @@ def test_representation_matrices_unitary():
         U = schrodinger(h).to_matrix()
         arr = np.array([[complex(x) for x in row] for row in U.rows])
         assert np.abs(arr.conj().T @ arr - np.eye(9)).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# oracles: the scalar lift and the weighted union-find solve that the array
+# lift and the one-traversal solve replaced
+
+
+def _oracle_lift_symplectic(M: SymplecticMat) -> HeisAutomorphism:
+    """The unique lift of M commuting with the -1 involution:
+    multiplier exponent (1/2)(beta(Mu, Mu) - beta(u, u)) with 1/2 = 2 mod 3."""
+    if M.n != 3:
+        raise InvariantViolation("lift needs a matrix mod 3")
+
+    def f(u):
+        Mu = M.apply(u)
+        return 2 * (beta(Mu, Mu) - beta(u, u)) % 3
+
+    return HeisAutomorphism(M, f, validate=False)
+
+
+def _oracle_intertwiner_solve(phi: HeisAutomorphism):
+    if phi.g != 2:
+        raise ValueError("intertwiners are materialized at genus 2")
+    n = 81
+    parent = list(range(n))
+    weight = [0] * n      # value(i) = w^weight[i] * value(root)
+    dead = [False] * n    # component forced to zero
+
+    def find(i):
+        path = []
+        while parent[i] != i:
+            path.append(i)
+            i = parent[i]
+        w = 0
+        for j in reversed(path):
+            w = (weight[j] + w) % 3
+            parent[j] = i
+            weight[j] = w
+        return i
+
+    def union(i, j, d):
+        """value(i) = w^d * value(j)."""
+        ri, rj = find(i), find(j)
+        if ri == rj:
+            if (weight[i] - weight[j]) % 3 != d % 3:
+                dead[ri] = True
+            return
+        # attach rj under ri: value(j) = w^{weight(j)} value(rj)
+        parent[rj] = ri
+        weight[rj] = (weight[i] - d - weight[j]) % 3
+        if dead[rj]:
+            dead[ri] = True
+
+    for h in heisenberg_generators(2):
+        A = schrodinger(h)
+        B = schrodinger(phi(h))
+        Binv_perm = [0] * 9
+        for k in range(9):
+            Binv_perm[B.perm[k]] = k
+        for i in range(9):
+            k0 = Binv_perm[i]
+            for a in range(9):
+                # T[i, A.perm[a]] = w^(B.expo[k0] - A.expo[a]) T[k0, a]
+                union(i * 9 + A.perm[a], k0 * 9 + a,
+                      (B.expo[k0] - A.expo[a]) % 3)
+
+    roots = {}
+    for i in range(n):
+        r = find(i)
+        roots.setdefault(r, []).append(i)
+    live = [r for r in roots if not dead[r]]
+    dim = len(live)
+    if dim != 1:
+        return None, dim
+    root = live[0]
+    first = min(roots[root])
+    shift = -weight[first] % 3
+    rows = [[Cyc(0)] * 9 for _ in range(9)]
+    for i in roots[root]:
+        rows[i // 9][i % 9] = omega_power((weight[i] + shift) % 3)
+    return Matrix(rows), 1
+
+
+def _solve_rows(phi, solve):
+    T, dim = solve(phi)
+    return (None if T is None else T.rows), dim
+
+
+def _assert_matches_oracles(M):
+    phi = lift_symplectic(M)
+    oracle = _oracle_lift_symplectic(M)
+    assert phi == oracle and phi.f == oracle.f
+    assert all(type(x) is int for x in phi.f)
+    assert hash(phi) == hash(oracle)
+    got = _solve_rows(phi, weddle.heisenberg._intertwiner_solve)
+    assert got == _solve_rows(phi, _oracle_intertwiner_solve)
+    assert got[1] == 1
+
+
+def test_lift_and_solve_match_oracles_on_generators():
+    _assert_matches_oracles(SymplecticMat.identity(2, 3))
+    for M in standard_sp4_generators():
+        _assert_matches_oracles(M)
+
+
+def test_lift_and_solve_match_oracles_on_a_sample():
+    for key in random.Random(17).sample(KEYS3, 500):
+        _assert_matches_oracles(key_to_mat(key, 2, 3))
+
+
+def test_solve_matches_oracle_off_the_lifts():
+    M = standard_sp4_generators()[6]
+    # an automorphism that is not the lift of its symplectic part
+    phi = lift_symplectic(M).compose(zeta((1, 2, 0, 1)))
+    assert phi != lift_symplectic(phi.M)
+    got = _solve_rows(phi, weddle.heisenberg._intertwiner_solve)
+    assert got == _solve_rows(phi, _oracle_intertwiner_solve) and got[1] == 1
+    # a multiplier that fails the automorphism identity only rescales the
+    # images of the generators, so the solution space stays a line
+    bad = list(lift_symplectic(M).f)
+    bad[1] = (bad[1] + 1) % 3
+    psi = HeisAutomorphism(M, bad, validate=False)
+    got = _solve_rows(psi, weddle.heisenberg._intertwiner_solve)
+    assert got == _solve_rows(psi, _oracle_intertwiner_solve) and got[1] == 1
+    # a matrix that is not symplectic breaks the commutator relations:
+    # every component is forced to zero
+    for entries in (((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2)),
+                    ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))):
+        chi = HeisAutomorphism(SymplecticMat._trusted(entries, 3), bad, validate=False)
+        got = _solve_rows(chi, weddle.heisenberg._intertwiner_solve)
+        assert got == _solve_rows(chi, _oracle_intertwiner_solve) == (None, 0)
+        with pytest.raises(RepresentationError):
+            intertwiner(chi)
+
+
+def test_lift_matches_oracle_at_genus_one():
+    keys = sp_group_elements(1, 3)
+    assert len(keys) == 24
+    for key in keys:
+        M = key_to_mat(key, 1, 3)
+        assert lift_symplectic(M).f == _oracle_lift_symplectic(M).f
+
+
+def test_mat_mul_of_intertwiners_matches_dense_sum():
+    r = random.Random(5)
+    mats = [intertwiner(M) for M in standard_sp4_generators()]
+    mats += [intertwiner(rand_sp3()) for _ in range(4)]
+    # dense and sparse matrices over Q(w), with zero rows and columns
+    for density in (1.0, 0.3, 0.0):
+        mats.append(Matrix([[QW.random(r) if r.random() < density else Cyc(0)
+                             for _ in range(9)] for _ in range(9)]))
+    for S in mats:
+        for T in r.sample(mats, 5):
+            dense = [[sum((S.rows[i][k] * T.rows[k][j] for k in range(9)), Cyc(0))
+                      for j in range(9)] for i in range(9)]
+            assert S.mat_mul(T).rows == dense

@@ -133,6 +133,24 @@ def test_sub_pfaffian_kernel_odd_skew():
         assert all(x == 0 for x in prod)
 
 
+def test_mat_mul_skips_zero_terms_exactly():
+    # entries, zeros included, equal the plain dense sum and keep its type
+    rng = random.Random(6)
+    for domain in (QQ, GF(7), QW):
+        for density in (1.0, 0.3, 0.0):
+            S, T = ([[domain.random(rng) if rng.random() < density
+                      else domain.zero() for _ in range(5)] for _ in range(5)]
+                    for _ in range(2))
+            prod = Matrix(S).mat_mul(Matrix(T)).rows
+            for i in range(5):
+                for j in range(5):
+                    dense = S[i][0] * T[0][j]
+                    for k in range(1, 5):
+                        dense = dense + S[i][k] * T[k][j]
+                    assert prod[i][j] == dense
+                    assert type(prod[i][j]) is type(dense)
+
+
 def test_adjugate_identity_and_random():
     ident = frac_rows([[1, 0], [0, 1]])
     assert adjugate(ident).rows == ident

@@ -131,7 +131,7 @@ def test_cli_resource_cap_exits_2(monkeypatch, capsys, tmp_path):
     def no_closure(*args):
         raise AssertionError("the group closure must not start")
 
-    monkeypatch.setattr(weddle.symplectic, "transvection_generators", no_closure)
+    monkeypatch.setattr(weddle.symplectic, "standard_transvections", no_closure)
     # a nearly real period matrix needs a theta truncation grid beyond the cap
     om = tmp_path / "omega.txt"
     om.write_text("0 0.0001 0 0 0 0 0 0.0001\n")
@@ -166,6 +166,19 @@ def test_cli_run_subset(tmp_path):
     assert data["failures"] == 0
     assert [r["id"] for r in data["records"]] == ["AC01", "AC02", "AC03"]
     assert all(r["status"] == "pass" for r in data["records"])
+
+
+def test_ac04_schur_failure_ends_in_a_record(monkeypatch, tmp_path):
+    # a Schur solve that finds a 2-dimensional space of intertwiners is a
+    # failed AC04, reported in its record, not a traceback
+    import weddle.heisenberg
+    monkeypatch.setattr(weddle.heisenberg, "_intertwiner_solve", lambda phi: (None, 2))
+    out = tmp_path / "report.json"
+    assert main(["run", "--suite", "heis", "--out", str(out)]) == 1
+    [rec] = json.loads(out.read_text())["records"]
+    assert rec["id"] == "AC04" and rec["status"] == "fail"
+    assert rec["measured"]["schur_dimension_one"] is False
+    assert rec["measured"]["projective_20_pairs"] is False
 
 
 def test_cross_suite_runs_standalone():

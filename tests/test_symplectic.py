@@ -8,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weddle.symplectic
+from weddle.heisenberg import STANDARD_SP4_F3_VECTORS
 from weddle.symplectic import (BASE_ODD, ENUM_CAP_ENV, Characteristic,
                                InvariantViolation, J_matrix, QuadFormF2,
                                ResourceCapError, SymplecticMat, _is_symplectic,
                                act_characteristic, all_characteristics,
                                all_quad_forms, classify_gamma, gamma_index,
                                group_order, key_to_mat, orbit_characteristics,
-                               sp_group_elements, stabilizer, torsor_action,
-                               transvection, transvection_generators)
+                               sp_group_elements, stabilizer,
+                               standard_transvections, torsor_action,
+                               transvection)
 
 
 def test_parity_examples():
@@ -163,7 +165,7 @@ def test_closure_refuses_int64_code_overflow(monkeypatch):
     def no_closure(*args):
         raise AssertionError("the group closure must not start")
 
-    monkeypatch.setattr(weddle.symplectic, "transvection_generators", no_closure)
+    monkeypatch.setattr(weddle.symplectic, "standard_transvections", no_closure)
     with pytest.raises(ResourceCapError):
         sp_group_elements(4, 2)
 
@@ -269,9 +271,18 @@ def test_classify_rejects_non_symplectic():
         classify_gamma(SymplecticMat.identity(2, 6))
 
 
-def test_transvection_generator_counts():
-    assert len(transvection_generators(2, 2)) == 15
-    assert len(transvection_generators(2, 3)) == 40
+def test_standard_transvections():
+    assert standard_transvections(1, 3) == [transvection(v, 1, 3)
+                                            for v in ((1, 0), (0, 1), (1, 1))]
+    vecs = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+            (1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 0, 1)]
+    assert list(STANDARD_SP4_F3_VECTORS) == vecs
+    for n in (2, 3):
+        assert standard_transvections(2, n) == [transvection(v, 1, n) for v in vecs]
+    assert len(standard_transvections(4, 2)) == 18
+    # the closure over them reaches the whole group at every enumerable (g, n)
+    for g, n in ((1, 2), (1, 3), (2, 2), (2, 3)):
+        assert len(sp_group_elements(g, n)) == gamma_index(g, n)
 
 
 def test_key_refuses_matrices_beyond_a_byte():
