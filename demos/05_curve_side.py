@@ -30,7 +30,7 @@ print("quartics through the 25 lines: dimension", w.rigidity_nullity,
 quad = quadrics_through_curve(curve, rng)
 print("\nquadrics through the embedded curve: dimension", len(quad.forms))
 
-k = kummer_fit(curve, rng)
+k = kummer_fit(curve, quad.forms, rng)
 print("image quartic: nullity", k.fit_nullity, "| nodes", len(k.nodes),
       "distinct and singular:", k.nodes_distinct and k.nodes_singular)
 print("six tangent lines at branch points share one image:",

@@ -156,9 +156,8 @@ def steinerian_plus(y, domain: Domain = None):
 
 @dataclass
 class BurkhardtDerivation:
-    quartic: SparsePoly
+    quartic: SparsePoly | None
     nullity: int
-    samples_used: int
 
 
 def _sample_steinerian_points(domain: Domain, rng, count: int) -> np.ndarray:
@@ -174,7 +173,8 @@ def _sample_steinerian_points(domain: Domain, rng, count: int) -> np.ndarray:
     while kept < count:
         n = min(count - kept, budget)
         if n == 0:
-            raise RuntimeError("sampling starved; field too small?")
+            raise ValueError("sampling starved: %d draws over %s gave %d of %d "
+                             "Steinerian points" % (50 * count, domain.name, kept, count))
         budget -= n
         z = [[domain.random(rng) for _ in range(4)] for _ in range(n)]
         vals = eval_polys(steinerian_quartics(), z, domain)
@@ -186,19 +186,13 @@ def _sample_steinerian_points(domain: Domain, rng, count: int) -> np.ndarray:
 
 def derive_burkhardt(domain: Domain, rng, samples: int = 160) -> BurkhardtDerivation:
     """Interpolate the unique quartic through the Steinerian image in
-    kernel coordinates.  Nullity 0 asks for more samples; nullity >= 2 is
-    a fatal inconsistency."""
-    pts = _sample_steinerian_points(domain, rng, samples)
-    fit = fit_hypersurface(pts, 4, domain)
-    if len(fit.forms) == 0:
-        raise RuntimeError("interpolation nullity 0: retry with more samples")
-    if len(fit.forms) > 1:
-        raise RuntimeError("interpolation nullity %d: inconsistent Steinerian sampling"
-                           % len(fit.forms))
-    B = fit.forms[0]
-    if isinstance(domain, PrimeField):
+    kernel coordinates, monic over a prime field.  The nullity is the
+    dimension of the fitted space; when it is not 1 the quartic is None."""
+    fit = fit_hypersurface(_sample_steinerian_points(domain, rng, samples), 4, domain)
+    B = fit.unique
+    if B is not None and isinstance(domain, PrimeField):
         B = _monic_mod_p(B, domain)
-    return BurkhardtDerivation(B, len(fit.forms), len(pts))
+    return BurkhardtDerivation(B, len(fit))
 
 
 def _monic_mod_p(B: SparsePoly, domain: PrimeField) -> SparsePoly:
@@ -229,8 +223,11 @@ def derive_burkhardt_exact(rng, primes=(101, 103, 109)) -> SparsePoly:
     residues = []
     for p in primes:
         dom = GF(p)
-        B = derive_burkhardt(dom, rng).quartic
-        residues.append([B.terms.get(e, dom.zero()).val for e in exps])
+        d = derive_burkhardt(dom, rng)
+        if d.quartic is None:
+            raise RuntimeError("interpolation nullity %d over F_%d: no unique quartic "
+                               "to reconstruct from" % (d.nullity, p))
+        residues.append([d.quartic.terms.get(e, dom.zero()).val for e in exps])
     m = 1
     for p in primes:
         m *= p

@@ -84,7 +84,11 @@ def cmd_derive_burkhardt(args):
     if args.field == "Q":
         B = derive_burkhardt_exact(rng)
     elif args.field.startswith("Fp:"):
-        B = derive_burkhardt(GF(int(args.field.split(":")[1])), rng).quartic
+        d = derive_burkhardt(GF(int(args.field.split(":")[1])), rng)
+        B = d.quartic
+        if B is None:
+            sys.stderr.write("no unique quartic: interpolation nullity %d\n" % d.nullity)
+            return 1
     else:
         raise ValueError("field must be Q or Fp:<p>")
     sys.stdout.write(poly_to_text(B))
@@ -174,8 +178,9 @@ def cmd_weddle_curve(args):
 
 
 def cmd_kummer(args):
-    from .curves import kummer_fit
-    rep = kummer_fit(_curve_from_args(args), random.Random(args.seed))
+    from .curves import kummer_fit, quadrics_through_curve
+    curve, rng = _curve_from_args(args), random.Random(args.seed)
+    rep = kummer_fit(curve, quadrics_through_curve(curve, rng).forms, rng)
     _out(args, {"fit_nullity": rep.fit_nullity,
                 "nodes": len(rep.nodes),
                 "nodes_distinct": rep.nodes_distinct,

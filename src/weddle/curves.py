@@ -313,45 +313,21 @@ def line_from_planes(n1, n2, domain: Domain):
     return basis[0], basis[1]
 
 
-def restrict_to_line(form: SparsePoly, u, v, domain: Domain) -> SparsePoly:
-    """The binary form form(s u + t v)."""
-    forms = []
-    for k in range(form.nvars):
-        terms = {}
-        if not domain.is_zero(domain.coerce(u[k])):
-            terms[(1, 0)] = domain.coerce(u[k])
-        if not domain.is_zero(domain.coerce(v[k])):
-            terms[(0, 1)] = domain.coerce(v[k])
-        forms.append(SparsePoly(2, domain, terms))
-    return form.substitute_linear(forms)
-
-
 def lines_in_hypersurface(form: SparsePoly, lines, points, domain: Domain) -> list:
-    """(contained, residual) for each line (u, v).
-
-    Exact domains: a form of degree at most 4 vanishes on a line iff it
-    vanishes at five distinct points of it, the line's five rows of
-    `points` (see five_line_points); one evaluation decides every line and
-    the residual is 0.0.  Floats: u and v are scaled to max-abs 1 and the
-    coefficients of the restriction are bounded relative to 16 |form|."""
+    """(contained, residual) for each line (u, v) of `lines`, from one
+    evaluation of the form at the line's five rows of `points` (see
+    five_line_points).  A form of degree at most 4 vanishes on a line iff
+    it vanishes at five distinct points of it.  Exact domains: the line is
+    contained iff all five values are zero, and the residual is 0.0.
+    Floats: the residual is max |form(x)| / |form|_2 over the five points,
+    each at max-abs 1, and the line is contained iff it is below 1e-6."""
+    if form.total_degree() > 4:
+        raise ValueError("five points decide lines only up to degree 4")
+    vals = eval_polys([form], points, domain).reshape(len(lines), 5)
     if domain.is_exact:
-        if form.total_degree() > 4:
-            raise ValueError("five points decide lines only up to degree 4")
-        zero = eval_polys([form], points, domain).reshape(len(lines), 5) == 0
-        return [(bool(on), 0.0) for on in zero.all(axis=1)]
-    out = []
-    for u, v in lines:
-        u = np.asarray(u, dtype=complex)
-        v = np.asarray(v, dtype=complex)
-        restricted = restrict_to_line(form, u / np.abs(u).max(), v / np.abs(v).max(),
-                                      domain)
-        if restricted.is_zero():
-            out.append((True, 0.0))
-            continue
-        worst = (max(abs(complex(c)) for c in restricted.terms.values())
-                 / (16 * coefficient_norm(form)))
-        out.append((worst < 1e-6, worst))
-    return out
+        return [(bool(on), 0.0) for on in (vals == 0).all(axis=1)]
+    worst = np.abs(vals).max(axis=1) / coefficient_norm(form)
+    return [(bool(r < 1e-6), float(r)) for r in worst]
 
 
 def restrict_to_hyperplane(form: SparsePoly) -> SparsePoly:
@@ -387,9 +363,9 @@ def _unique_quartic(draw, samples: int, domain: Domain):
     quartic is not unique, one resample with twice the data, and then the
     quartic is None."""
     fit = fit_hypersurface(draw(samples), 4, domain)
-    if len(fit.forms) != 1:
+    if fit.unique is None:
         fit = fit_hypersurface(draw(2 * samples), 4, domain)
-    return len(fit.forms), (fit.forms[0] if len(fit.forms) == 1 else None)
+    return len(fit), fit.unique
 
 
 def twenty_five_lines(nodes, domain: Domain):
@@ -421,6 +397,31 @@ def five_line_points(lines, domain: Domain) -> np.ndarray:
                 pt = [x / top for x in pt]
             pts.append(pt)
     return _array_form(pts, domain)
+
+
+def _six_node_checks(W: SparsePoly | None, nodes, domain: Domain):
+    """The classical checks of a six-node quartic W, the same on the theta
+    and the curve side: (the singular residual of W at the nodes, the
+    (contained, residual) pair of each of the 25 lines, the dimension of
+    the quartics through those lines, the distance of W from that quartic).
+    The distance is 0.0 or 1.0 over exact fields (projective equality) and
+    chordal over floats.  W is None when its fit was not unique: then no
+    line is contained and the residuals are NaN.  The distance is NaN when
+    W or the line quartic is missing."""
+    lines = twenty_five_lines(nodes, domain)
+    pts = five_line_points(lines, domain)
+    rigid = fit_hypersurface(pts, 4, domain)
+    if W is None:
+        return math.nan, [(False, math.nan)] * len(lines), len(rigid), math.nan
+    G = rigid.unique
+    if G is None:
+        distance = math.nan
+    elif domain.is_exact:
+        distance = 0.0 if _same_point(*aligned_coefficients([G], [W]), domain) else 1.0
+    else:
+        distance = chordal_distance(*map(list, aligned_coefficients([G], [W])))
+    return (singular_residual(W, nodes, domain),
+            lines_in_hypersurface(W, lines, pts, domain), len(rigid), distance)
 
 
 def web_of_quadrics(nodes, domain: Domain) -> list:
@@ -515,24 +516,9 @@ def weddle_prime_fit(curve: GenusTwoCurve, rng) -> WeddleCurveReport:
     nullity, W = _unique_quartic(lambda n: sample_secant_points(curve, rng, n), 70,
                                  domain)
     nodes = weierstrass_images(curve)
-    lines = twenty_five_lines(nodes, domain)
-    pts = five_line_points(lines, domain)
-    rig_nullity, G = _rigidity(pts, domain)
-    if W is None:
-        return WeddleCurveReport(None, nodes, nullity, False,
-                                 [(False, math.nan)] * len(lines), rig_nullity, False)
-    rig_match = G is not None and _same_point(*aligned_coefficients([G], [W]),
-                                              domain, 1e-6)
-    return WeddleCurveReport(W, nodes, nullity, singular_residual(W, nodes, domain) < 1e-5,
-                             lines_in_hypersurface(W, lines, pts, domain),
-                             rig_nullity, rig_match)
-
-
-def _rigidity(points, domain: Domain):
-    """Quartics through the lines whose five_line_points are given:
-    (dimension, the quartic when it is unique else None)."""
-    fit = fit_hypersurface(points, 4, domain)
-    return len(fit.forms), (fit.forms[0] if len(fit.forms) == 1 else None)
+    singular, lines, rig_nullity, distance = _six_node_checks(W, nodes, domain)
+    return WeddleCurveReport(W, nodes, nullity, singular < 1e-5, lines, rig_nullity,
+                             distance < 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -593,13 +579,13 @@ class KummerReport:
     origin_node_consistent: bool
 
 
-def kummer_fit(curve: GenusTwoCurve, rng) -> KummerReport:
-    """The unique quartic through the image of the secant variety, with
-    its sixteen singular points: fifteen branch-pair secant images plus
-    the common image of the six tangent lines at the branch points.  When
-    the fit is not unique the quartic is None and its tests fail."""
+def kummer_fit(curve: GenusTwoCurve, quadrics, rng) -> KummerReport:
+    """The unique quartic through the image of the secant variety under the
+    curve quadrics (see quadrics_through_curve), with its sixteen singular
+    points: fifteen branch-pair secant images plus the common image of the
+    six tangent lines at the branch points.  When the fit is not unique the
+    quartic is None and its tests fail."""
     domain = curve.domain
-    quadrics = quadrics_through_curve(curve, rng).forms
     # images of points s P + t Q of random secants; a point on the base
     # curve is dropped and the deficit redrawn
     chunks, have = [], 0
@@ -610,7 +596,7 @@ def kummer_fit(curve: GenusTwoCurve, rng) -> KummerReport:
         chunks.append(imgs)
         have += len(imgs)
     fit = fit_hypersurface(np.concatenate(chunks), 4, domain)
-    K = fit.forms[0] if len(fit.forms) == 1 else None
+    K = fit.unique
     ws = _array_form([tricanonical(w, domain) for w in curve.weierstrass_points()],
                      domain)
     i, j = np.array(list(combinations(range(6), 2))).T
@@ -624,7 +610,7 @@ def kummer_fit(curve: GenusTwoCurve, rng) -> KummerReport:
     # the six tangent lines at branch points share one image point
     origin_consistent = all(_same_point(imgs[15], img, domain) for img in imgs[16:])
     nodes = list(imgs[:16])
-    return KummerReport(K, nodes, len(fit.forms), _all_distinct(nodes, domain),
+    return KummerReport(K, nodes, len(fit), _all_distinct(nodes, domain),
                         K is not None and singular_residual(K, nodes, domain) < 1e-5,
                         origin_consistent)
 
@@ -667,12 +653,11 @@ def _all_distinct(points, domain: Domain) -> bool:
     return True
 
 
-def phi_constant_on_secant(curve: GenusTwoCurve, rng) -> bool:
-    """The classifying map contracts each secant line to a point: ten
-    random secants, each at P + t Q for t = 1, 2, 3; a secant with a point
-    on the base curve is passed over."""
+def phi_constant_on_secant(curve: GenusTwoCurve, quadrics, rng) -> bool:
+    """The classifying map, by the curve quadrics, contracts each secant
+    line to a point: ten random secants, each at P + t Q for t = 1, 2, 3;
+    a secant with a point on the base curve is passed over."""
     domain = curve.domain
-    quadrics = quadrics_through_curve(curve, rng).forms
     for _ in range(10):
         P, Q = curve.sample_rows(rng, 1, points=2)
         imgs = eval_polys(quadrics, _span_points(1, P, np.arange(1, 4), Q, domain), domain)
@@ -713,9 +698,9 @@ def sec_octic(curve: GenusTwoCurve, rng,
     if weddle is None:
         weddle = weddle_prime_fit(curve, rng).quartic
     [on_curve] = curve.sample_rows(rng, 20)
-    if len(fit.forms) != 1:
-        return SecantOcticReport(None, len(fit.forms), False, False, False)
-    F = fit.forms[0]
+    F = fit.unique
+    if F is None:
+        return SecantOcticReport(None, len(fit), False, False, False)
     fresh_ok = _vanishes(eval_polys([F], fresh, domain), domain, 1e-6)
     is_square = weddle is not None and _same_point(
         *aligned_coefficients([restrict_to_hyperplane(F)], [weddle * weddle]), domain)

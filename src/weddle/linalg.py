@@ -646,6 +646,9 @@ def count_common_zeros_mod_p(forms, p: int) -> int:
 
 @dataclass
 class FitResult:
+    """A basis of the fitted forms.  len() is the dimension of their space,
+    the nullity of the evaluation matrix; `unique` is the form when that
+    dimension is 1, else None."""
     forms: list
     threshold: float | None
     singular_values: np.ndarray | None = None
@@ -655,6 +658,10 @@ class FitResult:
 
     def __len__(self):
         return len(self.forms)
+
+    @property
+    def unique(self):
+        return self.forms[0] if len(self.forms) == 1 else None
 
 
 def fit_hypersurface(points, degree: int, domain: Domain) -> FitResult:

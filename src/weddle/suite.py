@@ -424,8 +424,8 @@ def check_curve_side(ctx: Context) -> CheckRecord:
     lines_ok = all(ok for ok, _ in wrep.line_results)
     quadrics = curves.quadrics_through_curve(curve, rng)
     restr = curves.quadric_restriction_check(curve, quadrics.forms)
-    const_ok = curves.phi_constant_on_secant(curve, rng)
-    krep = curves.kummer_fit(curve, rng)
+    const_ok = curves.phi_constant_on_secant(curve, quadrics.forms, rng)
+    krep = curves.kummer_fit(curve, quadrics.forms, rng)
     orep = curves.sec_octic(curve, rng, weddle=wrep.quartic)
     degs = curves.hyperplane_section_degree(curve, rng)
     ok = (wrep.fit_nullity == 1 and wrep.nodes_singular and lines_ok

@@ -23,14 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .burkhardt import matrix_plus, steinerian_quartics
-from .curves import (_rigidity, _unique_quartic, coefficient_norm,
-                     five_line_points, lines_in_hypersurface, singular_residual,
-                     twenty_five_lines, web_of_quadrics)
+from .curves import (_six_node_checks, _unique_quartic, coefficient_norm,
+                     web_of_quadrics)
 from .fields import CC
 from .heisenberg import REPS, idx2, involution_j, plus_minus_components
 from .linalg import (chordal_distance, eval_polys, fit_hypersurface,
                      nullspace_complex)
-from .poly import SparsePoly, aligned_coefficients
+from .poly import SparsePoly
 from .symplectic import Characteristic, all_characteristics, check_enum_cap
 
 
@@ -468,22 +467,14 @@ def weddle_from_theta(omega: PeriodMatrix, kappa: Characteristic, rng) -> Weddle
     if len(nodes) != 6:
         raise RuntimeError("expected 6 half periods in the odd eigenspace, got %d"
                            % len(nodes))
-    lines = twenty_five_lines(nodes, CC)
+    singular, lines, rig_null, distance = _six_node_checks(W, nodes, CC)
     net_dim = twisted_cubic_net_dimension(omega, kappa, nodes, rng)
-    pts = five_line_points(lines, CC)
-    rig_null, G = _rigidity(pts, CC)
-    if W is None:
-        # no unique quartic: its residuals are not measured
-        return WeddleThetaReport(None, nodes, nullity, math.nan, math.nan, math.nan,
-                                 len(lines), net_dim, rig_null, None)
-    wnorm = coefficient_norm(W)
-    fresh = np.abs(eval_polys([W], fresh_pts, CC)).max() / wnorm
-    line_resid = max(r for _, r in lines_in_hypersurface(W, lines, pts, CC))
-    rig_match = None if G is None else chordal_distance(
-        *map(list, aligned_coefficients([G], [W])))
-    return WeddleThetaReport(W, nodes, nullity, float(fresh),
-                             float(singular_residual(W, nodes, CC)), float(line_resid),
-                             len(lines), net_dim, rig_null, rig_match)
+    # without a unique quartic its residuals are not measured
+    fresh = math.nan if W is None else float(
+        np.abs(eval_polys([W], fresh_pts, CC)).max() / coefficient_norm(W))
+    return WeddleThetaReport(W, nodes, nullity, fresh, singular,
+                             max(r for _, r in lines), len(lines), net_dim, rig_null,
+                             None if math.isnan(distance) else distance)
 
 
 def theta_divisor_points(kappa: Characteristic, omega: PeriodMatrix, rng,

@@ -6,6 +6,7 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
+import weddle.burkhardt as burkhardt
 from weddle.burkhardt import (ResourceCapError, _base_locus_quadratic_ext,
                               _nonresidue, _sample_steinerian_points,
                               burkhardt_vanishes_symbolically,
@@ -169,6 +170,13 @@ def test_derive_burkhardt_mod_p():
     d = derive_burkhardt(GF(101), random.Random(7))
     assert d.nullity == 1
     assert d.quartic.total_degree() == 4
+
+
+def test_derive_burkhardt_exact_needs_a_unique_quartic(monkeypatch):
+    monkeypatch.setattr(burkhardt, "derive_burkhardt",
+                        lambda dom, rng: burkhardt.BurkhardtDerivation(None, 3))
+    with pytest.raises(RuntimeError, match="nullity 3 over F_101"):
+        derive_burkhardt_exact(random.Random(0))
 
 
 def test_derive_burkhardt_exact_and_certified():
@@ -348,7 +356,7 @@ def test_batched_sampler_matches_scalar_loop(p, count):
 
 
 def test_sampler_starves_over_f2():
-    with pytest.raises(RuntimeError, match="sampling starved"):
+    with pytest.raises(ValueError, match="sampling starved.* over Fp:2"):
         _sample_steinerian_points(GF(2), random.Random(0), 200)
 
 

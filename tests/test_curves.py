@@ -11,17 +11,17 @@ from weddle.curves import (BaseLocusPoint, CurvePoint, DegenerateConfiguration,
                            hyperplane_section_degree, kummer_fit,
                            lines_in_hypersurface, phi, phi_constant_on_secant,
                            plane_through, quadric_restriction_check,
-                           quadrics_through_curve, restrict_to_line, sec_octic,
+                           quadrics_through_curve, sec_octic,
                            secant_point, sample_secant_points, singular_residual,
                            symmetroid, tricanonical, twenty_five_lines,
                            web_of_quadrics, weddle_prime_fit, weierstrass_images,
                            weierstrass_tangent_sample)
-from weddle.fields import CC, GF, QQ
+from weddle.fields import CC, GF, QQ, Domain
 from weddle.heisenberg import plus_minus_components
 from weddle.linalg import count_common_zeros_mod_p, nullspace, proj_ratio
 from weddle.poly import SparsePoly, exponents_of_degree
 from weddle.symplectic import BASE_ODD
-from weddle.theta import OMEGA_GENERIC, half_period_census
+from weddle.theta import OMEGA_GENERIC, half_period_census, weddle_from_theta
 
 P = 101
 DOM = GF(P)
@@ -225,7 +225,7 @@ def test_kummer_points_match_the_object_loop(monkeypatch, curve):
     monkeypatch.setattr(curves, "_rand_param", often_zero)
     rec = _Recorder(monkeypatch)
     fast, slow = random.Random(21), random.Random(21)
-    rep = kummer_fit(curve, fast)
+    rep = kummer_fit(curve, quadrics_through_curve(curve, fast).forms, fast)
     assert rep.fit_nullity == 1 and len(rec.fits) == 2
     # the object loop: 45 curve points for the quadrics, then the images of
     # random secant points off the base curve
@@ -270,9 +270,22 @@ def test_sec_octic_points_match_the_object_loop(monkeypatch, curve, weddle):
 
 def test_phi_constant_on_secant_draws_match_the_object_loop(curve):
     fast, slow = random.Random(23), random.Random(23)
-    assert phi_constant_on_secant(curve, fast)
+    assert phi_constant_on_secant(curve, quadrics_through_curve(curve, fast).forms, fast)
     [_old_point(curve, slow) for _ in range(45 + 20)]
     assert fast.getstate() == slow.getstate()
+
+
+def restrict_to_line(form: SparsePoly, u, v, domain: Domain) -> SparsePoly:
+    """The binary form form(s u + t v)."""
+    forms = []
+    for k in range(form.nvars):
+        terms = {}
+        if not domain.is_zero(domain.coerce(u[k])):
+            terms[(1, 0)] = domain.coerce(u[k])
+        if not domain.is_zero(domain.coerce(v[k])):
+            terms[(0, 1)] = domain.coerce(v[k])
+        forms.append(SparsePoly(2, domain, terms))
+    return form.substitute_linear(forms)
 
 
 @pytest.mark.parametrize("p", [101, 1000003])
@@ -320,6 +333,30 @@ def test_five_point_line_test_matches_the_restriction(p):
         assert not restrict_to_line(four, u, v, dom).is_zero()
         assert lines_in_hypersurface(four, [(u, v)], five_line_points([(u, v)], dom),
                                      dom) == [(False, 0.0)]
+
+
+def test_five_point_line_test_over_cc():
+    rep = weddle_from_theta(OMEGA_GENERIC, BASE_ODD, random.Random(7))
+    W = rep.quartic
+    lines = twenty_five_lines(rep.nodes, CC)
+    pts = five_line_points(lines, CC)
+    got = lines_in_hypersurface(W, lines, pts, CC)
+    assert len(got) == 25
+    assert all(ok and res < 1e-12 for ok, res in got)
+    # the largest coefficient off by a relative 1e-3: no line lies on it
+    top = max(W.terms, key=lambda e: abs(W.terms[e]))
+    bent = SparsePoly(4, CC, {e: c * (1 + 1e-3) if e == top else c
+                              for e, c in W.terms.items()})
+    assert not any(ok for ok, _ in lines_in_hypersurface(bent, lines, pts, CC))
+
+
+@pytest.mark.parametrize("dom", [GF(101), CC], ids=["gf101", "cc"])
+def test_five_point_line_test_needs_degree_at_most_four(dom):
+    lines = twenty_five_lines(weierstrass_images(GenusTwoCurve(
+        dom, roots=[0, 1, 2, 3, 4, 5])), dom)
+    quintic = SparsePoly(4, dom, {(5, 0, 0, 0): dom.one(), (1, 1, 1, 2): dom.one()})
+    with pytest.raises(ValueError, match="up to degree 4"):
+        lines_in_hypersurface(quintic, lines, five_line_points(lines, dom), dom)
 
 
 def test_five_line_points_are_five_points_of_each_line():
@@ -478,7 +515,8 @@ def test_phi_base_locus_and_generic(curve):
 
 
 def test_phi_constant_on_secants_and_tangents(curve):
-    assert phi_constant_on_secant(curve, random.Random(11))
+    rng = random.Random(11)
+    assert phi_constant_on_secant(curve, quadrics_through_curve(curve, rng).forms, rng)
     quadrics = quadrics_through_curve(curve, random.Random(12)).forms
     imgs = phi(quadrics, [weierstrass_tangent_sample(curve, i, 1) for i in range(6)],
                DOM).tolist()
@@ -511,7 +549,8 @@ def test_image_of_secant_hyperplane_point_matches_secant_image(curve):
 
 
 def test_kummer_sixteen_nodes(curve):
-    rep = kummer_fit(curve, random.Random(13))
+    rng = random.Random(13)
+    rep = kummer_fit(curve, quadrics_through_curve(curve, rng).forms, rng)
     assert rep.fit_nullity == 1
     assert len(rep.nodes) == 16
     assert rep.nodes_distinct

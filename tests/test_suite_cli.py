@@ -228,21 +228,30 @@ def test_cli_degenerate_web_exits_2(monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("p", [11, 13, 17, 23, 37])
+@pytest.mark.parametrize("suite, p", [pytest.param("curve", p, id=str(p))
+                                      for p in (11, 13, 17, 23, 37)]
+                         + [pytest.param("burk", p, id="burk-%d" % p)
+                            for p in (2, 3, 5, 7)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_curve_run_at_small_primes_ends_in_a_record(p, seed, tmp_path, capsys):
-    # over these fields the curve has so few points that some fit is not
-    # unique; the run reports the nullity it found in a fail record (or
-    # refuses the prime in one line), never with a traceback
+def test_curve_run_at_small_primes_ends_in_a_record(suite, p, seed, tmp_path, capsys):
+    # over these fields the curve has so few points, and the Steinerian
+    # image so few, that some fit is not unique; the run reports the
+    # nullity it found in a fail record (or refuses the prime in one line),
+    # never with a traceback
     out = tmp_path / "report.json"
-    code = main(["run", "--suite", "curve", "--p", str(p), "--seed", str(seed),
+    code = main(["run", "--suite", suite, "--p", str(p), "--seed", str(seed),
                  "--out", str(out)])
     if code == 2:
         assert capsys.readouterr().err.count("\n") == 1
         return
     assert code == 1
-    [rec] = json.loads(out.read_text())["records"]
-    assert rec["id"] == "AC11" and rec["status"] == "fail"
+    records = {r["id"]: r for r in json.loads(out.read_text())["records"]}
+    if suite == "burk":
+        rec = records["AC06"]
+        assert rec["status"] == "fail" and rec["measured"]["nullity_mod_p"] > 1
+        return
+    rec = records["AC11"]
+    assert rec["status"] == "fail"
     m = rec["measured"]
     nullities = (m["weddle_nullity"], m["kummer_nullity"], m["octic_nullity"],
                  m["quadrics_dimension"] - 3)
@@ -256,3 +265,29 @@ def test_curve_verbs_report_a_fit_that_is_not_unique(verb, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["fit_nullity"] > 1
     assert data.get("quartic", None) is None
+
+
+def test_derive_burkhardt_reports_a_fit_that_is_not_unique(capsys):
+    # over F_7 the Steinerian image pins no unique quartic: one line with
+    # the nullity, exit 1, and no quartic printed
+    assert main(["derive-burkhardt", "--field", "Fp:7"]) == 1
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.startswith("no unique quartic: interpolation nullity ")
+    assert int(got.err.split()[-1]) > 1 and got.err.count("\n") == 1
+
+
+def test_theta_run_without_a_unique_quartic_ends_in_records(monkeypatch, tmp_path):
+    # a theta-side fit that finds a 2-dimensional space of quartics fails
+    # AC10 and AC12 in their records, not with a traceback
+    import weddle.theta
+    monkeypatch.setattr(weddle.theta, "_unique_quartic",
+                        lambda draw, samples, domain: (2, None))
+    out = tmp_path / "report.json"
+    assert main(["run", "--suite", "theta", "--suite", "cross", "--out", str(out)]) == 1
+    records = {r["id"]: r for r in json.loads(out.read_text())["records"]}
+    ac10, ac12 = records["AC10"], records["AC12"]
+    assert ac10["status"] == "fail" and ac12["status"] == "fail"
+    assert ac10["measured"]["fit_nullity"] == 2
+    assert ac10["measured"]["line_residual"] == "nan"
+    assert ac12["measured"]["theta_match_distance"] is None
