@@ -26,8 +26,9 @@ print("\nkernel quartics annihilate the matrix:",
 r = steinerian_minus([1, 1, 1, 1], QQ)
 print("kernel at (1,1,1,1):", [str(x / r[2]) for x in r])
 
-B = derive_burkhardt_exact(random.Random(0))
-print("\ninterpolated invariant quartic:")
+exact = derive_burkhardt_exact(random.Random(0))
+B = exact.quartic
+print("\ninterpolated invariant quartic (symbolically certified: %s):" % exact.certified)
 for e in sorted(B.terms, reverse=True):
     print("   %s  %s" % (e, B.terms[e]))
 

@@ -216,9 +216,18 @@ def rational_reconstruct(c: int, m: int) -> Fraction:
     return Fraction(r1, s1)
 
 
-def derive_burkhardt_exact(rng, primes=(101, 103, 109)) -> SparsePoly:
+@dataclass
+class ExactBurkhardt:
+    """The rational quartic reconstructed from modular interpolation, and
+    whether burkhardt_vanishes_symbolically certified it."""
+    quartic: SparsePoly
+    certified: bool
+
+
+def derive_burkhardt_exact(rng, primes=(101, 103, 109)) -> ExactBurkhardt:
     """Exact rational invariant quartic by modular interpolation and
-    rational reconstruction, certified by symbolic re-substitution."""
+    rational reconstruction, with the outcome of its symbolic
+    re-substitution.  Raises when some prime gives no unique quartic."""
     exps = exponents_of_degree(5, 4)
     residues = []
     for p in primes:
@@ -241,9 +250,7 @@ def derive_burkhardt_exact(rng, primes=(101, 103, 109)) -> SparsePoly:
         combined.append(rational_reconstruct(c, m))
     B = SparsePoly(5, QQ, {e: c for e, c in zip(exps, combined) if c != 0})
     B = B.primitive_normalized()
-    if not burkhardt_vanishes_symbolically(B):
-        raise RuntimeError("reconstructed quartic fails symbolic certification")
-    return B
+    return ExactBurkhardt(B, burkhardt_vanishes_symbolically(B))
 
 
 def burkhardt_vanishes_symbolically(B: SparsePoly) -> bool:
@@ -346,11 +353,9 @@ def count_fibers_ff(p: int):
     img = img * scale[:, None] % p
     # one int64 key per row, its digits base p the coordinates
     _, counts = np.unique(img @ p ** np.arange(5), return_counts=True)
-    hist = {}
-    for c in counts:
-        hist[int(c)] = hist.get(int(c), 0) + 1
+    sizes, mult = np.unique(counts, return_counts=True)
     return {"p": p, "points": int(pts.shape[0]), "base_points": n_base,
-            "fiber_histogram": dict(sorted(hist.items()))}
+            "fiber_histogram": {int(k): int(v) for k, v in zip(sizes, mult)}}
 
 
 def count_base_locus_ff(p: int, k: int = 1) -> int:
@@ -370,33 +375,37 @@ def _nonresidue(p: int) -> int:
     raise AssertionError("no quadratic nonresidue")
 
 
-def _base_locus_quadratic_ext(p: int) -> int:
-    """Count over F_{p^2} = F_p[s]/(s^2 - d).  The points of P^3 are those
-    of proj_points_mod_p(p^2, 3), the integer i read as the element
-    (i mod p) + (i div p) s; coordinates are (a, b) pairs of arrays."""
+def _fp2_tables(p: int):
+    """Multiplication and addition tables of F_{p^2} = F_p[s]/(s^2 - d), d
+    the least quadratic nonresidue.  The element a + b s has the code
+    a + b p, as the integers of proj_points_mod_p(p^2, n) are read, and
+    each table is a p^2 x p^2 int32 array of codes indexed by two codes."""
     d = _nonresidue(p)
-    # entries are below p^2 <= 40000; int32 halves the coordinate arrays
-    pts = proj_points_mod_p(p * p, 3).astype(np.int32)
-    coords = [(pts[:, v] % p, pts[:, v] // p) for v in range(4)]
-    n = pts.shape[0]
-    del pts
+    b, a = np.divmod(np.arange(p * p, dtype=np.int64), p)
+    a1, b1 = a[:, None], b[:, None]
+    mul = (a1 * a + d * b1 * b) % p + p * ((a1 * b + b1 * a) % p)
+    add = (a1 + a) % p + p * ((b1 + b) % p)
+    return mul.astype(np.int32), add.astype(np.int32)
 
-    def fmul(x, y):
-        return ((x[0] * y[0] + d * (x[1] * y[1])) % p,
-                (x[0] * y[1] + x[1] * y[0]) % p)
 
+def _base_locus_quadratic_ext(p: int) -> int:
+    """Count over F_{p^2}: the points of P^3 are those of
+    proj_points_mod_p(p^2, 3), each coordinate an element code of
+    _fp2_tables, and every sum and product is one table lookup."""
+    mul, add = _fp2_tables(p)
+    coords = list(proj_points_mod_p(p * p, 3).astype(np.int32).T)
     # a point leaves as soon as one quartic is nonzero there; the first
     # quartic is a monomial, so most points leave after it
     for quartic in steinerian_quartics():
-        acc = (np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
+        acc = None
         for exp, c in quartic.terms.items():
-            term = (np.full(n, int(c) % p, dtype=np.int64),
-                    np.zeros(n, dtype=np.int64))
+            term = None
             for v, e in enumerate(exp):
                 for _ in range(e):
-                    term = fmul(term, coords[v])
-            acc = ((acc[0] + term[0]) % p, (acc[1] + term[1]) % p)
-        zero = (acc[0] == 0) & (acc[1] == 0)
-        coords = [(a[zero], b[zero]) for a, b in coords]
-        n = int(zero.sum())
-    return n
+                    term = coords[v] if term is None else mul[term, coords[v]]
+            # c is in F_p, so its code is its residue
+            term = mul[int(c) % p][term]
+            acc = term if acc is None else add[acc, term]
+        zero = acc == 0
+        coords = [x[zero] for x in coords]
+    return len(coords[0])

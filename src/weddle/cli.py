@@ -82,7 +82,11 @@ def cmd_derive_burkhardt(args):
     from .poly import poly_to_text
     rng = random.Random(args.seed)
     if args.field == "Q":
-        B = derive_burkhardt_exact(rng)
+        exact = derive_burkhardt_exact(rng)
+        B = exact.quartic
+        if not exact.certified:
+            sys.stderr.write("reconstructed quartic fails symbolic certification\n")
+            return 1
     elif args.field.startswith("Fp:"):
         d = derive_burkhardt(GF(int(args.field.split(":")[1])), rng)
         B = d.quartic

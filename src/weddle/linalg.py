@@ -13,10 +13,12 @@ avoid division entirely so they also work on polynomial matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
-from .fields import ComplexField, Domain, GF, PrimeField
+from .fields import ComplexField, Domain, GF, PrimeField, RationalField
 from .poly import SparsePoly, exponents_of_degree
 
 
@@ -371,11 +373,26 @@ def sub_pfaffian_kernel(m):
 
 
 def adjugate(m):
-    """Classical adjugate: m . adj(m) = det(m) . I exactly."""
+    """Classical adjugate: m . adj(m) = det(m) . I exactly.
+
+    A matrix over Q (entries int or Fraction) is scaled to integers by one
+    common denominator, and all its cofactors come from one table of smaller
+    integer minors; the entries are Fractions if any entry was one, else
+    ints.  Every other matrix, polynomial entries included, takes one
+    det_ring call per cofactor."""
     M = m if isinstance(m, Matrix) else Matrix(m)
     if not M.is_square():
         raise ShapeError("adjugate of a non-square matrix")
     n = M.nrows
+    entries = [x for row in M.rows for x in row]
+    if all(isinstance(x, (int, Fraction)) for x in entries):
+        den = lcm(*(x.denominator for x in entries))
+        adj = _int_adjugate([[x.numerator * (den // x.denominator) for x in row]
+                             for row in M.rows])
+        if any(isinstance(x, Fraction) for x in entries):
+            scale = den ** (n - 1)
+            adj = [[Fraction(c, scale) for c in row] for row in adj]
+        return Matrix(adj)
     out = []
     for i in range(n):
         row = []
@@ -386,6 +403,36 @@ def adjugate(m):
             row.append(c)
         out.append(row)
     return Matrix(out)
+
+
+def _int_adjugate(a):
+    """Adjugate of a square matrix of ints.  Each cofactor is a minor on all
+    rows but one, expanded along its first row; the minors of that
+    expansion, keyed by row and column bitmasks, form one table that all
+    n^2 cofactors share."""
+    n = len(a)
+    table = {}
+
+    def minor(rows, cols):
+        if not rows:
+            return 1
+        key = (rows, cols)
+        hit = table.get(key)
+        if hit is None:
+            i = (rows & -rows).bit_length() - 1
+            rest = rows & (rows - 1)
+            hit, sign = 0, 1
+            for j in range(n):
+                if cols >> j & 1:
+                    if a[i][j]:
+                        hit += sign * a[i][j] * minor(rest, cols & ~(1 << j))
+                    sign = -sign
+            table[key] = hit
+        return hit
+
+    full = (1 << n) - 1
+    return [[(-1) ** (i + j) * minor(full & ~(1 << j), full & ~(1 << i))
+             for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -588,21 +635,19 @@ def _array_form(rows, domain: Domain) -> np.ndarray:
     return np.array([[_elem(x, domain) for x in r] for r in rows], dtype=dtype)
 
 
-def _monomial_columns(pts: np.ndarray, exps, domain: Domain):
-    """Yield the column x^e over the rows of pts (in the domain's array form)
-    for each exponent vector e, all from one table of powers of the points.
-    Over GF(p) every product is reduced mod p."""
-    p = domain.p if isinstance(domain, PrimeField) else None
-
+def _monomial_columns(pts: np.ndarray, exps, one, p: int | None = None):
+    """Yield the column x^e over the rows of pts for each exponent vector e,
+    all from one table of powers of the points; `one` is the column of the
+    empty product.  With p given, every product is reduced mod p."""
     def mul(a, b):
         return a * b if p is None else a * b % p
 
     powers = [np.ascontiguousarray(pts.T)]
     for _ in range(max((max(e) for e in exps), default=1) - 1):
         powers.append(mul(powers[-1], powers[0]))
-    one = np.full(pts.shape[0], _elem(1, domain), dtype=pts.dtype)
+    ones = np.full(pts.shape[0], one, dtype=pts.dtype)
     for exp in exps:
-        col = one
+        col = ones
         for v, e in enumerate(exp):
             if e:
                 col = mul(col, powers[e - 1][v])
@@ -615,22 +660,69 @@ def eval_polys(polys, points, domain: Domain) -> np.ndarray:
     coerced into the domain, except that an int64 array of points over GF(p)
     or a complex one over CC is used as an array; p must pass
     check_int64_prime.  The monomial columns are streamed one at a time,
-    each computed once however many of the polynomials share it."""
+    each computed once however many of the polynomials share it.
+
+    Over GF(p), a value is reduced once, at the end, while every partial
+    sum fits int64 (see _delays_reduction), and otherwise after every
+    product.  Over Q the arithmetic is on ints (see _eval_polys_rational)."""
     p = domain.p if isinstance(domain, PrimeField) else None
     if p is not None:
         check_int64_prime(p)
     pts = _array_form(points, domain)
     exps = sorted({e for f in polys for e in f.terms})
+    if isinstance(domain, RationalField):
+        return _eval_polys_rational(polys, pts, exps)
     coeffs = [{e: _elem(c, domain) for e, c in f.terms.items()} for f in polys]
+    delayed = p is not None and _delays_reduction(
+        p, max((sum(e) for e in exps), default=0), len(exps))
     out = np.full((len(polys), pts.shape[0]), _elem(0, domain), dtype=pts.dtype)
-    for exp, col in zip(exps, _monomial_columns(pts, exps, domain)):
+    columns = _monomial_columns(pts, exps, _elem(1, domain), None if delayed else p)
+    for exp, col in zip(exps, columns):
         for row, cf in zip(out, coeffs):
             if exp in cf:
                 row += cf[exp] * col
-                if p is not None:
+                if p is not None and not delayed:
                     # both factors are below p, so the sum stays below p^2
                     row %= p
+    if delayed:
+        out %= p
     return out.T
+
+
+def _delays_reduction(p: int, degree: int, monomials: int) -> bool:
+    """Whether eval_polys reduces a value mod p only once: a term is a
+    coefficient times a monomial, at most (p-1)^(degree+1), and a value sums
+    at most `monomials` of them, so its partial sums stay within int64."""
+    return (p - 1) ** (degree + 1) * monomials < 2 ** 63
+
+
+def _eval_polys_rational(polys, pts: np.ndarray, exps) -> np.ndarray:
+    """eval_polys over Q on Python ints.  The points are scaled by one
+    common denominator D and each form's coefficients by one of their own,
+    D_f; a monomial of degree k is weighted by D^(d-k), d the largest
+    degree, so a value is one int over D_f D^d, and one Fraction."""
+    n = pts.shape[0]
+    den = lcm(*(x.denominator for x in pts.flat))
+    ints = np.array([x.numerator * (den // x.denominator) for x in pts.flat],
+                    dtype=object).reshape(pts.shape)
+    degree = max((sum(e) for e in exps), default=0)
+    forms, dens = [], []
+    for f in polys:
+        cs = {e: Fraction(c) for e, c in f.terms.items()}
+        d_f = lcm(*(c.denominator for c in cs.values()))
+        forms.append({e: c.numerator * (d_f // c.denominator) * den ** (degree - sum(e))
+                      for e, c in cs.items()})
+        dens.append(d_f * den ** degree)
+    out = np.zeros((len(polys), n), dtype=object)
+    if n:
+        for exp, col in zip(exps, _monomial_columns(ints, exps, 1)):
+            for row, cf in zip(out, forms):
+                if exp in cf:
+                    row += cf[exp] * col
+    vals = np.empty_like(out)
+    for row, acc, d in zip(vals, out, dens):
+        row[:] = [Fraction(v, d) for v in acc]
+    return vals.T
 
 
 def count_common_zeros_mod_p(forms, p: int) -> int:
@@ -685,7 +777,8 @@ def fit_hypersurface(points, degree: int, domain: Domain) -> FitResult:
         top = np.abs(pts).max(axis=1, keepdims=True)
         pts = pts / np.where(top > 0, top, 1.0)
     a = np.empty((len(points), len(exps)), dtype=pts.dtype)
-    for k, col in enumerate(_monomial_columns(pts, exps, domain)):
+    p = domain.p if isinstance(domain, PrimeField) else None
+    for k, col in enumerate(_monomial_columns(pts, exps, _elem(1, domain), p)):
         a[:, k] = col
     thr = s = None
     if isinstance(domain, PrimeField):

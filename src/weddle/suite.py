@@ -19,8 +19,8 @@ import numpy as np
 
 from . import burkhardt, curves, heisenberg, symplectic, theta
 from .fields import GF, QQ, Cyc, QW
-from .linalg import (Matrix, chordal_distance, count_common_zeros_mod_p,
-                     nullspace, proj_ratio)
+from .linalg import (adjugate, chordal_distance, count_common_zeros_mod_p,
+                     eval_polys, nullspace, proj_ratio)
 from .poly import aligned_coefficients
 
 SUITES = ("sympchar", "heis", "burk", "theta", "curve", "cross")
@@ -229,20 +229,18 @@ def check_skew_kernel(ctx: Context) -> CheckRecord:
     scale = r1[2]
     pinned = [x / scale for x in r1] == [Fraction(v) for v in (6, -3, 1, 1, 1)]
     # independent oracle: naive elimination kernel of the evaluated matrix
-    vals = [[Mm.rows[i][j].evaluate([Fraction(1)] * 4) for j in range(5)]
-            for i in range(5)]
+    entries = [x for row in Mm.rows for x in row]
+    vals = eval_polys(entries, [[1] * 4], QQ).reshape(5, 5).tolist()
     basis = nullspace(vals, QQ, method="naive")
     oracle = len(basis) == 1 and proj_ratio(basis[0], r1, QQ) is not None
-    from .linalg import adjugate
     adj_ok = True
-    for _ in range(20):
-        z = [Fraction(rng.randint(-9, 9)) for _ in range(4)]
-        rv = burkhardt.steinerian_minus(z, QQ)
-        if rv is None:
-            continue
-        ev = Matrix([[Mm.rows[i][j].evaluate(z) for j in range(5)] for i in range(5)])
+    zs = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(20)]
+    for rv, ev in zip(eval_polys(quartics, zs, QQ), eval_polys(entries, zs, QQ)):
+        if not rv.any():
+            continue  # a base point
         # adj = lam r r^t with lam != 0
-        adj_ok &= proj_ratio([x for r in adjugate(ev).rows for x in r],
+        adj = adjugate(ev.reshape(5, 5).tolist())
+        adj_ok &= proj_ratio([x for r in adj.rows for x in r],
                              [a * b for a in rv for b in rv], QQ) is not None
     indep = _quartics_linearly_independent(quartics)
     ok = sym_ok and pinned and oracle and adj_ok and indep
@@ -267,15 +265,13 @@ def check_burkhardt_derivation(ctx: Context) -> CheckRecord:
     rng = child_rng(ctx.cfg, "AC06")
     dom = GF(ctx.cfg.p)
     dp = burkhardt.derive_burkhardt(dom, rng)
-    B = ctx.burkhardt_exact()
+    exact = ctx.burkhardt_exact()
+    B = exact.quartic
     agree = B.map_coefficients(dom, dom.coerce) == dp.quartic
-    vanish = True
-    for _ in range(50):
-        z = [Fraction(rng.randint(-9, 9)) for _ in range(4)]
-        rv = burkhardt.steinerian_minus(z, QQ)
-        if rv is None:
-            continue
-        vanish &= (B.evaluate(rv) == 0)
+    zs = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(50)]
+    rvs = eval_polys(burkhardt.steinerian_quartics(), zs, QQ)
+    rvs = rvs[[bool(rv.any()) for rv in rvs]]  # base points dropped
+    vanish = not eval_polys([B], rvs, QQ).any()
     BQW = B.map_coefficients(QW, lambda c: Cyc(c))
     inv_ok = True
     for M in heisenberg.standard_sp4_generators():
@@ -284,17 +280,25 @@ def check_burkhardt_derivation(ctx: Context) -> CheckRecord:
         if proj_ratio(*aligned_coefficients([moved], [BQW]), QW) is None:
             inv_ok = False
             break
-    ok = dp.nullity == 1 and agree and vanish and inv_ok
+    ok = dp.nullity == 1 and agree and vanish and inv_ok and exact.certified
     return CheckRecord("AC06", "invariant quartic by interpolation, certified and invariant",
                        "pass" if ok else "fail",
                        {"nullity_mod_p": dp.nullity, "agrees_mod_p": agree,
                         "vanishes_on_fresh_50": vanish,
                         "invariant_under_even_action": inv_ok,
-                        "symbolically_certified": True})
+                        "symbolically_certified": exact.certified})
+
+
+HESSIAN_CLAIM = "second partials of the quartic reproduce the symmetric matrix"
 
 
 def check_hessian(ctx: Context) -> CheckRecord:
-    B = ctx.burkhardt_exact()
+    exact = ctx.burkhardt_exact()
+    if not exact.certified:
+        return CheckRecord("AC07", HESSIAN_CLAIM, "fail",
+                           {"error": "the reconstructed quartic failed symbolic "
+                                     "certification"})
+    B = exact.quartic
     matches = burkhardt.hessian_match(B)
     scalars = {m.scalar for m in matches}
     has_identity = any(m.permutation == (0, 1, 2, 3, 4) and m.signs == (1,) * 5
@@ -308,9 +312,7 @@ def check_hessian(ctx: Context) -> CheckRecord:
     deg = burkhardt.hessian_determinant_degree(B)
     ok = (len(matches) > 0 and len(scalars) == 1 and has_identity
           and all_symmetries and deg == 10)
-    return CheckRecord("AC07",
-                       "second partials of the quartic reproduce the symmetric matrix",
-                       "pass" if ok else "fail",
+    return CheckRecord("AC07", HESSIAN_CLAIM, "pass" if ok else "fail",
                        {"scalar": str(next(iter(scalars))) if scalars else None,
                         "identity_match": has_identity,
                         "match_count": len(matches),

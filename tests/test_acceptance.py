@@ -183,16 +183,26 @@ def test_benchmark_workload_matches_reference(workload, tmp_path):
     assert _drift(ref, got, workload) == []
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_curve_p1000003_report_is_unchanged(seed):
-    # `weddle run --suite curve --p 1000003 --seed N`, held byte for byte
-    # (floats included) to data/curve_p1000003_seed<N>.json; only the
-    # runtimes are dropped
-    path = Path(__file__).parent / "data" / ("curve_p1000003_seed%d.json" % seed)
-    ref = json.loads(path.read_text())
-    got = json.loads(report_to_json(run_suite(RunConfig(suites=("curve",), p=1000003,
-                                                        seed=seed))))
+def _unchanged(name, cfg):
+    """The report of cfg against data/<name>.json, byte for byte (floats
+    included) but for the runtimes."""
+    ref = json.loads((Path(__file__).parent / "data" / ("%s.json" % name)).read_text())
+    got = json.loads(report_to_json(run_suite(cfg)))
     for report in (ref, got):
         for rec in report["records"]:
             del rec["runtime_ms"]
-    assert got == ref
+    return got == ref
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_curve_p1000003_report_is_unchanged(seed):
+    # `weddle run --suite curve --p 1000003 --seed N`
+    assert _unchanged("curve_p1000003_seed%d" % seed,
+                      RunConfig(suites=("curve",), p=1000003, seed=seed))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_burk_p101_report_is_unchanged(seed):
+    # `weddle run --suite burk --p 101 --seed N`
+    assert _unchanged("burk_p101_seed%d" % seed,
+                      RunConfig(suites=("burk",), p=101, seed=seed))

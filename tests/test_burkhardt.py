@@ -8,7 +8,7 @@ import pytest
 
 import weddle.burkhardt as burkhardt
 from weddle.burkhardt import (ResourceCapError, _base_locus_quadratic_ext,
-                              _nonresidue, _sample_steinerian_points,
+                              _fp2_tables, _nonresidue, _sample_steinerian_points,
                               burkhardt_vanishes_symbolically,
                               count_base_locus_ff, count_fibers_ff,
                               derive_burkhardt, derive_burkhardt_exact,
@@ -180,7 +180,9 @@ def test_derive_burkhardt_exact_needs_a_unique_quartic(monkeypatch):
 
 
 def test_derive_burkhardt_exact_and_certified():
-    B = derive_burkhardt_exact(random.Random(11))
+    exact = derive_burkhardt_exact(random.Random(11))
+    assert exact.certified
+    B = exact.quartic
     assert burkhardt_vanishes_symbolically(B)
     # interpolation nullity over Q is exactly 1: the mod-p nullity is 1 and
     # a nonzero rational quartic exists, so 1 bounds it from both sides
@@ -191,7 +193,7 @@ def test_derive_burkhardt_exact_and_certified():
 
 
 def test_burkhardt_vanishes_on_fresh_points():
-    B = derive_burkhardt_exact(random.Random(11))
+    B = derive_burkhardt_exact(random.Random(11)).quartic
     count = 0
     while count < 50:
         z = [Fraction(rng.randint(-9, 9)) for _ in range(4)]
@@ -232,7 +234,7 @@ def _brute_force_hessian_matches(B):
 
 
 def test_hessian_match():
-    B = derive_burkhardt_exact(random.Random(11))
+    B = derive_burkhardt_exact(random.Random(11)).quartic
     matches = hessian_match(B)
     assert [(m.scalar, m.permutation, m.signs) for m in matches] \
         == _brute_force_hessian_matches(B)
@@ -328,6 +330,71 @@ def test_base_locus_filter_matches_all_quartics():
     assert _base_locus_quadratic_ext(7) == _base_locus_all_quartics(7) == 40
 
 
+def _base_locus_fmul(p: int) -> int:
+    """The count over F_{p^2} as it was before the element tables: (a, b)
+    pairs of arrays and one fmul per product."""
+    d = _nonresidue(p)
+    # entries are below p^2 <= 40000; int32 halves the coordinate arrays
+    pts = proj_points_mod_p(p * p, 3).astype(np.int32)
+    coords = [(pts[:, v] % p, pts[:, v] // p) for v in range(4)]
+    n = pts.shape[0]
+    del pts
+
+    def fmul(x, y):
+        return ((x[0] * y[0] + d * (x[1] * y[1])) % p,
+                (x[0] * y[1] + x[1] * y[0]) % p)
+
+    # a point leaves as soon as one quartic is nonzero there; the first
+    # quartic is a monomial, so most points leave after it
+    for quartic in steinerian_quartics():
+        acc = (np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
+        for exp, c in quartic.terms.items():
+            term = (np.full(n, int(c) % p, dtype=np.int64),
+                    np.zeros(n, dtype=np.int64))
+            for v, e in enumerate(exp):
+                for _ in range(e):
+                    term = fmul(term, coords[v])
+            acc = ((acc[0] + term[0]) % p, (acc[1] + term[1]) % p)
+        zero = (acc[0] == 0) & (acc[1] == 0)
+        coords = [(a[zero], b[zero]) for a, b in coords]
+        n = int(zero.sum())
+    return n
+
+
+def test_table_count_matches_fmul_count():
+    assert _base_locus_quadratic_ext(7) == _base_locus_fmul(7) == 40
+
+
+@pytest.mark.parametrize("p", [7, 13, 31])
+def test_fp2_tables_follow_the_formulas(p):
+    # the code a + b p is a + b s with s^2 = d; checked on every pair at
+    # p = 7 and on a sample of pairs above, plus the field axioms
+    mul, add = _fp2_tables(p)
+    d, q = _nonresidue(p), p * p
+    assert mul.shape == add.shape == (q, q)
+    local = random.Random(p)
+    pairs = (product(range(q), repeat=2) if p == 7 else
+             [(local.randrange(q), local.randrange(q)) for _ in range(3000)])
+    for x, y in pairs:
+        a, b, c, e = x % p, x // p, y % p, y // p
+        assert mul[x, y] == (a * c + d * b * e) % p + p * ((a * e + b * c) % p)
+        assert add[x, y] == (a + c) % p + p * ((b + e) % p)
+    assert (mul == mul.T).all() and (add == add.T).all()
+    assert (mul[1] == np.arange(q)).all() and (mul[0] == 0).all()
+    assert (add[0] == np.arange(q)).all()
+    assert mul[p, p] == d  # s^2 = d
+    # every nonzero element is invertible: its row is a permutation
+    assert (np.sort(mul[1:], axis=1) == np.arange(q)).all()
+
+
+def test_fp2_tables_are_not_built_above_the_cap(monkeypatch):
+    built = []
+    monkeypatch.setattr(burkhardt, "_fp2_tables", lambda p: built.append(p))
+    with pytest.raises(ResourceCapError):
+        count_base_locus_ff(13, 2)
+    assert built == []
+
+
 def _scalar_steinerian_sample(domain, rng, count):
     """One z at a time through steinerian_minus; the kept points as
     residues and the number of z drawn."""
@@ -414,7 +481,7 @@ def test_burkhardt_invariance_under_even_action():
     from weddle.fields import Cyc, QW
     from weddle.heisenberg import (standard_sp4_generators,
                                    upsilon_plus_substitution)
-    B = derive_burkhardt_exact(random.Random(11))
+    B = derive_burkhardt_exact(random.Random(11)).quartic
     BQW = B.map_coefficients(QW, lambda c: Cyc(c))
     for M in standard_sp4_generators():
         moved = BQW.substitute_linear(upsilon_plus_substitution(M))

@@ -14,8 +14,9 @@ from weddle.linalg import (Matrix, ShapeError, UnsupportedDomainError,
                            nullspace_mod_p, pfaffian, proj_points_mod_p,
                            proj_ratio, rank, rref_bareiss, rref_mod_p,
                            rref_naive, sub_pfaffian_kernel)
-from weddle.linalg import _PANEL, _panel_plan, check_int64_prime
-from weddle.poly import SparsePoly, aligned_coefficients
+from weddle.linalg import (_PANEL, _delays_reduction, _panel_plan,
+                           check_int64_prime)
+from weddle.poly import SparsePoly, aligned_coefficients, exponents_of_degree
 
 # the classical skew quadric-coefficient pattern, evaluated at Z = (1,1,1,1);
 # reproducing its kernel is required before the Steinerian construction
@@ -170,6 +171,62 @@ def test_adjugate_of_corank_one_skew_has_rank_one():
     assert rank(m, QQ) == 4
     adj = adjugate(m)
     assert rank(adj.rows, QQ) == 1
+
+
+def _det_ring_adjugate(m):
+    """The adjugate as one det_ring call per cofactor."""
+    n = len(m)
+    return [[(-1) ** (i + j) * det_ring(Matrix(m).delete_row_col(j, i))
+             for j in range(n)] for i in range(n)]
+
+
+def test_rational_adjugate_matches_det_ring_cofactors():
+    rng = random.Random(12)
+
+    def frac():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    cases = [[[Fraction(0)] * n for _ in range(n)] for n in (2, 3, 5)]
+    for n in (2, 3, 4, 5):
+        m = [[frac() for _ in range(n)] for _ in range(n)]
+        cases.append(m)
+        # singular: the last row is the sum of the first two
+        cases.append(m[:-1] + [[a + b for a, b in zip(m[0], m[1])]])
+        if n > 2:
+            # rank at most n - 2: every cofactor vanishes
+            cases.append(m[:-2] + [m[0], [2 * x for x in m[1]]])
+    for n in (3, 5):
+        skew = rand_skew(rng, n)
+        skew[0][1], skew[1][0] = Fraction(1, 3), Fraction(-1, 3)
+        cases.append(skew)  # odd skew: corank one
+    cases.append([[1, Fraction(1, 2)], [3, 4]])  # ints mixed with Fractions
+    for m in cases:
+        adj = adjugate(m)
+        assert adj.rows == _det_ring_adjugate(m)
+        assert all(type(x) is Fraction for r in adj.rows for x in r)
+    assert rank(adjugate(rand_skew(rng, 5)).rows, QQ) == 1
+    # an int matrix keeps int entries
+    ints = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
+    adj = adjugate(ints)
+    assert adj.rows == _det_ring_adjugate(ints)
+    assert all(type(x) is int for r in adj.rows for x in r)
+
+
+def test_adjugate_over_other_rings_keeps_the_det_ring_path(monkeypatch):
+    import weddle.linalg
+
+    def no_table(a):
+        raise AssertionError("the integer minor table is only for Q")
+
+    monkeypatch.setattr(weddle.linalg, "_int_adjugate", no_table)
+    rng = random.Random(13)
+    dom = GF(31)
+    x, y = (SparsePoly.variable(i, 2, QQ) for i in range(2))
+    for m in ([[dom.random(rng) for _ in range(3)] for _ in range(3)],
+              [[Cyc(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(3)]
+               for _ in range(3)],
+              [[x, y, x * y], [y, 3 * x, x + y], [y * y, x, 2 * y]]):
+        assert adjugate(m).rows == _det_ring_adjugate(m)
 
 
 def test_det_ring_matches_bareiss():
@@ -536,6 +593,78 @@ def test_eval_polys_agrees_with_scalar_evaluation(polys, dom, data):
                 assert vals[i, j] == want
             else:
                 assert vals.dtype == np.int64 and vals[i, j] == want.val
+
+
+def _eval_per_product(polys, pts, dom):
+    """Scalar evaluation with Fp objects, which reduce after every product."""
+    return [[f.evaluate([dom.coerce(int(x)) for x in pt]).val for f in polys]
+            for pt in pts]
+
+
+# the primes of the delayed-reduction oracle, and whether each has degrees
+# 0..8 on both sides of the bound (3 variables, at most 165 monomials)
+DELAY_PRIMES = {2: {True}, 3: {True}, 31: {True}, 101: {True, False},
+                1000003: {True, False}, P_INT64_MAX: {True, False}}
+
+
+@pytest.mark.parametrize("p", sorted(DELAY_PRIMES))
+def test_delayed_reduction_matches_per_product_reduction(p):
+    # every coefficient and coordinate p - 1 is the largest partial sum the
+    # bound allows; counts of 1, 2, 9, 10 and all monomials straddle it
+    dom = GF(p)
+    rng = random.Random(p)
+    sides = set()
+    for degree in range(9):
+        top = exponents_of_degree(3, degree)
+        lower = [e for k in range(degree) for e in exponents_of_degree(3, k)]
+        for count in sorted({1, 2, 9, 10, len(top) + len(lower)}):
+            if count > len(top) + len(lower):
+                continue
+            support = (top + lower)[:count]
+            worst = SparsePoly(3, dom, {e: dom.coerce(p - 1) for e in support})
+            drawn = SparsePoly(3, dom, {e: dom.random(rng) for e in support})
+            pts = np.array([[p - 1] * 3, [0] * 3, [1, p - 1, 0]]
+                           + [[rng.randrange(p) for _ in range(3)] for _ in range(3)],
+                           dtype=np.int64)
+            got = eval_polys([worst, drawn], pts, dom)
+            assert got.dtype == np.int64
+            assert got.tolist() == _eval_per_product([worst, drawn], pts, dom)
+            sides.add(_delays_reduction(p, degree, len(
+                {e for f in (worst, drawn) for e in f.terms})))
+    assert sides == DELAY_PRIMES[p]
+
+
+def test_delayed_reduction_bound_is_tight():
+    # one linear monomial at the largest int64 prime still fits, two do not
+    assert _delays_reduction(P_INT64_MAX, 1, 1)
+    assert not _delays_reduction(P_INT64_MAX, 1, 2)
+    assert _delays_reduction(101, 8, 9) and not _delays_reduction(101, 8, 10)
+    assert 100 ** 9 * 9 < 2 ** 63 <= 100 ** 9 * 10
+
+
+def test_rational_eval_polys_matches_scalar_evaluation():
+    rng = random.Random(14)
+
+    def frac():
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+    mons = [e for k in range(6) for e in exponents_of_degree(3, k)]
+    forms = [SparsePoly.zero(3, QQ), SparsePoly.constant(3, QQ, Fraction(-7, 3)),
+             SparsePoly.constant(3, QQ, 5)]
+    # mixed degrees 0..5, non-integral coefficients
+    forms += [SparsePoly(3, QQ, {e: frac() for e in rng.sample(mons, 8)})
+              for _ in range(4)]
+    pts = [[frac() for _ in range(3)] for _ in range(6)]
+    pts += [[0, 0, 0], [1, Fraction(1, 2), 3], [Fraction(2, 3)] * 3]
+    vals = eval_polys(forms, pts, QQ)
+    assert vals.shape == (len(pts), len(forms))
+    for i, pt in enumerate(pts):
+        pt = [Fraction(x) for x in pt]
+        for j, f in enumerate(forms):
+            assert type(vals[i, j]) is Fraction
+            assert vals[i, j] == f.evaluate(pt)
+    assert eval_polys(forms, [], QQ).shape == (0, len(forms))
+    assert eval_polys([], pts, QQ).shape == (len(pts), 0)
 
 
 def test_prime_field_fit_reads_rational_points_exactly():

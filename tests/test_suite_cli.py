@@ -291,3 +291,33 @@ def test_theta_run_without_a_unique_quartic_ends_in_records(monkeypatch, tmp_pat
     assert ac10["measured"]["fit_nullity"] == 2
     assert ac10["measured"]["line_residual"] == "nan"
     assert ac12["measured"]["theta_match_distance"] is None
+
+
+def test_uncertified_quartic_fails_ac06_and_ac07(monkeypatch, tmp_path):
+    # a reconstructed quartic that fails symbolic re-substitution is a
+    # failed AC06 and AC07, reported in their records, not a traceback
+    import weddle.burkhardt
+    monkeypatch.setattr(weddle.burkhardt, "burkhardt_vanishes_symbolically",
+                        lambda B: False)
+    out = tmp_path / "report.json"
+    assert main(["run", "--suite", "burk", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    records = {r["id"]: r for r in report["records"]}
+    assert report["failures"] == 2
+    assert records["AC05"]["status"] == "pass"
+    assert records["AC08"]["status"] == "soft"
+    assert records["AC06"]["status"] == "fail"
+    assert records["AC06"]["measured"]["symbolically_certified"] is False
+    assert records["AC07"]["status"] == "fail"
+    assert "certification" in records["AC07"]["measured"]["error"]
+
+
+def test_derive_burkhardt_over_q_reports_a_failed_certification(monkeypatch, capsys):
+    import weddle.burkhardt
+    monkeypatch.setattr(weddle.burkhardt, "burkhardt_vanishes_symbolically",
+                        lambda B: False)
+    assert main(["derive-burkhardt", "--field", "Q"]) == 1
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == "reconstructed quartic fails symbolic certification\n"
+
