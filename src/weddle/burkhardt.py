@@ -32,7 +32,7 @@ from .heisenberg import REPS, idx2, involution_j, rep_of
 from .linalg import (Matrix, ShapeError, count_common_zeros_mod_p, eval_polys,
                      fit_hypersurface, nullspace, proj_points_mod_p, proj_ratio,
                      sub_pfaffian_kernel)
-from .poly import SparsePoly, aligned_coefficients, exponents_of_degree
+from .poly import SparsePoly, exponents_of_degree
 from .symplectic import ResourceCapError, check_enum_cap
 
 D_SCALE = (1, 2, 2, 2, 2)
@@ -315,12 +315,6 @@ def _transform_monomial_matrix(M: Matrix, perm, signs):
     Y_{perm(k)} renamed to s_k Y_k."""
     return Matrix([[SparsePoly(5, QQ, dict(_transformed_terms(M, perm, signs, i, j)))
                     for j in range(5)] for i in range(5)])
-
-
-def matrix_ratio(A: Matrix, B: Matrix):
-    """The rational c with A = c B for matrices of polynomials, or None."""
-    return proj_ratio(*aligned_coefficients([x for r in A.rows for x in r],
-                                            [x for r in B.rows for x in r]), QQ)
 
 
 def hessian_determinant_degree(B: SparsePoly) -> int:

@@ -21,10 +21,9 @@ from itertools import combinations
 import numpy as np
 
 from .fields import ComplexField, Domain, PrimeField
-from .linalg import (FitResult, Matrix, _array_form, chordal_distance, det_ring,
-                     eval_polys, fit_hypersurface, nullspace, proj_ratio, rank,
-                     solve_overdetermined)
-from .poly import SparsePoly, aligned_coefficients, exponents_of_degree
+from .linalg import (FitResult, Matrix, _array_form, all_distinct, det_ring, eval_polys,
+                     fit_hypersurface, nullspace, proj_distance, rank, same_point)
+from .poly import SparsePoly, exponents_of_degree
 
 # the ten splits of six nodes into two complementary triples
 TRIPLE_SPLITS = tuple((tri, tuple(i for i in range(6) if i not in tri))
@@ -414,12 +413,7 @@ def _six_node_checks(W: SparsePoly | None, nodes, domain: Domain):
     if W is None:
         return math.nan, [(False, math.nan)] * len(lines), len(rigid), math.nan
     G = rigid.unique
-    if G is None:
-        distance = math.nan
-    elif domain.is_exact:
-        distance = 0.0 if _same_point(*aligned_coefficients([G], [W]), domain) else 1.0
-    else:
-        distance = chordal_distance(*map(list, aligned_coefficients([G], [W])))
+    distance = math.nan if G is None else proj_distance([G], [W], domain)
     return (singular_residual(W, nodes, domain),
             lines_in_hypersurface(W, lines, pts, domain), len(rigid), distance)
 
@@ -485,10 +479,12 @@ def symmetroid(nodes, domain: Domain) -> SymmetroidReport:
         prod = [a[i] * b[j] + a[j] * b[i] for i in range(4) for j in range(4)]
         if rank([prod[4 * i:4 * i + 4] for i in range(4)], domain) != 2:
             raise DegenerateConfiguration("plane pair quadric does not have rank 2")
-        # express the plane-pair quadric in the pencil basis
-        t = solve_overdetermined([pencil.rows[r] for r in upper],
-                                 [prod[r] for r in upper], domain)
-        rank2.append(t)
+        # the plane-pair quadric in the pencil basis: the kernel vector
+        # (t, -1) of [pencil | plane pair] on the upper-triangle entries
+        kern = nullspace([pencil.rows[r] + [prod[r]] for r in upper], domain)
+        if len(kern) != 1 or domain.is_zero(kern[0][4]):
+            raise RuntimeError("right-hand side is not in the column span")
+        rank2.append([-x / kern[0][4] for x in kern[0][:4]])
     return SymmetroidReport(F, rank3, rank2, singular_residual(F, rank3 + rank2, domain),
                             len(web))
 
@@ -608,9 +604,9 @@ def kummer_fit(curve: GenusTwoCurve, quadrics, rng) -> KummerReport:
     imgs = phi(quadrics, np.concatenate([_span_points(1, ws[i], 1, ws[j], domain),
                                          tangents]), domain)
     # the six tangent lines at branch points share one image point
-    origin_consistent = all(_same_point(imgs[15], img, domain) for img in imgs[16:])
+    origin_consistent = all(same_point(imgs[15], img, domain) for img in imgs[16:])
     nodes = list(imgs[:16])
-    return KummerReport(K, nodes, len(fit), _all_distinct(nodes, domain),
+    return KummerReport(K, nodes, len(fit), all_distinct(nodes, domain),
                         K is not None and singular_residual(K, nodes, domain) < 1e-5,
                         origin_consistent)
 
@@ -636,23 +632,6 @@ def _vanishes(values, domain: Domain, tol: float, axis=None):
     return bool(zero.all()) if axis is None else zero.all(axis=axis)
 
 
-def _same_point(u, v, domain: Domain, tol: float = 1e-8) -> bool:
-    """Projective equality: exact by proj_ratio, floating by chordal distance."""
-    if domain.is_exact:
-        # rows of an array compare as Python scalars
-        u, v = (x.tolist() if isinstance(x, np.ndarray) else x for x in (u, v))
-        return proj_ratio(u, v, domain) is not None
-    return chordal_distance([complex(x) for x in u], [complex(x) for x in v]) < tol
-
-
-def _all_distinct(points, domain: Domain) -> bool:
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if _same_point(points[i], points[j], domain):
-                return False
-    return True
-
-
 def phi_constant_on_secant(curve: GenusTwoCurve, quadrics, rng) -> bool:
     """The classifying map, by the curve quadrics, contracts each secant
     line to a point: ten random secants, each at P + t Q for t = 1, 2, 3;
@@ -663,8 +642,8 @@ def phi_constant_on_secant(curve: GenusTwoCurve, quadrics, rng) -> bool:
         imgs = eval_polys(quadrics, _span_points(1, P, np.arange(1, 4), Q, domain), domain)
         if _vanishes(imgs, domain, 1e-12, axis=1).any():
             continue
-        if not (_same_point(imgs[0], imgs[1], domain)
-                and _same_point(imgs[0], imgs[2], domain)):
+        if not (same_point(imgs[0], imgs[1], domain)
+                and same_point(imgs[0], imgs[2], domain)):
             return False
     return True
 
@@ -702,8 +681,8 @@ def sec_octic(curve: GenusTwoCurve, rng,
     if F is None:
         return SecantOcticReport(None, len(fit), False, False, False)
     fresh_ok = _vanishes(eval_polys([F], fresh, domain), domain, 1e-6)
-    is_square = weddle is not None and _same_point(
-        *aligned_coefficients([restrict_to_hyperplane(F)], [weddle * weddle]), domain)
+    is_square = weddle is not None and same_point(
+        [restrict_to_hyperplane(F)], [weddle * weddle], domain)
     curve_sing = singular_residual(F, on_curve, domain) < 1e-5
     return SecantOcticReport(F, 1, is_square, fresh_ok, curve_sing)
 

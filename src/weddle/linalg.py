@@ -238,27 +238,6 @@ def rank(m, domain: Domain):
     return len(pivots)
 
 
-def solve_overdetermined(rows, rhs, domain: Domain):
-    """One solution t of rows . t = rhs for a consistent system.
-
-    Complex systems use least squares; exact ones eliminate and then
-    re-verify every equation exactly."""
-    if isinstance(domain, ComplexField):
-        a = np.array([[complex(x) for x in r] for r in rows])
-        b = np.array([complex(x) for x in rhs])
-        return list(np.linalg.lstsq(a, b, rcond=None)[0])
-    n = len(rows[0])
-    rref, piv = rref_bareiss([list(r) + [v] for r, v in zip(rows, rhs)], domain)
-    if n in piv:
-        raise RuntimeError("right-hand side is not in the column span")
-    sol = [domain.zero()] * n
-    for i, c in enumerate(piv):
-        sol[c] = rref[i][n]
-    if any(not domain.is_zero(_dot(r, sol) - v) for r, v in zip(rows, rhs)):
-        raise RuntimeError("inconsistent solution")
-    return sol
-
-
 # ---------------------------------------------------------------------------
 # ring-generic square-matrix routines (no division)
 
@@ -384,6 +363,9 @@ def adjugate(m):
     if not M.is_square():
         raise ShapeError("adjugate of a non-square matrix")
     n = M.nrows
+    if n == 1:
+        # the empty minor is 1, in the entries' ring
+        return Matrix([[_zero_like(M.rows[0][0]) + 1]])
     entries = [x for row in M.rows for x in row]
     if all(isinstance(x, (int, Fraction)) for x in entries):
         den = lcm(*(x.denominator for x in entries))
@@ -805,7 +787,11 @@ def _vector_to_form(vec, exps, domain: Domain):
 
 
 # ---------------------------------------------------------------------------
-# projective comparisons
+# projective comparisons: proj_ratio over exact domains, chordal_distance
+# over floats, and proj_distance, same_point and all_distinct over both.
+# proj_ratio, proj_distance and same_point take two equally long sequences
+# of scalars, of rows, of Matrix objects or of SparsePolys, nested freely;
+# all_distinct takes a list of such points.
 
 
 def chordal_distance(u, v) -> float:
@@ -821,17 +807,38 @@ def chordal_distance(u, v) -> float:
     return float(np.linalg.norm(u - phase * v))
 
 
+_NESTED = (list, tuple, np.ndarray, Matrix, SparsePoly)
+
+
+def _coefficient_pairs(a, b):
+    """The scalar entries of a and b, pair by pair and lazily, so that a
+    comparison can stop at the first mismatch.  A pair of forms gives its
+    coefficients over the union of the two supports, missing terms as zero;
+    a Matrix gives its rows and an array its Python scalars."""
+    a, b = (v.rows if isinstance(v, Matrix) else v.tolist() if isinstance(v, np.ndarray)
+            else v for v in (a, b))
+    for x, y in zip(a, b, strict=True):
+        if not isinstance(x, _NESTED):
+            yield x, y
+        elif isinstance(x, SparsePoly):
+            zx, zy = x.domain.zero(), y.domain.zero()
+            for e in sorted(x.terms.keys() | y.terms.keys()):
+                yield x.terms.get(e, zx), y.terms.get(e, zy)
+        else:
+            yield from _coefficient_pairs(x, y)
+
+
 def proj_ratio(a, b, domain: Domain):
     """The scalar lam != 0 with a = lam * b entry for entry, or None.
 
-    a and b are equally long coefficient sequences (points, flattened
-    polynomials or matrices) over an exact domain; floating callers compare
-    with chordal_distance instead.  Equal zero patterns are part of the
-    test, so a zero vector on either side gives None."""
+    a and b are equally long sequences of scalars, rows, matrices or forms
+    over an exact domain (see _coefficient_pairs); the entries are read
+    lazily, so the test stops at the first mismatch.  Equal zero patterns
+    are part of the test, so a zero vector on either side gives None."""
     if not domain.is_exact:
         raise UnsupportedDomainError("proj_ratio needs an exact domain")
     lam = None
-    for x, y in zip(a, b, strict=True):
+    for x, y in _coefficient_pairs(a, b):
         if lam is not None:
             if x != lam * y:
                 return None
@@ -842,3 +849,24 @@ def proj_ratio(a, b, domain: Domain):
         elif x:
             return None
     return lam
+
+
+def proj_distance(a, b, domain: Domain) -> float:
+    """How far a and b are from one projective point: 0.0 or 1.0 over an
+    exact domain (proj_ratio), the chordal distance of their entries over
+    floats.  The one place that chooses between the two."""
+    if domain.is_exact:
+        return 1.0 if proj_ratio(a, b, domain) is None else 0.0
+    pairs = list(_coefficient_pairs(a, b))
+    return chordal_distance([x for x, _ in pairs], [y for _, y in pairs])
+
+
+def same_point(a, b, domain: Domain) -> bool:
+    """Projective equality: exact over exact domains, to 1e-8 over floats."""
+    return proj_distance(a, b, domain) < 1e-8
+
+
+def all_distinct(points, domain: Domain) -> bool:
+    """No two of the points are the same projective point."""
+    return not any(same_point(points[i], points[j], domain)
+                   for i in range(len(points)) for j in range(i + 1, len(points)))

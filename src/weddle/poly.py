@@ -250,20 +250,6 @@ class SparsePoly:
         return " + ".join(bits)
 
 
-def aligned_coefficients(polys_a: list, polys_b: list):
-    """Coefficients of two equally long lists of polynomials, pair by pair
-    over the union of the pair's monomials, missing terms as zero.
-
-    Returns two lazy sequences for an entrywise proportionality test, so
-    that linalg.proj_ratio can stop at the first mismatch."""
-    def side(k):
-        for pair in zip(polys_a, polys_b, strict=True):
-            zero = pair[k].domain.zero()
-            for e in sorted(pair[0].terms.keys() | pair[1].terms.keys()):
-                yield pair[k].terms.get(e, zero)
-    return side(0), side(1)
-
-
 def exponents_of_degree(nvars: int, degree: int):
     """All exponent vectors of total degree exactly `degree`, lex order."""
     if nvars == 1:

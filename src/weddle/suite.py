@@ -19,9 +19,8 @@ import numpy as np
 
 from . import burkhardt, curves, heisenberg, symplectic, theta
 from .fields import GF, QQ, Cyc, QW
-from .linalg import (adjugate, chordal_distance, count_common_zeros_mod_p,
+from .linalg import (adjugate, all_distinct, chordal_distance, count_common_zeros_mod_p,
                      eval_polys, nullspace, proj_ratio)
-from .poly import aligned_coefficients
 
 SUITES = ("sympchar", "heis", "burk", "theta", "curve", "cross")
 
@@ -207,8 +206,7 @@ def check_heisenberg(ctx: Context) -> CheckRecord:
         except heisenberg.RepresentationError:
             proj_ok = False
             break
-        if proj_ratio([x for r in TM.mat_mul(TN).rows for x in r],
-                      [x for r in TMN.rows for x in r], QW) is None:
+        if proj_ratio(TM.mat_mul(TN), TMN, QW) is None:
             proj_ok = False
             break
     ok = mult_ok and j_ok and dims == (5, 4) and schur_ok and blocks_ok and proj_ok
@@ -240,8 +238,7 @@ def check_skew_kernel(ctx: Context) -> CheckRecord:
             continue  # a base point
         # adj = lam r r^t with lam != 0
         adj = adjugate(ev.reshape(5, 5).tolist())
-        adj_ok &= proj_ratio([x for r in adj.rows for x in r],
-                             [a * b for a in rv for b in rv], QQ) is not None
+        adj_ok &= proj_ratio(adj, [[a * b for b in rv] for a in rv], QQ) is not None
     indep = _quartics_linearly_independent(quartics)
     ok = sym_ok and pinned and oracle and adj_ok and indep
     return CheckRecord("AC05", "skew matrix kernel identity and pinned kernel vector",
@@ -277,7 +274,7 @@ def check_burkhardt_derivation(ctx: Context) -> CheckRecord:
     for M in heisenberg.standard_sp4_generators():
         forms = heisenberg.upsilon_plus_substitution(M)
         moved = BQW.substitute_linear(forms)
-        if proj_ratio(*aligned_coefficients([moved], [BQW]), QW) is None:
+        if proj_ratio([moved], [BQW], QW) is None:
             inv_ok = False
             break
     ok = dp.nullity == 1 and agree and vanish and inv_ok and exact.certified
@@ -306,8 +303,8 @@ def check_hessian(ctx: Context) -> CheckRecord:
     # every further match must be a self-symmetry of the quadric matrix
     M = burkhardt.matrix_plus()
     all_symmetries = all(
-        burkhardt.matrix_ratio(burkhardt._transform_monomial_matrix(
-            M, m.permutation, m.signs), M) == 1
+        proj_ratio(burkhardt._transform_monomial_matrix(M, m.permutation, m.signs),
+                   M, QQ) == 1
         for m in matches)
     deg = burkhardt.hessian_determinant_degree(B)
     ok = (len(matches) > 0 and len(scalars) == 1 and has_identity
@@ -384,7 +381,8 @@ def check_theta_numerics(ctx: Context) -> CheckRecord:
                                chordal_distance(k, sq.r) if status == "kernel" else 1.0)
     ptol = ctx.cfg.tol
     ok = (parity_worst < 2 * tol and odd_null_worst < tol and honesty_ok
-          and nullity == 9 and square_worst < ptol and det_worst < ptol
+          and contract.max_residual() < 1e-8 and nullity == 9
+          and square_worst < ptol and det_worst < ptol
           and memb_worst < 1e-8 and kernel_worst < ptol)
     return CheckRecord("AC09", "theta numerics and the Steinerian commuting square",
                        "pass" if ok else "fail",
@@ -491,7 +489,7 @@ def check_symmetroid(ctx: Context) -> CheckRecord:
                            "fail", {"error": "no general-position draw in 12 tries"})
     count = count_common_zeros_mod_p(rep.det_quartic.gradient(), ctx.cfg.p)
     pts = rep.rank3_points + rep.rank2_points
-    distinct = curves._all_distinct(pts, dom)
+    distinct = all_distinct(pts, dom)
     ok = (rep.quadric_space_dim == 4 and len(rep.rank3_points) == 6
           and len(rep.rank2_points) == 10 and rep.gradient_residual == 0.0
           and count == 16 and distinct)

@@ -242,9 +242,10 @@ class ContractReport:
 
 
 def level3_contract_check(omega: PeriodMatrix, rng) -> ContractReport:
-    """Validate the equivariance contract of the level-3 coordinates:
-    inversion acts by the index flip, third-period translations act by the
-    diagonal characters and the index translations."""
+    """The residuals of the equivariance contract of the level-3
+    coordinates: inversion acts by the index flip, third-period
+    translations act by the diagonal characters and the index
+    translations.  AC09 gates on them."""
     w = cmath.exp(2j * math.pi / 3)
     par = diag = perm = 0.0
     for _ in range(6):
@@ -260,10 +261,7 @@ def level3_contract_check(omega: PeriodMatrix, rng) -> ContractReport:
             xs = level3_coords(z + omega.m @ (np.array(q) / 3.0), omega)
             pred = np.array([x[idx2((s0 + q[0], s1 + q[1]))] for s0, s1 in np.ndindex(3, 3)])
             perm = max(perm, chordal_distance(xs, pred))
-    report = ContractReport(par, diag, perm)
-    if report.max_residual() > 1e-8:
-        raise RuntimeError("level-3 coordinate contract failed: %r" % (report,))
-    return report
+    return ContractReport(par, diag, perm)
 
 
 # ---------------------------------------------------------------------------

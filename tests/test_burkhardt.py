@@ -21,7 +21,7 @@ from weddle.fields import GF, QQ
 from weddle.heisenberg import REPS, idx2
 from weddle.linalg import (Matrix, det_ring, eval_polys, nullspace,
                            proj_points_mod_p, proj_ratio)
-from weddle.poly import SparsePoly, aligned_coefficients
+from weddle.poly import SparsePoly
 
 rng = random.Random(0)
 
@@ -227,7 +227,7 @@ def _brute_force_hessian_matches(B):
                 forms[pk] = SparsePoly.variable(k, 5, QQ).scale(Fraction(signs[k]))
             cand = [M.rows[pi][pj].substitute_linear(forms).scale(Fraction(si * sj))
                     for pi, si in zip(perm, signs) for pj, sj in zip(perm, signs)]
-            c = proj_ratio(*aligned_coefficients(flat_h, cand), QQ)
+            c = proj_ratio(flat_h, cand, QQ)
             if c is not None:
                 out.append((c, perm, signs))
     return out

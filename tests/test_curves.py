@@ -16,9 +16,10 @@ from weddle.curves import (BaseLocusPoint, CurvePoint, DegenerateConfiguration,
                            symmetroid, tricanonical, twenty_five_lines,
                            web_of_quadrics, weddle_prime_fit, weierstrass_images,
                            weierstrass_tangent_sample)
-from weddle.fields import CC, GF, QQ, Domain
+from weddle.fields import CC, GF, QQ, ComplexField, Domain
 from weddle.heisenberg import plus_minus_components
-from weddle.linalg import count_common_zeros_mod_p, nullspace, proj_ratio
+from weddle.linalg import (_dot, count_common_zeros_mod_p, nullspace, proj_ratio,
+                           rref_bareiss)
 from weddle.poly import SparsePoly, exponents_of_degree
 from weddle.symplectic import BASE_ODD
 from weddle.theta import OMEGA_GENERIC, half_period_census, weddle_from_theta
@@ -493,13 +494,68 @@ def test_symmetroid_exact():
     assert count_common_zeros_mod_p(rep.det_quartic.gradient(), 101) == 16
 
 
-def test_symmetroid_floating_from_theta_nodes():
+def _theta_side_nodes():
     # the odd parts of the half periods in the odd eigenspace, at max-abs 1
     odd = [np.array(plus_minus_components(row["coords"])[1])
            for row in half_period_census(BASE_ODD, OMEGA_GENERIC) if row["in_minus"]]
-    rep = symmetroid([list(v / np.abs(v).max()) for v in odd], CC)
+    return [list(v / np.abs(v).max()) for v in odd]
+
+
+def test_symmetroid_floating_from_theta_nodes():
+    rep = symmetroid(_theta_side_nodes(), CC)
     assert rep.quadric_space_dim == 4
     assert rep.gradient_residual < 1e-8
+
+
+def solve_overdetermined(rows, rhs, domain: Domain):
+    """One solution t of rows . t = rhs for a consistent system.
+
+    Complex systems use least squares; exact ones eliminate and then
+    re-verify every equation exactly."""
+    if isinstance(domain, ComplexField):
+        a = np.array([[complex(x) for x in r] for r in rows])
+        b = np.array([complex(x) for x in rhs])
+        return list(np.linalg.lstsq(a, b, rcond=None)[0])
+    n = len(rows[0])
+    rref, piv = rref_bareiss([list(r) + [v] for r, v in zip(rows, rhs)], domain)
+    if n in piv:
+        raise RuntimeError("right-hand side is not in the column span")
+    sol = [domain.zero()] * n
+    for i, c in enumerate(piv):
+        sol[c] = rref[i][n]
+    if any(not domain.is_zero(_dot(r, sol) - v) for r, v in zip(rows, rhs)):
+        raise RuntimeError("inconsistent solution")
+    return sol
+
+
+def _rank2_points_by_solving(nodes, domain):
+    """The ten plane pairs of complementary node triples in the pencil
+    basis of the web's Hessians, solved on the upper-triangle entries."""
+    nodes = [[domain.coerce(x) for x in n] for n in nodes]
+    origin = (0,) * 4
+    hs = [[[h.terms.get(origin, domain.zero()) for h in row] for row in q.hessian()]
+          for q in web_of_quadrics(nodes, domain)]
+    upper = [(i, j) for i in range(4) for j in range(i, 4)]
+    out = []
+    for tri, comp in curves.TRIPLE_SPLITS:
+        a = plane_through([nodes[i] for i in tri], domain)
+        b = plane_through([nodes[i] for i in comp], domain)
+        out.append(solve_overdetermined([[h[i][j] for h in hs] for i, j in upper],
+                                        [a[i] * b[j] + a[j] * b[i] for i, j in upper],
+                                        domain))
+    return out
+
+
+def test_symmetroid_rank2_points_solve_the_plane_pairs():
+    dom = GF(101)
+    r = random.Random(8)
+    nodes = [[dom.random(r) for _ in range(4)] for _ in range(6)]
+    assert symmetroid(nodes, dom).rank2_points == _rank2_points_by_solving(nodes, dom)
+    nodes = _theta_side_nodes()
+    got = np.array(symmetroid(nodes, CC).rank2_points, dtype=complex)
+    want = np.array(_rank2_points_by_solving(nodes, CC), dtype=complex)
+    assert got.shape == (10, 4)
+    assert np.abs(got - want).max() < 1e-10
 
 
 def test_phi_base_locus_and_generic(curve):

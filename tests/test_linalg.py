@@ -8,15 +8,17 @@ from hypothesis import strategies as st
 
 from weddle.fields import CC, GF, QQ, QW, Cyc
 from weddle.linalg import (Matrix, ShapeError, UnsupportedDomainError,
-                           adjugate, count_common_zeros_mod_p, det_bareiss,
+                           adjugate, all_distinct, chordal_distance,
+                           count_common_zeros_mod_p, det_bareiss,
                            det_ring, eval_polys,
                            fit_hypersurface, nullspace, nullspace_complex,
                            nullspace_mod_p, pfaffian, proj_points_mod_p,
-                           proj_ratio, rank, rref_bareiss, rref_mod_p,
+                           proj_distance, proj_ratio, rank, rref_bareiss,
+                           rref_mod_p, same_point,
                            rref_naive, sub_pfaffian_kernel)
 from weddle.linalg import (_PANEL, _delays_reduction, _panel_plan,
                            check_int64_prime)
-from weddle.poly import SparsePoly, aligned_coefficients, exponents_of_degree
+from weddle.poly import SparsePoly, exponents_of_degree
 
 # the classical skew quadric-coefficient pattern, evaluated at Z = (1,1,1,1);
 # reproducing its kernel is required before the Steinerian construction
@@ -227,6 +229,36 @@ def test_adjugate_over_other_rings_keeps_the_det_ring_path(monkeypatch):
                for _ in range(3)],
               [[x, y, x * y], [y, 3 * x, x + y], [y * y, x, 2 * y]]):
         assert adjugate(m).rows == _det_ring_adjugate(m)
+
+
+def _ring_samples(name, rng):
+    """A scalar sampler and the unit of each entry ring of the adjugate."""
+    if name == "QQ":
+        return lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)), Fraction(1)
+    if name == "GF7":
+        return lambda: GF(7).random(rng), GF(7).one()
+    if name == "QW":
+        return lambda: Cyc(rng.randint(-5, 5), rng.randint(-5, 5)), Cyc(1)
+    x, y = (SparsePoly.variable(i, 2, QQ) for i in range(2))
+    return (lambda: rng.randint(-3, 3) * x + rng.randint(-3, 3) * y + rng.randint(-3, 3),
+            SparsePoly.constant(2, QQ, 1))
+
+
+@pytest.mark.parametrize("name", ["QQ", "GF7", "QW", "poly"])
+def test_adjugate_times_matrix_is_the_determinant(name):
+    # the 1 x 1 case has the empty minor as its cofactor: adj = [[1]]
+    rng = random.Random(14)
+    draw, one = _ring_samples(name, rng)
+    for n in (1, 1, 2, 3):
+        m = [[draw() for _ in range(n)] for _ in range(n)]
+        adj = adjugate(m)
+        if n == 1:
+            assert adj.rows == [[one]] and type(adj.rows[0][0]) is type(one)
+        d = det_ring(m)
+        prod = Matrix(m).mat_mul(adj)
+        for i in range(n):
+            for j in range(n):
+                assert prod.rows[i][j] == (d if i == j else d - d)
 
 
 def test_det_ring_matches_bareiss():
@@ -673,7 +705,7 @@ def test_prime_field_fit_reads_rational_points_exactly():
     dom = GF(101)
     x, y = (SparsePoly.variable(i, 2, dom) for i in range(2))
     (line,) = fit_hypersurface([[Fraction(1, 2), 1], [1, 2]], 1, dom)
-    assert proj_ratio(*aligned_coefficients([line], [2 * x - y]), dom) is not None
+    assert proj_ratio([line], [2 * x - y], dom) is not None
 
 
 def test_mod_p_evaluation_refuses_a_foreign_modulus():
@@ -752,6 +784,101 @@ def test_proj_ratio_divides_in_the_domain():
         proj_ratio([1, 2], [1, 2, 3], QQ)
     with pytest.raises(UnsupportedDomainError):
         proj_ratio([1.0], [1.0], CC)
+
+
+def _matrix_pair(data, scalar, dom):
+    """A matrix b and a = lam b, with one entry of a bumped half the time."""
+    nr, nc = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    b = [[data.draw(scalar) for _ in range(nc)] for _ in range(nr)]
+    lam = data.draw(scalar)
+    a = [[lam * x for x in row] for row in b]
+    if data.draw(st.booleans()):
+        i, j = data.draw(st.integers(0, nr - 1)), data.draw(st.integers(0, nc - 1))
+        a[i][j] = a[i][j] + dom.one()
+    return a, b
+
+
+def _row_forms(rows, dom):
+    """Each row as a form in one variable, its entries the coefficients."""
+    return [SparsePoly(1, dom, {(k,): x for k, x in enumerate(row)}) for row in rows]
+
+
+@pytest.mark.parametrize("name", sorted(SCALARS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_proj_ratio_reads_rows_matrices_arrays_and_forms(name, data):
+    dom, scalar = SCALARS[name]
+    a, b = _matrix_pair(data, scalar, dom)
+    flat = proj_ratio([x for r in a for x in r], [x for r in b for x in r], dom)
+    assert proj_ratio(a, b, dom) == flat
+    assert proj_ratio(Matrix(a), Matrix(b), dom) == flat
+    assert proj_ratio(Matrix(a), b, dom) == flat
+    assert proj_ratio([Matrix(a), Matrix(a)], [Matrix(b), Matrix(b)], dom) == flat
+    # forms pair up over the union of their supports, so entries that are
+    # zero on both sides drop out and the ratio is unchanged
+    assert proj_ratio(_row_forms(a, dom), _row_forms(b, dom), dom) == flat
+    assert proj_ratio([Matrix([_row_forms(a, dom)])],
+                      [Matrix([_row_forms(b, dom)])], dom) == flat
+    # int64 arrays compare as their Python ints
+    ai, bi = _matrix_pair(data, st.integers(-5, 5), QQ)
+    flat = proj_ratio([x for r in ai for x in r], [x for r in bi for x in r], dom)
+    arrays = np.array(ai, dtype=np.int64), np.array(bi, dtype=np.int64)
+    assert proj_ratio(*arrays, dom) == flat
+    assert proj_ratio(list(arrays[0]), list(arrays[1]), dom) == flat
+
+
+def test_proj_ratio_stops_at_the_first_mismatch():
+    def then_raise(items):
+        yield from items
+        raise AssertionError("read past the first mismatch")
+
+    assert proj_ratio([1, 3, 5, 7], then_raise([1, 2]), QQ) is None
+    assert proj_ratio([[1, 3], [5]], then_raise([[1, 2]]), QQ) is None
+    m = Matrix([[1, 2], [3, 4]])
+    assert proj_ratio([m.map(lambda x: 2 * x), m],
+                      then_raise([m.map(lambda x: x + 1)]), QQ) is None
+    x = SparsePoly.variable(0, 2, QQ)
+    assert proj_ratio([x, x], then_raise([2 * x + 1]), QQ) is None
+
+
+@pytest.mark.parametrize("name", sorted(SCALARS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_proj_distance_is_exact_or_chordal(name, data):
+    dom, scalar = SCALARS[name]
+    a, b = _matrix_pair(data, scalar, dom)
+    d = proj_distance(a, b, dom)
+    assert d == (1.0 if proj_ratio(a, b, dom) is None else 0.0)
+    assert same_point(Matrix(a), Matrix(b), dom) == (d == 0.0)
+    ai, bi = _matrix_pair(data, st.integers(-5, 5), QQ)
+    u = [[complex(x, 1 - x) for x in r] for r in ai]
+    v = [[complex(x, 1 - x) for x in r] for r in bi]
+    flat_u, flat_v = [x for r in u for x in r], [x for r in v for x in r]
+    assert proj_distance(u, v, CC) == chordal_distance(flat_u, flat_v)
+    assert proj_distance(np.array(u), Matrix(v), CC) == chordal_distance(flat_u, flat_v)
+    assert proj_distance(_row_forms(u, CC), _row_forms(v, CC), CC) \
+        == chordal_distance(flat_u, flat_v)
+
+
+def test_proj_distance_of_zero_vectors():
+    zeros, v = [0, 0, 0], [1, 2, 3]
+    for dom in (QQ, GF(101), QW):
+        assert proj_ratio(zeros, v, dom) is None
+        assert proj_distance(zeros, v, dom) == 1.0
+        assert proj_distance(zeros, zeros, dom) == 1.0
+        assert not same_point(zeros, zeros, dom)
+    with pytest.raises(ValueError, match="zero vector"):
+        proj_distance([0j, 0j], [1j, 2j], CC)
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(101), QW, CC])
+def test_all_distinct_sees_a_scaled_copy(dom):
+    pts = [[dom.from_int(k) for k in v] for v in ([1, 0, 2], [0, 1, 1], [1, 1, 0])]
+    assert all_distinct(pts, dom)
+    scale = dom.from_int(3)
+    assert not all_distinct(pts + [[scale * x for x in pts[1]]], dom)
+    if dom is CC:
+        assert not all_distinct(pts + [[1j * x for x in pts[2]]], dom)
 
 
 @settings(max_examples=80, deadline=None)

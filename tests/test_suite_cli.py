@@ -321,3 +321,17 @@ def test_derive_burkhardt_over_q_reports_a_failed_certification(monkeypatch, cap
     assert got.out == ""
     assert got.err == "reconstructed quartic fails symbolic certification\n"
 
+
+
+def test_ac09_gates_on_the_level3_contract(monkeypatch, tmp_path):
+    # a contract residual above 1e-8 fails AC09 in its record, not with a
+    # traceback
+    import weddle.theta
+    monkeypatch.setattr(weddle.theta, "level3_contract_check",
+                        lambda omega, rng: weddle.theta.ContractReport(1e-6, 0.0, 0.0))
+    out = tmp_path / "report.json"
+    assert main(["run", "--suite", "theta", "--out", str(out)]) == 1
+    records = {r["id"]: r for r in json.loads(out.read_text())["records"]}
+    assert records["AC09"]["status"] == "fail"
+    assert float(records["AC09"]["measured"]["contract_residual"]) == 1e-6
+    assert records["AC10"]["status"] == "pass"
