@@ -9,11 +9,10 @@ Exit codes: 0 ok, 1 check failure, 2 configuration error or resource cap.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 
-from .symplectic import ResourceCapError
+from .linalg import ResourceCapError
 
 
 def _parse_matrix(path: str):
@@ -137,7 +136,7 @@ def cmd_theta_null(args):
                 "coords": [[c.real, c.imag] for c in rep.eigen_coords],
                 "membership_residual": rep.membership_residual,
                 "det_plus_normalized": rep.det_plus_normalized})
-    return 0
+    return 0 if rep.membership_residual <= 1e-8 else 1
 
 
 def cmd_weddle_theta(args):

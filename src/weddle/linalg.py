@@ -30,6 +30,10 @@ class UnsupportedDomainError(TypeError):
     pass
 
 
+class ResourceCapError(RuntimeError):
+    """An enumeration would exceed the state cap."""
+
+
 class Matrix:
     """Rectangular matrix over a scalar domain or a polynomial ring."""
 
@@ -421,6 +425,19 @@ def _int_adjugate(a):
 # numpy fast paths
 
 
+# the most states (points, group elements, lattice terms) one enumeration
+# may visit: every one reachable at default inputs fits, the largest being
+# Sp(6, F_2) with 1,451,520 elements and P^3(F_127) with 2,064,640 points
+STATE_CAP = 2 ** 21
+
+
+def check_states(n: int) -> None:
+    """Refuse, before it starts, an enumeration of more than STATE_CAP states."""
+    if n > STATE_CAP:
+        raise ResourceCapError("enumeration of %d states exceeds cap %d"
+                               % (n, STATE_CAP))
+
+
 def check_int64_prime(p: int) -> None:
     """Refuse a prime whose products overflow the int64 mod-p paths."""
     if p * p > 2 ** 63 - 1:
@@ -566,7 +583,9 @@ def nullspace_mod_p(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def proj_points_mod_p(p: int, dim: int = 3) -> np.ndarray:
-    """All points of P^dim(F_p), one affine chart per leading coordinate."""
+    """All points of P^dim(F_p), one affine chart per leading coordinate;
+    more than STATE_CAP of them are refused before anything is built."""
+    check_states(sum(p ** k for k in range(dim + 1)))
     charts = []
     for lead in range(dim + 1):
         free = dim - lead

@@ -303,7 +303,7 @@ def check_hessian(ctx: Context) -> CheckRecord:
     # every further match must be a self-symmetry of the quadric matrix
     M = burkhardt.matrix_plus()
     all_symmetries = all(
-        proj_ratio(burkhardt._transform_monomial_matrix(M, m.permutation, m.signs),
+        proj_ratio(burkhardt.transform_monomial_matrix(M, m.permutation, m.signs),
                    M, QQ) == 1
         for m in matches)
     deg = burkhardt.hessian_determinant_degree(B)

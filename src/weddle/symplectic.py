@@ -9,7 +9,6 @@ entries 0/1, so the induced action is integer arithmetic mod 2.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,28 +17,11 @@ from operator import mul
 
 import numpy as np
 
+from .linalg import ResourceCapError, check_states
+
 
 class InvariantViolation(ValueError):
     pass
-
-
-class ResourceCapError(RuntimeError):
-    """An enumeration would exceed the state cap."""
-
-
-ENUM_CAP_ENV = "WEDDLE_ENUM_CAP"
-DEFAULT_ENUM_CAP = 10 ** 6
-
-
-def enum_cap() -> int:
-    return int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
-
-
-def check_enum_cap(n_states: int) -> None:
-    """Refuse, before it starts, an enumeration of more than enum_cap() states."""
-    if n_states > enum_cap():
-        raise ResourceCapError("enumeration of %d states exceeds cap %d "
-                               "(override with %s)" % (n_states, enum_cap(), ENUM_CAP_ENV))
 
 
 def J_matrix(g: int):
@@ -228,7 +210,7 @@ def sp_group_elements(g: int, n: int):
     """All of Sp(2g, Z/n) by breadth-first closure over the 5g - 2
     standard_transvections.
 
-    Only n in {2, 3} is enumerated, and only up to enum_cap() elements.  The
+    Only n in {2, 3} is enumerated, and only up to STATE_CAP elements.  The
     count is checked against the closed-form order, which certifies that
     the transvections generate the group.  Returns a tuple of byte keys
     (row-major entries), sorted.
@@ -236,7 +218,7 @@ def sp_group_elements(g: int, n: int):
     During the closure each matrix M is one int64 code, its row-major
     entries read as base-n digits with the first entry most significant, so
     codes sort in the same order as byte keys.  The codes need
-    n^(4g^2) < 2^63; a larger group is refused before the closure starts.
+    n^(4g^2) < 2^63, which holds for every group within STATE_CAP.
     A generator G acts on a code through a table of G v over all columns v,
     one generator at a time, and the codes are de-duplicated in 1-D.
     """
@@ -245,11 +227,8 @@ def sp_group_elements(g: int, n: int):
         raise ResourceCapError(
             "group enumeration is capped at n in {2, 3}; order for n=%d is %d by formula"
             % (n, order))
-    check_enum_cap(order)
+    check_states(order)
     size = 2 * g
-    if n ** (size * size) > 2 ** 63 - 1:
-        raise ResourceCapError("Sp(%d, Z/%d) matrices do not fit one int64 code "
-                               "(need n^(4g^2) < 2^63)" % (size, n))
     # code(M) = sum_ij M_ij * col_w[i] * digit_w[j]; a column v of (Z/n)^size
     # is indexed by sum_i v_i * digit_w[i]
     digit_w = n ** np.arange(size - 1, -1, -1, dtype=np.int64)

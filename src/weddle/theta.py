@@ -27,10 +27,10 @@ from .curves import (_six_node_checks, _unique_quartic, coefficient_norm,
                      web_of_quadrics)
 from .fields import CC
 from .heisenberg import REPS, idx2, involution_j, plus_minus_components
-from .linalg import (chordal_distance, eval_polys, fit_hypersurface,
+from .linalg import (check_states, chordal_distance, eval_polys, fit_hypersurface,
                      nullspace_complex)
 from .poly import SparsePoly
-from .symplectic import Characteristic, all_characteristics, check_enum_cap
+from .symplectic import Characteristic, all_characteristics
 
 
 class DomainError(ValueError):
@@ -139,7 +139,7 @@ def theta_char(alpha, beta, z, omega: PeriodMatrix, tol: float = 1e-12,
                                             / (math.pi * lam)))
                         + 2 * ynorm / lam + 2))
     while True:
-        check_enum_cap(n_chars * (2 * radius + 1) ** 2)
+        check_states(n_chars * (2 * radius + 1) ** 2)
         bound = _tail_bound(radius + 1, lam, ynorm)
         if bound <= tol:
             break
@@ -320,8 +320,9 @@ class ThetaNullReport:
 
 
 def theta_null(kappa: Characteristic, omega: PeriodMatrix) -> ThetaNullReport:
-    """The theta-null X^k(0); it must sit in the invariant eigenspace of
-    the attached involution.  Even characteristics also report the
+    """The theta-null X^k(0) and its distance from the invariant eigenspace
+    of the attached involution, where it must sit; the caller gates that
+    membership residual.  Even characteristics also report the
     normalized determinant of the symmetric quadric matrix there (zero on
     the degeneracy locus)."""
     v = level3_coords(halfperiod(kappa, omega), omega)
@@ -337,8 +338,6 @@ def theta_null(kappa: Characteristic, omega: PeriodMatrix) -> ThetaNullReport:
     else:
         coords = np.array(minus)
         detn = None
-    if resid > 1e-8:
-        raise RuntimeError("theta-null eigenspace membership residual %g" % resid)
     return ThetaNullReport(kappa, v, coords, resid, detn)
 
 

@@ -1,4 +1,3 @@
-import os
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 
 import weddle.burkhardt as burkhardt
-from weddle.burkhardt import (ResourceCapError, _base_locus_quadratic_ext,
+from weddle.burkhardt import (_base_locus_quadratic_ext,
                               _fp2_tables, _nonresidue, _sample_steinerian_points,
                               burkhardt_vanishes_symbolically,
                               count_base_locus_ff, count_fibers_ff,
@@ -19,8 +18,8 @@ from weddle.burkhardt import (ResourceCapError, _base_locus_quadratic_ext,
                               translate_poly, j_poly)
 from weddle.fields import GF, QQ
 from weddle.heisenberg import REPS, idx2
-from weddle.linalg import (Matrix, det_ring, eval_polys, nullspace,
-                           proj_points_mod_p, proj_ratio)
+from weddle.linalg import (Matrix, ResourceCapError, det_ring, eval_polys,
+                           nullspace, proj_points_mod_p, proj_ratio)
 from weddle.poly import SparsePoly
 
 rng = random.Random(0)
@@ -432,16 +431,10 @@ def test_enumeration_caps():
         count_base_locus_ff(13, 2)
     with pytest.raises(Exception):
         count_fibers_ff(5)  # 5 is not 1 mod 3
-    old = os.environ.get("WEDDLE_ENUM_CAP")
-    os.environ["WEDDLE_ENUM_CAP"] = "100"
-    try:
+    # P^3(F_139) has 2,705,080 points, P^3(F_127) 2,064,640 <= STATE_CAP
+    for count in (count_fibers_ff, count_base_locus_ff):
         with pytest.raises(ResourceCapError):
-            count_fibers_ff(31)
-    finally:
-        if old is None:
-            del os.environ["WEDDLE_ENUM_CAP"]
-        else:
-            os.environ["WEDDLE_ENUM_CAP"] = old
+            count(139)
 
 
 def test_fiber_of_ones_contains_itself():

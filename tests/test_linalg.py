@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import weddle.linalg as linalg
 from weddle.fields import CC, GF, QQ, QW, Cyc
-from weddle.linalg import (Matrix, ShapeError, UnsupportedDomainError,
+from weddle.linalg import (Matrix, ResourceCapError, ShapeError, UnsupportedDomainError,
                            adjugate, all_distinct, chordal_distance,
                            count_common_zeros_mod_p, det_bareiss,
                            det_ring, eval_polys,
@@ -720,6 +721,17 @@ def test_proj_points_census():
         expect = sum(p ** k for k in range(dim + 1))
         assert pts.shape == (expect, dim + 1)
         assert len({tuple(r) for r in pts.tolist()}) == expect
+
+
+def test_proj_points_are_refused_exactly_above_the_cap(monkeypatch):
+    # P^2(F_5) has 31 points
+    monkeypatch.setattr(linalg, "STATE_CAP", 31)
+    assert proj_points_mod_p(5, 2).shape == (31, 3)
+    monkeypatch.setattr(linalg, "STATE_CAP", 30)
+    # an array built before the refusal would fail on the missing numpy
+    monkeypatch.setattr(linalg, "np", None)
+    with pytest.raises(ResourceCapError, match="31 states exceeds cap 30"):
+        proj_points_mod_p(5, 2)
 
 
 def test_count_common_zeros_mod_p():

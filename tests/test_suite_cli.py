@@ -109,6 +109,16 @@ def test_cli_theta_null(tmp_path):
     assert len(data["coords"]) == 4
 
 
+def test_cli_theta_null_fails_off_the_eigenspace(tmp_path, capsys):
+    # on this nearly real period matrix the theta-null leaves the eigenspace
+    # by about 8e-6: a check failure with its report, not a traceback
+    om = tmp_path / "omega.txt"
+    om.write_text("0 0.01 0 0 0 0 0 0.01\n")
+    assert main(["theta-null", "--omega", str(om), "--char", "1", "0", "1", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["membership_residual"] > 1e-8 and err == ""
+
+
 def test_cli_bad_inputs_are_config_errors(tmp_path, capsys):
     om = tmp_path / "omega.txt"
     om.write_text("1.0 1.0 0.3\n")
@@ -134,13 +144,20 @@ def test_cli_resource_cap_exits_2(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(weddle.symplectic, "standard_transvections", no_closure)
     # a nearly real period matrix needs a theta truncation grid beyond the cap
     om = tmp_path / "omega.txt"
-    om.write_text("0 0.0001 0 0 0 0 0 0.0001\n")
+    om.write_text("0 0.00005 0 0 0 0 0 0.00005\n")
     for args in (["fibers", "--p", "199"], ["group-order", "--g", "3", "--n", "3"],
                  ["run", "--suite", "theta", "--omega", str(om)],
                  ["theta-null", "--omega", str(om), "--char", "1", "0", "1", "0"]):
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("resource cap:") and err.count("\n") == 1
+
+
+def test_cli_cross_suite_above_the_cap_exits_2(capsys):
+    # AC13 would enumerate P^3(F_1000003), about 10^18 points
+    assert main(["run", "--suite", "cross", "--p", "1000003"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("resource cap:") and err.count("\n") == 1
 
 
 def test_cli_refuses_prime_beyond_int64(capsys):

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import weddle.symplectic
 from weddle.heisenberg import STANDARD_SP4_F3_VECTORS
-from weddle.symplectic import (BASE_ODD, ENUM_CAP_ENV, Characteristic,
+from weddle.linalg import STATE_CAP, ResourceCapError
+from weddle.symplectic import (BASE_ODD, Characteristic,
                                InvariantViolation, J_matrix, QuadFormF2,
-                               ResourceCapError, SymplecticMat, _is_symplectic,
+                               SymplecticMat, _is_symplectic,
                                act_characteristic, all_characteristics,
                                all_quad_forms, classify_gamma, gamma_index,
                                group_order, key_to_mat, orbit_characteristics,
@@ -158,16 +159,18 @@ def test_closure_sp4_f3_digest():
     assert digest == "2b493323ef2c9ca5f159a5cd8d12c29e24925436d949213c486e81fc5ba8954c"
 
 
-def test_closure_refuses_int64_code_overflow(monkeypatch):
-    # |Sp(8, F_2)| passes a raised cap, but 2^64 does not fit an int64 code
-    monkeypatch.setenv(ENUM_CAP_ENV, str(gamma_index(4, 2)))
-
+def test_groups_within_the_cap_fit_int64_codes(monkeypatch):
+    # the closure codes a matrix as n^(4g^2) base-n digits in one int64
     def no_closure(*args):
         raise AssertionError("the group closure must not start")
 
     monkeypatch.setattr(weddle.symplectic, "standard_transvections", no_closure)
-    with pytest.raises(ResourceCapError):
-        sp_group_elements(4, 2)
+    for g, n in product(range(1, 5), (2, 3)):
+        if gamma_index(g, n) <= STATE_CAP:
+            assert n ** (4 * g * g) < 2 ** 63
+        else:
+            with pytest.raises(ResourceCapError):
+                sp_group_elements(g, n)
 
 
 def test_group_order_cap():
@@ -180,8 +183,11 @@ def test_group_order_cap():
 
 
 def test_one_resource_cap_error():
-    import weddle.burkhardt
-    assert ResourceCapError is weddle.burkhardt.ResourceCapError
+    import weddle.cli
+    # defined once, in linalg; the closure raises it and the CLI catches it
+    assert ResourceCapError.__module__ == "weddle.linalg"
+    assert weddle.symplectic.ResourceCapError is ResourceCapError
+    assert weddle.cli.ResourceCapError is ResourceCapError
 
 
 def test_gamma_index_values():
