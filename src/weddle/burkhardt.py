@@ -327,27 +327,40 @@ def hessian_determinant_degree(B: SparsePoly) -> int:
 
 def count_fibers_ff(p: int):
     """Histogram of fiber sizes of the degree-6 quartic parametrization
-    over P^3(F_p), plus the count of rational base points."""
+    over P^3(F_p), plus the count of rational base points.
+
+    The points come a block at a time, and each image point is kept only
+    as one int64 key, its coordinates scaled to first nonzero 1 and read as
+    base-p digits; the sorted keys' run lengths are the fiber sizes."""
     if p % 3 != 1:
         raise ShapeError("need a prime p = 1 mod 3")
-    pts = proj_points_mod_p(p, 3)
+    blocks = proj_points_mod_p(p, 3)
     assert p ** 5 < 2 ** 63
-    vals = eval_polys(steinerian_quartics(), pts, GF(p))
-    base_mask = np.all(vals == 0, axis=1)
-    n_base = int(base_mask.sum())
-    img = vals[~base_mask]
-    # projective normalization: divide by the first nonzero coordinate
+    quartics = [f.map_coefficients(GF(p), GF(p).coerce) for f in steinerian_quartics()]
     inv = np.zeros(p, dtype=np.int64)
     for x in range(1, p):
         inv[x] = pow(x, p - 2, p)
-    first_nz = np.argmax(img != 0, axis=1)
-    scale = inv[img[np.arange(img.shape[0]), first_nz]]
-    img = img * scale[:, None] % p
-    # one int64 key per row, its digits base p the coordinates
-    _, counts = np.unique(img @ p ** np.arange(5), return_counts=True)
-    sizes, mult = np.unique(counts, return_counts=True)
-    return {"p": p, "points": int(pts.shape[0]), "base_points": n_base,
-            "fiber_histogram": {int(k): int(v) for k, v in zip(sizes, mult)}}
+    digits = p ** np.arange(5)
+    keys = np.empty(p ** 3 + p ** 2 + p + 1, dtype=np.int64)
+    n_keys = n_base = 0
+    for pts in blocks:
+        vals = eval_polys(quartics, pts, GF(p))
+        img = vals[np.any(vals != 0, axis=1)]
+        n_base += pts.shape[0] - img.shape[0]
+        # projective normalization: divide by the first nonzero coordinate
+        scale = inv[img[np.arange(img.shape[0]), np.argmax(img != 0, axis=1)]]
+        img *= scale[:, None]
+        img %= p
+        keys[n_keys:n_keys + img.shape[0]] = img @ digits
+        n_keys += img.shape[0]
+    keys = keys[:n_keys]
+    keys.sort()
+    # a fiber is one run of equal keys, ending where the next key differs
+    ends = np.flatnonzero(np.append(keys[1:] != keys[:-1], True))
+    del keys
+    mult = np.bincount(np.diff(ends, prepend=-1))
+    return {"p": p, "points": n_keys + n_base, "base_points": n_base,
+            "fiber_histogram": {int(k): int(mult[k]) for k in np.flatnonzero(mult)}}
 
 
 def count_base_locus_ff(p: int, k: int = 1) -> int:
@@ -382,22 +395,26 @@ def _fp2_tables(p: int):
 def _base_locus_quadratic_ext(p: int) -> int:
     """Count over F_{p^2}: the points of P^3 are those of
     proj_points_mod_p(p^2, 3), each coordinate an element code of
-    _fp2_tables, and every sum and product is one table lookup.  The points
-    come first, so a refused enumeration builds no table."""
-    coords = list(proj_points_mod_p(p * p, 3).astype(np.int32).T)
+    _fp2_tables, and every sum and product is one table lookup.  The
+    enumeration is asked for first, so a refused count builds no table."""
+    blocks = proj_points_mod_p(p * p, 3)
     mul, add = _fp2_tables(p)
-    # a point leaves as soon as one quartic is nonzero there; the first
-    # quartic is a monomial, so most points leave after it
-    for quartic in steinerian_quartics():
-        acc = None
-        for exp, c in quartic.terms.items():
-            term = None
-            for v, e in enumerate(exp):
-                for _ in range(e):
-                    term = coords[v] if term is None else mul[term, coords[v]]
-            # c is in F_p, so its code is its residue
-            term = mul[int(c) % p][term]
-            acc = term if acc is None else add[acc, term]
-        zero = acc == 0
-        coords = [x[zero] for x in coords]
-    return len(coords[0])
+    quartics = steinerian_quartics()
+    count = 0
+    for pts in blocks:
+        coords = pts.T.astype(np.int32)
+        # a point leaves as soon as one quartic is nonzero there; the first
+        # quartic is a monomial, so most points leave after it
+        for quartic in quartics:
+            acc = None
+            for exp, c in quartic.terms.items():
+                term = None
+                for v, e in enumerate(exp):
+                    for _ in range(e):
+                        term = coords[v] if term is None else mul[term, coords[v]]
+                # c is in F_p, so its code is its residue
+                term = mul[int(c) % p][term]
+                acc = term if acc is None else add[acc, term]
+            coords = coords[:, acc == 0]
+        count += coords.shape[1]
+    return count

@@ -366,6 +366,13 @@ def intertwiner(phi) -> Matrix:
     return T
 
 
+@lru_cache(maxsize=None)
+def _generator_images():
+    """(h, U(h)) for the heisenberg_generators(2), which every intertwiner
+    solve walks."""
+    return tuple((h, schrodinger(h)) for h in heisenberg_generators(2))
+
+
 def _intertwiner_solve(phi: HeisAutomorphism):
     """(T, 1) for the unique intertwiner up to scale, else (None, dim).
 
@@ -381,8 +388,7 @@ def _intertwiner_solve(phi: HeisAutomorphism):
         raise ValueError("intertwiners are materialized at genus 2")
     n = 81
     adj = [[] for _ in range(n)]   # (j, d): value(j) = w^d value(i)
-    for h in heisenberg_generators(2):
-        A = schrodinger(h)
+    for h, A in _generator_images():
         B = schrodinger(phi(h))
         for k in range(9):
             row = 9 * B.perm[k]

@@ -430,6 +430,11 @@ def _int_adjugate(a):
 # Sp(6, F_2) with 1,451,520 elements and P^3(F_127) with 2,064,640 points
 STATE_CAP = 2 ** 21
 
+# the most states an enumeration holds at once: the P^n(F_q) points and the
+# group closure's frontier are walked a block at a time, so their working
+# memory grows with the block and not with the number of states
+STATE_BLOCK = 2 ** 12
+
 
 def check_states(n: int) -> None:
     """Refuse, before it starts, an enumeration of more than STATE_CAP states."""
@@ -540,7 +545,12 @@ def rref_mod_p(a: np.ndarray, p: int):
     so the matrix itself is the only full-size array.
     """
     check_int64_prime(p)
-    a = np.array(a, dtype=np.int64)
+    return _rref_mod_p_in_place(np.array(a, dtype=np.int64), p)
+
+
+def _rref_mod_p_in_place(a: np.ndarray, p: int):
+    """rref_mod_p of an int64 matrix that it reduces in place, for a caller
+    that built the matrix itself; the rows it returns are a view of a."""
     a %= p
     nr, nc = a.shape
     dtype, width = _panel_plan(p)
@@ -572,7 +582,10 @@ def rref_mod_p(a: np.ndarray, p: int):
 
 
 def nullspace_mod_p(a: np.ndarray, p: int) -> np.ndarray:
-    rref, pivots = rref_mod_p(a, p)
+    return _nullspace_of_rref(*rref_mod_p(a, p), p)
+
+
+def _nullspace_of_rref(rref: np.ndarray, pivots: list, p: int) -> np.ndarray:
     is_free = np.ones(rref.shape[1], dtype=bool)
     is_free[pivots] = False
     free = np.flatnonzero(is_free)
@@ -582,23 +595,36 @@ def nullspace_mod_p(a: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def proj_points_mod_p(p: int, dim: int = 3) -> np.ndarray:
-    """All points of P^dim(F_p), one affine chart per leading coordinate;
-    more than STATE_CAP of them are refused before anything is built."""
+def proj_points_mod_p(p: int, dim: int = 3):
+    """The points of P^dim(F_p) as int64 blocks of at most STATE_BLOCK rows:
+    one affine chart per leading coordinate, each in row-major order of its
+    free coordinates, and a block may run on into the next chart.  More
+    than STATE_CAP points are refused by this call, before anything is
+    built."""
     check_states(sum(p ** k for k in range(dim + 1)))
-    charts = []
-    for lead in range(dim + 1):
-        free = dim - lead
-        if free == 0:
-            block = np.zeros((1, dim + 1), dtype=np.int64)
-        else:
-            grids = np.meshgrid(*([np.arange(p, dtype=np.int64)] * free), indexing="ij")
-            block = np.zeros((p ** free, dim + 1), dtype=np.int64)
-            for k, gcol in enumerate(grids):
-                block[:, lead + 1 + k] = gcol.ravel()
-        block[:, lead] = 1
-        charts.append(block)
-    return np.concatenate(charts, axis=0)
+    return _proj_point_blocks(p, dim)
+
+
+def _proj_point_blocks(p: int, dim: int):
+    # chart `lead` holds the p^(dim - lead) points with a 1 in coordinate
+    # lead and zeros before it, at rows starts[lead] onwards.  Coordinate k
+    # of the point at offset i in its chart is i // p^(dim - k) % p past the
+    # lead, and that quotient is 0 up to the lead.  A block is built by
+    # columns, the last first, each from one division of the quotient left
+    # by the column after it, and handed out transposed
+    starts = np.cumsum([0] + [p ** (dim - lead) for lead in range(dim + 1)])
+    total = int(starts[-1])
+    for first in range(0, total, STATE_BLOCK):
+        idx = np.arange(first, min(first + STATE_BLOCK, total), dtype=np.int64)
+        lead = np.searchsorted(starts, idx, side="right") - 1
+        quot = idx - starts[lead]
+        cols = np.empty((dim + 1, idx.size), dtype=np.int64)
+        for col in cols[::-1]:
+            rest = quot // p
+            np.subtract(quot, rest * p, out=col)
+            quot = rest
+        cols[lead, np.arange(idx.size)] = 1
+        yield cols.T
 
 
 def nullspace_complex(a, rel_threshold: float = 1e-8):
@@ -728,9 +754,12 @@ def _eval_polys_rational(polys, pts: np.ndarray, exps) -> np.ndarray:
 
 def count_common_zeros_mod_p(forms, p: int) -> int:
     """Number of points of P^n(F_p) where every form in n+1 variables
-    vanishes, by evaluating the forms at all of them."""
-    vals = eval_polys(forms, proj_points_mod_p(p, forms[0].nvars - 1), GF(p))
-    return int(np.all(vals == 0, axis=1).sum())
+    vanishes, by evaluating the forms at all of them, a block at a time."""
+    blocks = proj_points_mod_p(p, forms[0].nvars - 1)
+    # coefficients mod p once, not once per block
+    forms = [f.map_coefficients(GF(p), GF(p).coerce) for f in forms]
+    return sum(int(np.all(eval_polys(forms, block, GF(p)) == 0, axis=1).sum())
+               for block in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +812,9 @@ def fit_hypersurface(points, degree: int, domain: Domain) -> FitResult:
         a[:, k] = col
     thr = s = None
     if isinstance(domain, PrimeField):
-        basis = nullspace_mod_p(a, domain.p)
+        # a is this call's own, so it is reduced where it stands
+        check_int64_prime(p)
+        basis = _nullspace_of_rref(*_rref_mod_p_in_place(a, p), p)
     elif isinstance(domain, ComplexField):
         basis, thr, s = nullspace_complex(a)
     else:

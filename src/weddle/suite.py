@@ -194,11 +194,12 @@ def check_heisenberg(ctx: Context) -> CheckRecord:
                 schur_ok = False
         _, _, off = heisenberg.block_split(T)
         blocks_ok &= off
-    keys = symplectic.sp_group_elements(2, 3)
+    # the codes sort as the byte keys do, so a draw picks the same matrix
+    codes = symplectic.sp_group_codes(2, 3)
     proj_ok = True
     for _ in range(20):
-        M = symplectic.key_to_mat(rng.choice(keys), 2, 3)
-        N = symplectic.key_to_mat(rng.choice(keys), 2, 3)
+        M = symplectic.code_to_mat(rng.choice(codes), 2, 3)
+        N = symplectic.code_to_mat(rng.choice(codes), 2, 3)
         try:
             TM = heisenberg.intertwiner(M)
             TN = heisenberg.intertwiner(N)

@@ -17,6 +17,7 @@ from operator import mul
 
 import numpy as np
 
+from . import linalg
 from .linalg import ResourceCapError, check_states
 
 
@@ -205,22 +206,48 @@ def gamma_index(g: int, n: int) -> int:
     return int(val)
 
 
+def _code_weights(g: int, n: int):
+    """(digit_w, col_w): the code of a matrix M mod n is
+    sum_ij M_ij col_w[i] digit_w[j], its row-major entries read as base-n
+    digits with the first entry most significant, so codes sort in the same
+    order as byte keys; and a column v is indexed by sum_i v_i digit_w[i]."""
+    digit_w = n ** np.arange(2 * g - 1, -1, -1, dtype=np.int64)
+    return digit_w, digit_w ** (2 * g)
+
+
+def _code_entries(codes: np.ndarray, g: int, n: int) -> np.ndarray:
+    """The matrices of an array of codes, as uint8 entries (N, 2g, 2g)."""
+    digit_w, col_w = _code_weights(g, n)
+    out = np.empty((codes.size, 2 * g, 2 * g), dtype=np.uint8)
+    for i in range(2 * g):
+        out[:, i] = codes[:, None] // (col_w[i] * digit_w) % n
+    return out
+
+
+def _sorted_distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-d array, sorted; the array is sorted in
+    place (numpy's hash-based np.unique is slower here)."""
+    codes.sort()
+    keep = np.ones(codes.size, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+    return codes[keep]
+
+
 @lru_cache(maxsize=None)
-def sp_group_elements(g: int, n: int):
+def sp_group_codes(g: int, n: int) -> np.ndarray:
     """All of Sp(2g, Z/n) by breadth-first closure over the 5g - 2
-    standard_transvections.
+    standard_transvections, as a sorted read-only int64 array of codes
+    (see _code_weights; code_to_mat decodes one).
 
     Only n in {2, 3} is enumerated, and only up to STATE_CAP elements.  The
     count is checked against the closed-form order, which certifies that
-    the transvections generate the group.  Returns a tuple of byte keys
-    (row-major entries), sorted.
+    the transvections generate the group.  The codes need n^(4g^2) < 2^63,
+    which holds for every group within STATE_CAP.
 
-    During the closure each matrix M is one int64 code, its row-major
-    entries read as base-n digits with the first entry most significant, so
-    codes sort in the same order as byte keys.  The codes need
-    n^(4g^2) < 2^63, which holds for every group within STATE_CAP.
-    A generator G acts on a code through a table of G v over all columns v,
-    one generator at a time, and the codes are de-duplicated in 1-D.
+    A generator G acts on a code through a table of G v over all columns v.
+    The frontier is walked STATE_BLOCK codes at a time: a block's images
+    under every generator are de-duplicated in 1-D, and those already
+    visited are dropped by binary search in the sorted visited codes.
     """
     order = gamma_index(g, n)
     if n not in (2, 3):
@@ -228,43 +255,38 @@ def sp_group_elements(g: int, n: int):
             "group enumeration is capped at n in {2, 3}; order for n=%d is %d by formula"
             % (n, order))
     check_states(order)
-    size = 2 * g
-    # code(M) = sum_ij M_ij * col_w[i] * digit_w[j]; a column v of (Z/n)^size
-    # is indexed by sum_i v_i * digit_w[i]
-    digit_w = n ** np.arange(size - 1, -1, -1, dtype=np.int64)
-    col_w = digit_w ** size
-    columns = np.arange(n ** size)[:, None] // digit_w % n
+    digit_w, col_w = _code_weights(g, n)
+    columns = np.arange(n ** (2 * g))[:, None] // digit_w % n
     # tables[t][v] = sum_i (G_t v)_i * col_w[i], the code of G_t v as column 0
     tables = [(columns @ np.array(t.entries).T) % n @ col_w
               for t in standard_transvections(g, n)]
-
-    def entries(codes):
-        out = np.empty((codes.size, size, size), dtype=np.uint8)
-        for i in range(size):
-            out[:, i] = codes[:, None] // (col_w[i] * digit_w) % n
-        return out
-
     visited = new = np.array([col_w @ digit_w])  # the identity
-    found, found_codes = [], []
     while new.size:
-        mats = entries(new)
-        found.append(mats)
-        found_codes.append(new)
-        col_idx = digit_w @ mats
-        codes = np.empty((len(tables), new.size), dtype=np.int64)
-        for T, row in zip(tables, codes):
-            np.matmul(T[col_idx], digit_w, out=row)
-        codes = codes.ravel()
-        codes.sort()  # in place; numpy's hash-based np.unique is slower here
-        codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
-        new = codes[~np.isin(codes, visited, assume_unique=True)]
-        visited = np.sort(np.concatenate((visited, new)), kind="stable")
+        found = []
+        for first in range(0, new.size, linalg.STATE_BLOCK):
+            block = new[first:first + linalg.STATE_BLOCK]
+            col_idx = digit_w @ _code_entries(block, g, n)
+            codes = np.empty((len(tables), block.size), dtype=np.int64)
+            for T, row in zip(tables, codes):
+                np.matmul(T[col_idx], digit_w, out=row)
+            codes = _sorted_distinct(codes.ravel())
+            at = np.minimum(np.searchsorted(visited, codes), visited.size - 1)
+            found.append(codes[visited[at] != codes])
+        new = _sorted_distinct(np.concatenate(found))
+        visited = np.insert(visited, np.searchsorted(visited, new), new)
     if visited.size != order:
         raise AssertionError("BFS closure found %d elements, formula says %d"
                              % (visited.size, order))
-    # every element was decoded once, in the round that found it
-    buf = np.concatenate(found)[np.argsort(np.concatenate(found_codes))].tobytes()
-    step = size * size
+    visited.flags.writeable = False
+    return visited
+
+
+@lru_cache(maxsize=None)
+def sp_group_elements(g: int, n: int):
+    """All of Sp(2g, Z/n) as a sorted tuple of byte keys (row-major
+    entries), decoded from sp_group_codes(g, n)."""
+    buf = _code_entries(sp_group_codes(g, n), g, n).tobytes()
+    step = 4 * g * g
     return tuple(buf[i:i + step] for i in range(0, len(buf), step))
 
 
@@ -272,7 +294,12 @@ def group_order(g: int, n: int) -> int:
     """Order of Sp(2g, Z/n).  For n in {2, 3} the group is enumerated and
     the count cross-checked against the formula; other levels use the
     formula only."""
-    return len(sp_group_elements(g, n)) if n in (2, 3) else gamma_index(g, n)
+    return len(sp_group_codes(g, n)) if n in (2, 3) else gamma_index(g, n)
+
+
+def code_to_mat(code: int, g: int, n: int) -> SymplecticMat:
+    """The matrix of one code of sp_group_codes(g, n)."""
+    return SymplecticMat(_code_entries(np.array([code]), g, n)[0].tolist(), n)
 
 
 def key_to_mat(key: bytes, g: int, n: int) -> SymplecticMat:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import weddle.burkhardt as burkhardt
+import weddle.linalg as linalg
 from weddle.burkhardt import (_base_locus_quadratic_ext,
                               _fp2_tables, _nonresidue, _sample_steinerian_points,
                               burkhardt_vanishes_symbolically,
@@ -275,10 +276,15 @@ def test_steinerian_plus_generic_and_degenerate():
     assert len(kern) == 5
 
 
+def _all_points(q):
+    """Every point of P^3(F_q) in one array."""
+    return np.concatenate(list(proj_points_mod_p(q, 3)))
+
+
 def _fiber_histogram_reference(p):
     """Fiber sizes by np.unique over whole rows, each image point scaled to
     first nonzero coordinate 1 with Python's modular inverse."""
-    vals = eval_polys(steinerian_quartics(), proj_points_mod_p(p, 3), GF(p))
+    vals = eval_polys(steinerian_quartics(), _all_points(p), GF(p))
     img = vals[(vals != 0).any(axis=1)]
     first = img[np.arange(len(img)), np.argmax(img != 0, axis=1)]
     inv = np.array([pow(int(x), -1, p) for x in first], dtype=np.int64)
@@ -292,7 +298,7 @@ def _base_locus_all_quartics(p):
     evaluated on every point; F_{p^2} = F_p[s]/(s^2 - d), the integer i read
     as (i mod p) + (i div p) s."""
     d = _nonresidue(p)
-    pts = proj_points_mod_p(p * p, 3)
+    pts = _all_points(p * p)
     re, im = pts % p, pts // p
     zero = np.ones(len(pts), dtype=bool)
     for quartic in steinerian_quartics():
@@ -329,12 +335,21 @@ def test_base_locus_filter_matches_all_quartics():
     assert _base_locus_quadratic_ext(7) == _base_locus_all_quartics(7) == 40
 
 
+def test_streamed_counts_do_not_depend_on_the_block(monkeypatch):
+    # 64-point blocks: P^3(F_31) in 481 of them, P^3(F_49) in 1,877
+    monkeypatch.setattr(linalg, "STATE_BLOCK", 64)
+    res = count_fibers_ff(31)
+    assert res["fiber_histogram"] == _fiber_histogram_reference(31)
+    assert (res["points"], res["base_points"]) == (31 ** 3 + 31 ** 2 + 31 + 1, 40)
+    assert _base_locus_quadratic_ext(7) == _base_locus_all_quartics(7) == 40
+
+
 def _base_locus_fmul(p: int) -> int:
     """The count over F_{p^2} as it was before the element tables: (a, b)
     pairs of arrays and one fmul per product."""
     d = _nonresidue(p)
     # entries are below p^2 <= 40000; int32 halves the coordinate arrays
-    pts = proj_points_mod_p(p * p, 3).astype(np.int32)
+    pts = _all_points(p * p).astype(np.int32)
     coords = [(pts[:, v] % p, pts[:, v] // p) for v in range(4)]
     n = pts.shape[0]
     del pts

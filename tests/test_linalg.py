@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -717,28 +718,44 @@ def test_mod_p_evaluation_refuses_a_foreign_modulus():
 
 def test_proj_points_census():
     for p, dim in ((5, 3), (7, 2)):
-        pts = proj_points_mod_p(p, dim)
+        pts = np.concatenate(list(proj_points_mod_p(p, dim)))
         expect = sum(p ** k for k in range(dim + 1))
         assert pts.shape == (expect, dim + 1)
         assert len({tuple(r) for r in pts.tolist()}) == expect
 
 
+@pytest.mark.parametrize("p, dim", [(5, 3), (7, 2), (2, 4)])
+def test_proj_point_blocks_follow_the_charts(monkeypatch, p, dim):
+    # blocks of 7 rows run across the ends of the charts
+    monkeypatch.setattr(linalg, "STATE_BLOCK", 7)
+    blocks = list(proj_points_mod_p(p, dim))
+    assert all(b.dtype == np.int64 and 0 < len(b) <= 7 for b in blocks)
+    want = [(0,) * lead + (1,) + rest for lead in range(dim + 1)
+            for rest in product(range(p), repeat=dim - lead)]
+    assert np.concatenate(blocks).tolist() == [list(r) for r in want]
+
+
 def test_proj_points_are_refused_exactly_above_the_cap(monkeypatch):
     # P^2(F_5) has 31 points
     monkeypatch.setattr(linalg, "STATE_CAP", 31)
-    assert proj_points_mod_p(5, 2).shape == (31, 3)
+    assert np.concatenate(list(proj_points_mod_p(5, 2))).shape == (31, 3)
     monkeypatch.setattr(linalg, "STATE_CAP", 30)
-    # an array built before the refusal would fail on the missing numpy
+    # the call itself refuses, before numpy is used: a block built first
+    # would fail on the missing numpy
     monkeypatch.setattr(linalg, "np", None)
     with pytest.raises(ResourceCapError, match="31 states exceeds cap 30"):
         proj_points_mod_p(5, 2)
 
 
-def test_count_common_zeros_mod_p():
+def test_count_common_zeros_mod_p(monkeypatch):
     x = [SparsePoly.variable(i, 3, QQ) for i in range(3)]
-    # x2 = 0 is a line of P^2(F_5), and x0 x1 cuts two points out of it
-    assert count_common_zeros_mod_p([x[2]], 5) == 6
-    assert count_common_zeros_mod_p([x[0] * x[1], x[2]], 5) == 2
+    for block in (linalg.STATE_BLOCK, 64):
+        monkeypatch.setattr(linalg, "STATE_BLOCK", block)
+        # x2 = 0 is a line of P^2(F_5), and x0 x1 cuts two points out of it
+        assert count_common_zeros_mod_p([x[2]], 5) == 6
+        assert count_common_zeros_mod_p([x[0] * x[1], x[2]], 5) == 2
+        # P^2(F_31) has 993 points, 16 blocks of 64: the line x2 = 0 has 32
+        assert count_common_zeros_mod_p([x[2]], 31) == 32
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,30 @@ def test_cli_fibers_and_base_locus():
     assert json.loads(out)["base_points"] == 40
 
 
+def test_cli_base_locus_memory_follows_the_block():
+    # P^3(F_127) has 2,064,640 points, about 490 MB when held at once; in
+    # blocks the whole process peaks near 35 MB.  A child's ru_maxrss starts
+    # from the RSS of the process that forked it, so a small interpreter
+    # starts the command and reads its peak (KiB) from os.wait4
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(root / "src"), env.get("PYTHONPATH"))))
+    probe = ("import os, subprocess, sys\n"
+             "proc = subprocess.Popen(sys.argv[1:])\n"
+             "_, status, usage = os.wait4(proc.pid, 0)\n"
+             "proc.returncode = os.waitstatus_to_exitcode(status)\n"
+             "print(proc.returncode, usage.ru_maxrss)\n")
+    proc = subprocess.run([sys.executable, "-c", probe, sys.executable, "-m", "weddle",
+                           "base-locus", "--p", "127"],
+                          env=env, cwd=root, capture_output=True, text=True, timeout=60)
+    report, _, last = proc.stdout.rstrip("\n").rpartition("\n")
+    code, maxrss = map(int, last.split())
+    assert (proc.returncode, code, proc.stderr) == (0, 0, "")
+    assert json.loads(report)["base_points"] == 40
+    assert maxrss < 100 * 1024
+
+
 def test_cli_theta_null(tmp_path):
     om = tmp_path / "omega.txt"
     om.write_text("1.0 1.0 0.3 0.1 0.3 0.1 1.5 1.2\n")

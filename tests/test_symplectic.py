@@ -14,8 +14,9 @@ from weddle.symplectic import (BASE_ODD, Characteristic,
                                InvariantViolation, J_matrix, QuadFormF2,
                                SymplecticMat, _is_symplectic,
                                act_characteristic, all_characteristics,
-                               all_quad_forms, classify_gamma, gamma_index,
-                               group_order, key_to_mat, orbit_characteristics,
+                               all_quad_forms, classify_gamma, code_to_mat,
+                               gamma_index, group_order, key_to_mat,
+                               orbit_characteristics, sp_group_codes,
                                sp_group_elements, stabilizer,
                                standard_transvections, torsor_action,
                                transvection)
@@ -157,6 +158,28 @@ def test_closure_equals_brute_force(g, n):
 def test_closure_sp4_f3_digest():
     digest = hashlib.sha256(b"".join(sp_group_elements(2, 3))).hexdigest()
     assert digest == "2b493323ef2c9ca5f159a5cd8d12c29e24925436d949213c486e81fc5ba8954c"
+
+
+def test_closure_codes_do_not_depend_on_the_block(monkeypatch):
+    codes = sp_group_codes(2, 3)
+    assert codes.dtype == np.int64 and not codes.flags.writeable
+    # the uncached closure, its frontier walked 64 codes at a time
+    monkeypatch.setattr(weddle.linalg, "STATE_BLOCK", 64)
+    assert np.array_equal(sp_group_codes.__wrapped__(2, 3), codes)
+
+
+@pytest.mark.parametrize("g, n", [(1, 2), (1, 3), (2, 2), (2, 3)])
+def test_codes_decode_to_the_byte_keys(g, n):
+    codes = sp_group_codes(g, n)
+    keys = sp_group_elements(g, n)
+    # a code is the row-major entries as base-n digits, the first most
+    # significant
+    places = [n ** k for k in reversed(range(4 * g * g))]
+    assert tuple(bytes(c // w % n for w in places) for c in codes.tolist()) == keys
+    # a seeded draw indexes codes and keys alike, so it picks the same matrix
+    a, b = random.Random(n), random.Random(n)
+    for _ in range(100):
+        assert code_to_mat(a.choice(codes), g, n) == key_to_mat(b.choice(keys), g, n)
 
 
 def test_groups_within_the_cap_fit_int64_codes(monkeypatch):
