@@ -13,19 +13,24 @@ from fractions import Fraction
 from math import gcd
 
 
+# Miller-Rabin with these bases is exact below _MR_BOUND (about 3.3e24)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Deterministic Miller-Rabin with the prime bases up to 37; an n past
+    the range where that is exact is refused with a ValueError."""
+    if n >= _MR_BOUND:
+        raise ValueError("%d is too large for the primality test (need n < %d)"
+                         % (n, _MR_BOUND))
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    # n - 1 = d 2^s with d odd
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    return all(pow(b, d, n) == 1 or any(pow(b, d << r, n) == n - 1 for r in range(s))
+               for b in _MR_BASES)
 
 
 class Fp:

@@ -1,10 +1,11 @@
 """Exact and floating linear algebra.
 
-Two elimination paths are kept deliberately separate: a naive
-division-based Gaussian elimination (the reference oracle) and a
-fraction-free Bareiss elimination used by default for exact domains.
-Both finish by normalizing to reduced row echelon form and must agree
-entry for entry.
+Every kernel and rank goes through _kernel, the one place that chooses the
+elimination for a field: int64 rref_mod_p over GF(p), the SVD kernel
+(nullspace_complex) over CC, and fraction-free Bareiss elimination over Q
+and Q(w).  The naive division-based Gaussian elimination is kept apart as
+the reference oracle; both exact paths finish by normalizing to reduced
+row echelon form and must agree entry for entry.
 
 Ring-generic routines (pfaffian, adjugate, determinant by expansion)
 avoid division entirely so they also work on polynomial matrices.
@@ -198,48 +199,55 @@ def rref_bareiss(rows, domain: Domain):
     return m, pivots
 
 
-def nullspace_from_rref(rref, pivots, ncols, domain: Domain):
-    basis = []
-    pivset = set(pivots)
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = [domain.zero()] * ncols
-        v[f] = domain.one()
-        for i, c in enumerate(pivots):
-            v[c] = -rref[i][f]
-        basis.append(v)
-    return basis
-
-
 def nullspace(m, domain: Domain, method="bareiss"):
-    """Basis of the right kernel.  Empty list iff full column rank.
-
-    Exact domains use fraction-free elimination ("naive" selects the
-    reference path).  Complex matrices go through the SVD with the default
-    relative threshold; use nullspace_complex directly to tune it.
-    """
-    rows = m.rows if isinstance(m, Matrix) else [list(r) for r in m]
-    if isinstance(domain, ComplexField):
-        arr = np.array([[complex(x) for x in r] for r in rows])
-        return [list(v) for v in nullspace_complex(arr)[0]]
+    """Basis of the right kernel (see _kernel) as lists of the domain's
+    scalars, Fp objects over GF(p).  Empty list iff full column rank.  Use
+    nullspace_complex directly to tune the SVD threshold over CC."""
+    rows = m.rows if isinstance(m, Matrix) else m
     if not isinstance(domain, Domain):
         raise UnsupportedDomainError("nullspace needs a field scalar domain")
     if any(isinstance(x, SparsePoly) for r in rows for x in r):
         raise UnsupportedDomainError("nullspace over polynomial entries is not supported")
-    fn = rref_naive if method == "naive" else rref_bareiss
-    rref, pivots = fn(rows, domain)
-    return nullspace_from_rref(rref, pivots, len(rows[0]), domain)
+    basis, _ = _kernel(_array_form(rows, domain), domain, method)
+    if isinstance(domain, PrimeField):
+        return [[domain.from_int(int(x)) for x in v] for v in basis]
+    return [list(v) for v in basis]
 
 
 def rank(m, domain: Domain):
-    """Exact rank by elimination; complex matrices count the singular values
-    at or above the default relative threshold of the SVD kernel."""
-    rows = m.rows if isinstance(m, Matrix) else m
+    """The column count minus the dimension of the kernel (see _kernel), so
+    over CC the singular values at or above the default relative threshold."""
+    a = _array_form(m.rows if isinstance(m, Matrix) else m, domain)
+    return a.shape[1] - len(_kernel(a, domain)[0])
+
+
+def _kernel(a: np.ndarray, domain: Domain, method="bareiss"):
+    """(basis rows, singular values or None) of the right kernel of a 2-d
+    array in the domain's array form, which this call may overwrite.  The
+    one switch between eliminations: int64 rref_mod_p over GF(p),
+    nullspace_complex over CC, and rref_bareiss (rref_naive with method
+    "naive") over Q and Q(w); an exact basis is the identity on the free
+    columns."""
     if isinstance(domain, ComplexField):
-        return len(rows[0]) - len(nullspace_complex(rows)[0])
-    _, pivots = rref_bareiss(rows, domain)
-    return len(pivots)
+        return nullspace_complex(a)
+    nc = a.shape[1]
+    if isinstance(domain, PrimeField):
+        check_int64_prime(domain.p)
+        rref, pivots = _rref_mod_p_in_place(a, domain.p)
+        zero, one = 0, 1
+    else:
+        fn = rref_naive if method == "naive" else rref_bareiss
+        rows, pivots = fn(a.tolist(), domain)
+        rref = np.array(rows, dtype=object).reshape(len(rows), nc)
+        zero, one = domain.zero(), domain.one()
+    pivset = set(pivots)
+    free = [c for c in range(nc) if c not in pivset]
+    basis = np.full((len(free), nc), zero, dtype=rref.dtype)
+    basis[range(len(free)), free] = one
+    basis[:, pivots] = -rref[:, free].T
+    if isinstance(domain, PrimeField):
+        basis %= domain.p
+    return basis, None
 
 
 # ---------------------------------------------------------------------------
@@ -581,20 +589,6 @@ def _rref_mod_p_in_place(a: np.ndarray, p: int):
     return a[:r], pivots
 
 
-def nullspace_mod_p(a: np.ndarray, p: int) -> np.ndarray:
-    return _nullspace_of_rref(*rref_mod_p(a, p), p)
-
-
-def _nullspace_of_rref(rref: np.ndarray, pivots: list, p: int) -> np.ndarray:
-    is_free = np.ones(rref.shape[1], dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    basis = np.zeros((free.size, rref.shape[1]), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = (-rref[:, free]).T % p
-    return basis
-
-
 def proj_points_mod_p(p: int, dim: int = 3):
     """The points of P^dim(F_p) as int64 blocks of at most STATE_BLOCK rows:
     one affine chart per leading coordinate, each in row-major order of its
@@ -630,14 +624,15 @@ def _proj_point_blocks(p: int, dim: int):
 def nullspace_complex(a, rel_threshold: float = 1e-8):
     """SVD kernel with threshold relative to the top singular value.
 
-    Returns (basis_rows, absolute_threshold, singular_values)."""
+    Returns (basis, singular_values): the basis rows are the conjugated
+    right singular vectors past the last singular value at or above the
+    threshold."""
     a = np.asarray(a, dtype=complex)
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     top = s[0] if s.size else 0.0
     thr = rel_threshold * top if top > 0 else rel_threshold
-    # rows of vh are conjugate-transposed right singular vectors
-    null_rows = [np.conj(vh[i]) for i in range(a.shape[1]) if i >= s.size or s[i] < thr]
-    return null_rows, thr, s
+    # s is in descending order, so the kernel's rows of vh are a suffix
+    return np.conj(vh[np.count_nonzero(s >= thr):]), s
 
 
 # ---------------------------------------------------------------------------
@@ -772,8 +767,7 @@ class FitResult:
     the nullity of the evaluation matrix; `unique` is the form when that
     dimension is 1, else None."""
     forms: list
-    threshold: float | None
-    singular_values: np.ndarray | None = None
+    singular_values: np.ndarray | None
 
     def __iter__(self):
         return iter(self.forms)
@@ -810,16 +804,9 @@ def fit_hypersurface(points, degree: int, domain: Domain) -> FitResult:
     p = domain.p if isinstance(domain, PrimeField) else None
     for k, col in enumerate(_monomial_columns(pts, exps, _elem(1, domain), p)):
         a[:, k] = col
-    thr = s = None
-    if isinstance(domain, PrimeField):
-        # a is this call's own, so it is reduced where it stands
-        check_int64_prime(p)
-        basis = _nullspace_of_rref(*_rref_mod_p_in_place(a, p), p)
-    elif isinstance(domain, ComplexField):
-        basis, thr, s = nullspace_complex(a)
-    else:
-        basis = nullspace(a.tolist(), domain)
-    return FitResult([_vector_to_form(v, exps, domain) for v in basis], thr, s)
+    # a is this call's own, so the kernel may reduce it where it stands
+    basis, s = _kernel(a, domain)
+    return FitResult([_vector_to_form(v, exps, domain) for v in basis], s)
 
 
 def _vector_to_form(vec, exps, domain: Domain):

@@ -66,9 +66,6 @@ class Characteristic:
     def parity(self) -> int:
         return -1 if sum(x * y for x, y in zip(self.a, self.b)) % 2 else 1
 
-    def vector(self):
-        return self.a + self.b
-
 
 def all_characteristics(g: int):
     out = []

@@ -363,8 +363,6 @@ def half_period_census(kappa: Characteristic, omega: PeriodMatrix):
 @dataclass
 class SurfaceQuadrics:
     r: np.ndarray
-    smallest_sv: float
-    gap_sv: float
     fresh_residual: float
 
 
@@ -378,16 +376,17 @@ def _invariant_quadric_row(x: np.ndarray) -> np.ndarray:
 
 def surface_quadrics(omega: PeriodMatrix, rng) -> SurfaceQuadrics:
     """Coefficients r of the translation-invariant quadric through the
-    image surface, by a singular-vector extraction; all nine translated
-    quadrics must vanish on fresh samples."""
+    image surface, the one vector of the SVD kernel of the sampled rows;
+    all nine translated quadrics must vanish on fresh samples."""
     rows = []
     for _ in range(40):
         x = level3_coords(random_z(omega, rng), omega)
         x = x / np.abs(x).max()
         rows.append(_invariant_quadric_row(x))
-    a = np.array(rows)
-    _, s, vh = np.linalg.svd(a)
-    r = np.conj(vh[-1])
+    kernel, _ = nullspace_complex(np.array(rows))
+    if len(kernel) != 1:
+        raise RuntimeError("sampled quadric rows have nullity %d, not 1" % len(kernel))
+    r = kernel[0]
     from .burkhardt import quadrics_f
     fresh = []
     for _ in range(30):
@@ -396,7 +395,7 @@ def surface_quadrics(omega: PeriodMatrix, rng) -> SurfaceQuadrics:
     resid = np.abs(eval_polys(quadrics_f(list(r), CC), fresh, CC)).max() / np.abs(r).max()
     if resid > 1e-7:
         raise RuntimeError("translated quadrics do not vanish: residual %g" % resid)
-    return SurfaceQuadrics(r, float(s[-1]), float(s[-2]), float(resid))
+    return SurfaceQuadrics(r, float(resid))
 
 
 def quadric_space_nullity(omega: PeriodMatrix, rng):

@@ -183,3 +183,9 @@ def test_domain_by_name():
 
 def test_is_prime_small():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    # every n below 10^5, against the sieve of Eratosthenes
+    sieve = [False, False] + [True] * (10 ** 5 - 2)
+    for d in range(2, 317):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(range(d * d, 10 ** 5, d))
+    assert [n for n in range(10 ** 5) if is_prime(n)] == [n for n in range(10 ** 5) if sieve[n]]

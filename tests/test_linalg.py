@@ -14,7 +14,7 @@ from weddle.linalg import (Matrix, ResourceCapError, ShapeError, UnsupportedDoma
                            count_common_zeros_mod_p, det_bareiss,
                            det_ring, eval_polys,
                            fit_hypersurface, nullspace, nullspace_complex,
-                           nullspace_mod_p, pfaffian, proj_points_mod_p,
+                           pfaffian, proj_points_mod_p,
                            proj_distance, proj_ratio, rank, rref_bareiss,
                            rref_mod_p, same_point,
                            rref_naive, sub_pfaffian_kernel)
@@ -58,12 +58,20 @@ def test_nullspace_trivial_cases():
 
 def test_bareiss_agrees_with_naive_on_random_matrices():
     rng = random.Random(0)
-    for _ in range(100):
-        rows = [[Fraction(rng.randint(-9, 9)) for _ in range(6)] for _ in range(6)]
-        r1, p1 = rref_naive(rows, QQ)
-        r2, p2 = rref_bareiss(rows, QQ)
-        assert p1 == p2
-        assert r1 == r2
+    for dom in (QQ, QW):
+        for _ in range(100 if dom is QQ else 30):
+            # a random rank: the last rows repeat sums of the first ones
+            rk = rng.randint(0, 6)
+            rows = [[dom.random(rng) for _ in range(6)] for _ in range(rk)]
+            rows += [[a + b for a, b in zip(rows[i % rk], rows[(i + 1) % rk])]
+                     if rk else [dom.zero()] * 6 for i in range(6 - rk)]
+            r1, p1 = rref_naive(rows, dom)
+            r2, p2 = rref_bareiss(rows, dom)
+            assert p1 == p2
+            assert r1 == r2
+            basis = nullspace(rows, dom)
+            assert nullspace(rows, dom, method="naive") == basis
+            assert rank(rows, dom) == len(p1) == 6 - len(basis)
 
 
 def test_bareiss_agrees_on_rectangular_and_mod_p():
@@ -347,31 +355,11 @@ def test_fit_takes_an_int64_array_over_gf_p():
 
 def test_complex_nullspace_threshold():
     a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]])
-    basis, thr, _ = nullspace_complex(a, rel_threshold=1e-8)
+    basis, _ = nullspace_complex(a, rel_threshold=1e-8)
     assert len(basis) == 1
     assert max(abs(a @ basis[0])) < 1e-9
-    basis_tight, _, _ = nullspace_complex(a, rel_threshold=1e-12)
+    basis_tight, _ = nullspace_complex(a, rel_threshold=1e-12)
     assert len(basis_tight) == 0
-
-
-def test_nullspace_mod_p_matches_exact():
-    rng = random.Random(9)
-    dom = GF(31)
-    full = [[rng.randrange(31) for _ in range(6)] for _ in range(4)]
-    # rank 3: column 1 is zero, column 3 is 2*col0 + col2, and row 3 is
-    # row0 + 5*row1, so the pivots skip columns 1 and 3
-    deficient = [[rng.randrange(31) for _ in range(7)] for _ in range(3)]
-    for r in deficient:
-        r[1] = 0
-        r[3] = (2 * r[0] + r[2]) % 31
-    deficient.append([(a + 5 * b) % 31 for a, b in zip(deficient[0], deficient[1])])
-    assert rref_mod_p(np.array(deficient), 31)[1] == [0, 2, 4]
-    for rows in (full, deficient):
-        fast = nullspace_mod_p(np.array(rows), 31)
-        exact = nullspace([[dom.coerce(x) for x in r] for r in rows], dom)
-        assert len(fast) == len(exact)
-        for vf, ve in zip(fast, exact):
-            assert [int(x) for x in vf] == [x.val for x in ve]
 
 
 # the largest prime with p^2 < 2^63, and the smallest prime above it
@@ -434,11 +422,21 @@ def _matrices_mod_p(draw):
 def test_rref_mod_p_matches_bareiss(case):
     p, rows = case
     dom = GF(p)
-    fast, fast_piv = rref_mod_p(np.array(rows, dtype=np.int64), p)
+    a = np.array(rows, dtype=np.int64)
+    fast, fast_piv = rref_mod_p(a, p)
     exact, exact_piv = rref_bareiss([[dom.coerce(x) for x in r] for r in rows], dom)
     assert fast_piv == exact_piv
     assert fast.dtype == np.int64
     assert fast.tolist() == [[x.val for x in r] for r in exact]
+    # the kernel kills every row and is the identity on the free columns
+    nc = len(rows[0])
+    free = [c for c in range(nc) if c not in fast_piv]
+    basis = nullspace(a, dom)
+    assert np.array_equal(a, rows)
+    assert len(basis) == nc - len(fast_piv)
+    assert all(not sum((x * y for x, y in zip(r, v)), dom.zero()) for r in rows for v in basis)
+    assert [[v[c].val for c in free] for v in basis] == np.eye(len(free), dtype=int).tolist()
+    assert rank(rows, dom) == len(fast_piv)
 
 
 def _rref_mod_p_rank1(a: np.ndarray, p: int):

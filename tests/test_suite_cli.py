@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -185,10 +186,20 @@ def test_cli_cross_suite_above_the_cap_exits_2(capsys):
 
 
 def test_cli_refuses_prime_beyond_int64(capsys):
-    # 3037000507 is the smallest prime with p^2 >= 2^63
-    assert main(["weddle-curve", "--p", "3037000507"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and err.count("\n") == 1
+    # 3037000507 is the smallest prime with p^2 >= 2^63; the larger moduli
+    # must be refused at once, without a primality test in O(sqrt(p)) time,
+    # the last beyond the range of the deterministic test
+    big, huge = "10000000000000061", "1000000000000000000000000000057"
+    for args in (["weddle-curve", "--p", "3037000507"], ["weddle-curve", "--p", big],
+                 ["run", "--suite", "curve", "--p", big],
+                 ["run", "--suite", "burk", "--p", big],
+                 ["derive-burkhardt", "--field", "Fp:" + big],
+                 ["run", "--suite", "curve", "--p", huge]):
+        start = time.perf_counter()
+        assert main(args) == 2
+        assert time.perf_counter() - start < 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
 
 
 def test_theta_run_survives_overflowing_newton_step(tmp_path):
