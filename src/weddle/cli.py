@@ -9,6 +9,7 @@ Exit codes: 0 ok, 1 check failure, 2 configuration error or resource cap.
 from __future__ import annotations
 
 import argparse
+import gc
 import random
 import sys
 
@@ -305,6 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Everything alive now, mostly numpy's import-time objects, lives until
+    # exit: frozen, it is never walked again by a collection, nor by the
+    # interpreter's teardown.  The collect first keeps a caller's pending
+    # garbage out of the frozen generation.
+    gc.collect()
+    gc.freeze()
     ap = build_parser()
     args = ap.parse_args(argv)
     if getattr(args, "cmd", None) == "run" and args.suite is None:

@@ -102,6 +102,22 @@ def enumerate_group(g: int):
     return out
 
 
+def h_index(h: HeisElement) -> int:
+    """The position of h in enumerate_group(h.g): 3^(2g) t plus the index
+    of u = (x | x*) in a multiplier table (see _uidx)."""
+    return (h.t % 3) * 3 ** (2 * h.g) + _uidx(h.u(), h.g)
+
+
+def h_mul_index(a, b, g: int) -> np.ndarray:
+    """h_mul on arrays of enumerate_group(g) indices, elementwise."""
+    U, _ = _flat_vectors(g)
+    size = len(U)
+    a, b = np.asarray(a), np.asarray(b)
+    ua, ub = U[a % size], U[b % size]
+    t = a // size + b // size + (ua[..., g:] * ub[..., :g]).sum(axis=-1)
+    return t % 3 * size + (ua + ub) % 3 @ _place_values(g)
+
+
 def weil_pairing(u, v) -> int:
     """E(u, v) = x*(y) - y*(x) mod 3 on flat vectors u = (x | x*)."""
     g = len(u) // 2
@@ -163,17 +179,36 @@ class GenPerm:
         return "GenPerm(%s, %s)" % (self.perm, self.expo)
 
 
+@lru_cache(maxsize=None)
+def schrodinger_table():
+    """U(h) for all 243 h of enumerate_group(2), row k for the k-th (see
+    h_index): (perm, expo) as read-only (243, 9) int64 arrays, with column a
+    going to row perm[a] with coefficient w^expo[a], as in GenPerm.  Row
+    (t, x, x*) has perm[a] = idx2(a + x) and expo[a] = t + x*.a."""
+    U, _ = _flat_vectors(2)      # (x | x*) in the order of h_index
+    A, _ = _flat_vectors(1)      # the delta basis a, in the order of idx2
+    perm = (U[:, None, :2] + A) % 3 @ _place_values(1)
+    expo = np.arange(3)[:, None, None] + U[:, 2:] @ A.T
+    perm, expo = np.tile(perm, (3, 1)), expo.reshape(-1, 9) % 3
+    perm.flags.writeable = expo.flags.writeable = False
+    return perm, expo
+
+
 def schrodinger(h: HeisElement) -> GenPerm:
-    """U(h) on the 9-dimensional delta basis, g = 2 only."""
+    """U(h) on the 9-dimensional delta basis, g = 2 only: one row of
+    schrodinger_table()."""
     if h.g != 2:
         raise ValueError("the representation is materialized at genus 2")
-    perm = []
-    expo = []
-    for i in range(9):
-        a = from_idx2(i)
-        perm.append(idx2(((a[0] + h.x[0]), (a[1] + h.x[1]))))
-        expo.append((h.t + h.xs[0] * a[0] + h.xs[1] * a[1]) % 3)
-    return GenPerm(perm, expo)
+    perm, expo = schrodinger_table()
+    k = h_index(h)
+    return GenPerm(perm[k].tolist(), expo[k].tolist())
+
+
+def compose_rows(A, B):
+    """A . B for generalized permutations given as (perm, expo) arrays of
+    shape (..., 9), stacked and broadcast: GenPerm.compose, elementwise."""
+    (ap, ae), (bp, be) = A, B
+    return np.take_along_axis(ap, bp, -1), (be + np.take_along_axis(ae, bp, -1)) % 3
 
 
 def involution_j() -> GenPerm:
@@ -270,6 +305,15 @@ class HeisAutomorphism:
         g = self.g
         return HeisElement((h.t + self.f_at(u)) % 3, Mu[:g], Mu[g:])
 
+    def on_indices(self, k) -> np.ndarray:
+        """phi on an array of enumerate_group(g) indices, elementwise."""
+        U, _ = _flat_vectors(self.g)
+        size = len(U)
+        k = np.asarray(k)
+        u = k % size
+        Mu = U[u] @ np.array(self.M.entries).T % 3 @ _place_values(self.g)
+        return (k // size + np.array(self.f)[u]) % 3 * size + Mu
+
     def compose(self, other):
         """self after other."""
         def f(u):
@@ -287,10 +331,17 @@ class HeisAutomorphism:
 
 
 def _uidx(u, g):
+    """The index of u in a multiplier table: its entries mod 3 as base-3
+    digits, the first most significant."""
     i = 0
     for a in u:
         i = i * 3 + (a % 3)
     return i
+
+
+def _place_values(g: int) -> np.ndarray:
+    """3^(2g-1), ..., 3, 1: the weights of the digits in _uidx."""
+    return 3 ** np.arange(2 * g - 1, -1, -1)
 
 
 def identity_automorphism(g: int = 2) -> HeisAutomorphism:
@@ -356,7 +407,8 @@ def intertwiner(phi) -> Matrix:
     The constraint system couples unknowns in pairs with unit ratios, so it
     is solved exactly by one traversal of the graph of those pairs; the
     solution space must be one-dimensional or the representation theory is
-    broken, and RepresentationError says so.
+    broken, and RepresentationError says so.  T is shared with every other
+    caller that asks for the same automorphism: read it, do not change it.
     """
     if isinstance(phi, SymplecticMat):
         phi = lift_symplectic(phi)
@@ -373,8 +425,11 @@ def _generator_images():
     return tuple((h, schrodinger(h)) for h in heisenberg_generators(2))
 
 
+@lru_cache(maxsize=256)
 def _intertwiner_solve(phi: HeisAutomorphism):
     """(T, 1) for the unique intertwiner up to scale, else (None, dim).
+    Cached by the automorphism, so a lift that two checks share is solved
+    once.
 
     The unknowns are the 81 entries T[i, c], index 9 i + c.  For each
     generator h, with A = U(h) and B = U(phi(h)), the entry (i, a) of
@@ -424,24 +479,47 @@ def _intertwiner_solve(phi: HeisAutomorphism):
     return Matrix(rows), 1
 
 
-def genperm_right(T: Matrix, A: GenPerm) -> Matrix:
-    """T . A for a generalized permutation A, in O(81)."""
-    rows = []
-    for i in range(9):
-        row = [None] * 9
-        for a in range(9):
-            row[a] = T.rows[i][A.perm[a]] * omega_power(A.expo[a])
-        rows.append(row)
-    return Matrix(rows)
+# w-exponent form: an entry 0 or w^e of a matrix over Q(w) is the int -1 or e
+_EXPONENT_OF = {(0, 0, 1): -1, (1, 0, 1): 0, (0, 1, 1): 1, (-1, -1, 1): 2}
 
 
-def genperm_left(B: GenPerm, T: Matrix) -> Matrix:
-    """B . T for a generalized permutation B, in O(81)."""
-    rows = [None] * 9
-    for k in range(9):
-        c = omega_power(B.expo[k])
-        rows[B.perm[k]] = [c * x for x in T.rows[k]]
-    return Matrix(rows)
+def omega_exponents(T: Matrix) -> np.ndarray:
+    """The entries of T, each 0 or a power of w as in every intertwiner, as
+    an int64 array of w-exponents with -1 for 0."""
+    try:
+        return np.array([[_EXPONENT_OF[x.a, x.b, x.d] for x in row] for row in T.rows])
+    except (AttributeError, KeyError):
+        raise ValueError("an entry is neither 0 nor a power of w") from None
+
+
+def _times_omega(E: np.ndarray, k) -> np.ndarray:
+    """w^k times the entries of w-exponent form E, k broadcast against E."""
+    return np.where(E < 0, -1, (E + k) % 3)
+
+
+def exponent_product(E: np.ndarray, F: np.ndarray) -> Matrix:
+    """The product of two matrices in w-exponent form, exactly, as a Matrix
+    of Cyc.  With c_s the number of k where E[i, k] + F[k, j] = s mod 3 (both
+    nonzero), entry (i, j) is c_0 + c_1 w + c_2 w^2 = (c_0 - c_2) + (c_1 - c_2) w;
+    the counts come from nine products of 0/1 integer matrices."""
+    c = np.zeros((3, len(E), F.shape[1]), dtype=np.int64)
+    for e in range(3):
+        for f in range(3):
+            c[(e + f) % 3] += (E == e).astype(np.int64) @ (F == f)
+    u, v = (c[0] - c[2]).tolist(), (c[1] - c[2]).tolist()
+    return Matrix([[Cyc(a, b) for a, b in zip(ru, rv)] for ru, rv in zip(u, v)])
+
+
+def intertwines(E: np.ndarray, A, B) -> bool:
+    """Whether T A = B T for every pair of generalized permutations A, B,
+    stacked as (perm, expo) arrays of shape (m, 9), with T in w-exponent
+    form E.  (T A)[i, a] = w^A.expo[a] T[i, A.perm[a]], and row i of B T is
+    w^B.expo[k] times row k of T, where B.perm[k] = i."""
+    (ap, ae), (bp, be) = A, B
+    TA = _times_omega(E[:, ap].transpose(1, 0, 2), ae[:, None, :])
+    k = np.argsort(bp, axis=-1)
+    BT = _times_omega(E[k], np.take_along_axis(be, k, -1)[..., None])
+    return np.array_equal(TA, BT)
 
 
 def block_split(T: Matrix):

@@ -208,46 +208,52 @@ def nullspace(m, domain: Domain, method="bareiss"):
         raise UnsupportedDomainError("nullspace needs a field scalar domain")
     if any(isinstance(x, SparsePoly) for r in rows for x in r):
         raise UnsupportedDomainError("nullspace over polynomial entries is not supported")
-    basis, _ = _kernel(_array_form(rows, domain), domain, method)
+    _, basis, _ = _kernel(_array_form(rows, domain), domain, method)
     if isinstance(domain, PrimeField):
-        return [[domain.from_int(int(x)) for x in v] for v in basis]
-    return [list(v) for v in basis]
+        return [[domain.from_int(int(x)) for x in v] for v in basis()]
+    return [list(v) for v in basis()]
 
 
 def rank(m, domain: Domain):
-    """The column count minus the dimension of the kernel (see _kernel), so
-    over CC the singular values at or above the default relative threshold."""
+    """The rank that _kernel's elimination finds, so over CC the number of
+    singular values at or above the default relative threshold."""
     a = _array_form(m.rows if isinstance(m, Matrix) else m, domain)
-    return a.shape[1] - len(_kernel(a, domain)[0])
+    return _kernel(a, domain)[0]
 
 
 def _kernel(a: np.ndarray, domain: Domain, method="bareiss"):
-    """(basis rows, singular values or None) of the right kernel of a 2-d
+    """(rank, basis, singular values or None) of the right kernel of a 2-d
     array in the domain's array form, which this call may overwrite.  The
     one switch between eliminations: int64 rref_mod_p over GF(p),
     nullspace_complex over CC, and rref_bareiss (rref_naive with method
-    "naive") over Q and Q(w); an exact basis is the identity on the free
-    columns."""
-    if isinstance(domain, ComplexField):
-        return nullspace_complex(a)
+    "naive") over Q and Q(w).  basis() returns the basis rows, an exact
+    basis the identity on the free columns; the back-substitution runs only
+    when it is called, so a caller that needs the rank alone never pays it."""
     nc = a.shape[1]
+    if isinstance(domain, ComplexField):
+        kernel, s = nullspace_complex(a)
+        return nc - len(kernel), lambda: kernel, s
     if isinstance(domain, PrimeField):
         check_int64_prime(domain.p)
         rref, pivots = _rref_mod_p_in_place(a, domain.p)
         zero, one = 0, 1
     else:
         fn = rref_naive if method == "naive" else rref_bareiss
-        rows, pivots = fn(a.tolist(), domain)
-        rref = np.array(rows, dtype=object).reshape(len(rows), nc)
+        rref, pivots = fn(a.tolist(), domain)
         zero, one = domain.zero(), domain.one()
-    pivset = set(pivots)
-    free = [c for c in range(nc) if c not in pivset]
-    basis = np.full((len(free), nc), zero, dtype=rref.dtype)
-    basis[range(len(free)), free] = one
-    basis[:, pivots] = -rref[:, free].T
-    if isinstance(domain, PrimeField):
-        basis %= domain.p
-    return basis, None
+
+    def basis():
+        r = np.asarray(rref, dtype=a.dtype).reshape(len(rref), nc)
+        pivset = set(pivots)
+        free = [c for c in range(nc) if c not in pivset]
+        out = np.full((len(free), nc), zero, dtype=a.dtype)
+        out[range(len(free)), free] = one
+        out[:, pivots] = -r[:, free].T
+        if isinstance(domain, PrimeField):
+            out %= domain.p
+        return out
+
+    return len(pivots), basis, None
 
 
 # ---------------------------------------------------------------------------
@@ -805,8 +811,8 @@ def fit_hypersurface(points, degree: int, domain: Domain) -> FitResult:
     for k, col in enumerate(_monomial_columns(pts, exps, _elem(1, domain), p)):
         a[:, k] = col
     # a is this call's own, so the kernel may reduce it where it stands
-    basis, s = _kernel(a, domain)
-    return FitResult([_vector_to_form(v, exps, domain) for v in basis], s)
+    _, basis, s = _kernel(a, domain)
+    return FitResult([_vector_to_form(v, exps, domain) for v in basis()], s)
 
 
 def _vector_to_form(vec, exps, domain: Domain):

@@ -155,31 +155,45 @@ def check_stabilizers(ctx: Context) -> CheckRecord:
                         "even_orbits": list(even.orbit_sizes_on_odd)})
 
 
+def _rows_differ(A, B) -> np.ndarray:
+    """The positions where two stacks of (perm, expo) rows differ."""
+    return np.flatnonzero(((A[0] != B[0]) | (A[1] != B[1])).any(axis=-1))
+
+
 def check_heisenberg(ctx: Context) -> CheckRecord:
     rng = child_rng(ctx.cfg, "AC04")
-    G = heisenberg.enumerate_group(2)
+    perm, expo = heisenberg.schrodinger_table()
+
+    def rows(k):
+        return perm[k], expo[k]
+
+    # every draw is an index into enumerate_group(2): randrange of its order
+    # takes from rng what rng.choice of the group did
+    order = len(perm)
+    left, right = np.array([rng.randrange(order) for _ in range(1000)]).reshape(500, 2).T
+    flips = np.array([rng.randrange(order) for _ in range(50)])
     counterexamples = []
-    mult_ok = True
-    for _ in range(500):
-        h1, h2 = rng.choice(G), rng.choice(G)
-        if heisenberg.schrodinger(heisenberg.h_mul(h1, h2)) != \
-                heisenberg.schrodinger(h1).compose(heisenberg.schrodinger(h2)):
-            mult_ok = False
-            counterexamples.append("multiplicativity: %r * %r" % (h1, h2))
-            break
+    # the group law on indices against the composition of the table's rows
+    bad = _rows_differ(rows(heisenberg.h_mul_index(left, right, 2)),
+                       heisenberg.compose_rows(rows(left), rows(right)))
+    mult_ok = not bad.size
+    if bad.size:
+        G = heisenberg.enumerate_group(2)
+        counterexamples.append("multiplicativity: %r * %r"
+                               % (G[left[bad[0]]], G[right[bad[0]]]))
     j = heisenberg.involution_j()
-    D = heisenberg.d_minus_one()
-    j_ok = True
-    for h in (rng.choice(G) for _ in range(50)):
-        if j.compose(heisenberg.schrodinger(h)).compose(j) \
-                != heisenberg.schrodinger(D(h)):
-            j_ok = False
-            counterexamples.append("flip conjugation: %r" % (h,))
-            break
+    J = np.array([j.perm]), np.array([j.expo])
+    bad = _rows_differ(heisenberg.compose_rows(heisenberg.compose_rows(J, rows(flips)), J),
+                       rows(heisenberg.d_minus_one().on_indices(flips)))
+    j_ok = not bad.size
+    if bad.size:
+        counterexamples.append("flip conjugation: %r"
+                               % (heisenberg.enumerate_group(2)[flips[bad[0]]],))
     dims = (len(heisenberg.eigenbasis_plus()), len(heisenberg.eigenbasis_minus()))
     gens = heisenberg.standard_sp4_generators()
     schur_ok = True
     blocks_ok = True
+    hs = np.array([heisenberg.h_index(h) for h in heisenberg.heisenberg_generators(2)])
     for M in gens:
         phi = heisenberg.lift_symplectic(M)
         try:
@@ -187,11 +201,8 @@ def check_heisenberg(ctx: Context) -> CheckRecord:
         except heisenberg.RepresentationError:
             schur_ok = False
             continue
-        for h in heisenberg.heisenberg_generators(2):
-            L = heisenberg.genperm_right(T, heisenberg.schrodinger(h))
-            R = heisenberg.genperm_left(heisenberg.schrodinger(phi(h)), T)
-            if any(L.rows[i][j2] != R.rows[i][j2] for i in range(9) for j2 in range(9)):
-                schur_ok = False
+        schur_ok &= heisenberg.intertwines(heisenberg.omega_exponents(T), rows(hs),
+                                           rows(phi.on_indices(hs)))
         _, _, off = heisenberg.block_split(T)
         blocks_ok &= off
     # the codes sort as the byte keys do, so a draw picks the same matrix
@@ -207,7 +218,9 @@ def check_heisenberg(ctx: Context) -> CheckRecord:
         except heisenberg.RepresentationError:
             proj_ok = False
             break
-        if proj_ratio(TM.mat_mul(TN), TMN, QW) is None:
+        TMTN = heisenberg.exponent_product(heisenberg.omega_exponents(TM),
+                                           heisenberg.omega_exponents(TN))
+        if proj_ratio(TMTN, TMN, QW) is None:
             proj_ok = False
             break
     ok = mult_ok and j_ok and dims == (5, 4) and schur_ok and blocks_ok and proj_ok

@@ -241,10 +241,14 @@ def sp_group_codes(g: int, n: int) -> np.ndarray:
     the transvections generate the group.  The codes need n^(4g^2) < 2^63,
     which holds for every group within STATE_CAP.
 
-    A generator G acts on a code through a table of G v over all columns v.
-    The frontier is walked STATE_BLOCK codes at a time: a block's images
-    under every generator are de-duplicated in 1-D, and those already
-    visited are dropped by binary search in the sorted visited codes.
+    Inside the closure a matrix is coded by its columns instead: the index
+    of column j (see _code_weights) is digit j of a base-n^(2g) number, the
+    first most significant.  A generator G maps column v to G v, so it acts
+    on a code through one table over all pairs of columns, g lookups with
+    nothing decoded.  The frontier is walked STATE_BLOCK codes at a time: a
+    block's images under every generator are de-duplicated in 1-D, and
+    those already visited are dropped by binary search in the sorted
+    visited codes.  The visited set is re-encoded row-major once, at the end.
     """
     order = gamma_index(g, n)
     if n not in (2, 3):
@@ -252,28 +256,47 @@ def sp_group_codes(g: int, n: int) -> np.ndarray:
             "group enumeration is capped at n in {2, 3}; order for n=%d is %d by formula"
             % (n, order))
     check_states(order)
+    block_size = linalg.STATE_BLOCK
     digit_w, col_w = _code_weights(g, n)
-    columns = np.arange(n ** (2 * g))[:, None] // digit_w % n
-    # tables[t][v] = sum_i (G_t v)_i * col_w[i], the code of G_t v as column 0
-    tables = [(columns @ np.array(t.entries).T) % n @ col_w
-              for t in standard_transvections(g, n)]
-    visited = new = np.array([col_w @ digit_w])  # the identity
+    ncol = n ** (2 * g)
+    columns = np.arange(ncol)[:, None] // digit_w % n    # the entries of column v
+    col_place = ncol ** np.arange(2 * g - 1, -1, -1)     # of column j in a code
+    npair = ncol * ncol
+    pair_place = col_place[1::2]                         # of the pair 2i, 2i + 1
+    pairs = np.arange(npair)
+    tables = []   # tables[t][v * ncol + w] = G_t v * ncol + G_t w, as indices
+    for t in standard_transvections(g, n):
+        image = columns @ np.array(t.entries).T % n @ digit_w
+        tables.append(image[pairs // ncol] * ncol + image[pairs % ncol])
+
+    def unvisited_images(block):
+        """The images of a block of codes under every generator that are not
+        in visited, sorted and distinct."""
+        parts = [block // w % npair for w in pair_place]
+        codes = np.empty((len(tables), block.size), dtype=np.int64)
+        for T, row in zip(tables, codes):
+            np.multiply(T[parts[0]], pair_place[0], out=row)
+            for part, w in zip(parts[1:], pair_place[1:]):
+                row += T[part] * w
+        codes = _sorted_distinct(codes.ravel())
+        at = np.minimum(np.searchsorted(visited, codes), visited.size - 1)
+        return codes[visited[at] != codes]
+
+    visited = new = np.array([digit_w @ col_place])      # column j of I is e_j
     while new.size:
-        found = []
-        for first in range(0, new.size, linalg.STATE_BLOCK):
-            block = new[first:first + linalg.STATE_BLOCK]
-            col_idx = digit_w @ _code_entries(block, g, n)
-            codes = np.empty((len(tables), block.size), dtype=np.int64)
-            for T, row in zip(tables, codes):
-                np.matmul(T[col_idx], digit_w, out=row)
-            codes = _sorted_distinct(codes.ravel())
-            at = np.minimum(np.searchsorted(visited, codes), visited.size - 1)
-            found.append(codes[visited[at] != codes])
-        new = _sorted_distinct(np.concatenate(found))
+        new = _sorted_distinct(np.concatenate([
+            unvisited_images(new[first:first + block_size])
+            for first in range(0, new.size, block_size)]))
         visited = np.insert(visited, np.searchsorted(visited, new), new)
     if visited.size != order:
         raise AssertionError("BFS closure found %d elements, formula says %d"
                              % (visited.size, order))
+    # row-major code = sum_j digit_w[j] * (the code of column j placed last)
+    col_code = columns @ col_w
+    for first in range(0, visited.size, block_size):
+        block = visited[first:first + block_size]
+        block[:] = col_code[block[:, None] // col_place % ncol] @ digit_w
+    visited.sort()
     visited.flags.writeable = False
     return visited
 
@@ -295,8 +318,10 @@ def group_order(g: int, n: int) -> int:
 
 
 def code_to_mat(code: int, g: int, n: int) -> SymplecticMat:
-    """The matrix of one code of sp_group_codes(g, n)."""
-    return SymplecticMat(_code_entries(np.array([code]), g, n)[0].tolist(), n)
+    """The matrix of one code of sp_group_codes(g, n), symplectic by
+    construction."""
+    entries = _code_entries(np.array([code]), g, n)[0].tolist()
+    return SymplecticMat._trusted(tuple(map(tuple, entries)), n)
 
 
 def key_to_mat(key: bytes, g: int, n: int) -> SymplecticMat:

@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,15 +14,17 @@ from weddle.fields import Cyc, QW, omega_power
 import weddle.heisenberg
 from weddle.heisenberg import (GenPerm, HeisAutomorphism, HeisElement,
                                RepresentationError, beta, block_split,
-                               commutator_exponent, d_minus_one,
+                               commutator_exponent, compose_rows, d_minus_one,
                                eigenbasis_minus, eigenbasis_plus,
-                               enumerate_group, genperm_left, genperm_right,
-                               h_identity, h_inv, h_mul,
-                               heisenberg_generators, identity_automorphism,
-                               intertwiner, involution_j,
-                               lift_symplectic,
+                               enumerate_group, exponent_product,
+                               from_idx2, h_identity, h_index, h_inv, h_mul,
+                               h_mul_index, heisenberg_generators,
+                               identity_automorphism, idx2,
+                               intertwiner, intertwines, involution_j,
+                               lift_symplectic, omega_exponents,
                                plus_minus_components,
-                               schrodinger, standard_sp4_generators,
+                               schrodinger, schrodinger_table,
+                               standard_sp4_generators,
                                upsilon_plus_block, weil_pairing, zeta)
 from weddle.linalg import Matrix, proj_ratio, rank
 from weddle.symplectic import (InvariantViolation, SymplecticMat,
@@ -119,6 +126,60 @@ def test_schrodinger_center_is_scalar():
         assert all(e == t for e in U.expo)
 
 
+def _oracle_schrodinger(h: HeisElement) -> GenPerm:
+    """U(h) one basis vector at a time: U(t, x, x*) X_a = w^(t + x*.a) X_{a+x}."""
+    perm, expo = [], []
+    for i in range(9):
+        a = from_idx2(i)
+        perm.append(idx2((a[0] + h.x[0], a[1] + h.x[1])))
+        expo.append(h.t + h.xs[0] * a[0] + h.xs[1] * a[1])
+    return GenPerm(perm, expo)
+
+
+def test_schrodinger_table_rows_match_the_formula():
+    perm, expo = schrodinger_table()
+    assert perm.shape == expo.shape == (243, 9)
+    assert not perm.flags.writeable and not expo.flags.writeable
+    for k, h in enumerate(G2):
+        assert h_index(h) == k
+        U = _oracle_schrodinger(h)
+        assert (perm[k].tolist(), expo[k].tolist()) == (list(U.perm), list(U.expo))
+        assert schrodinger(h) == U
+    # an element with unreduced coordinates indexes its reduction
+    assert h_index(HeisElement(4, (5, -1), (3, 7))) == h_index(HeisElement(1, (2, 2), (0, 1)))
+
+
+def test_vectorised_group_law_matches_h_mul():
+    for g in (1, 2):
+        G = enumerate_group(g)
+        a, b = np.divmod(np.arange(len(G) ** 2), len(G))
+        got = h_mul_index(a, b, g).tolist()
+        assert got == [h_index(h_mul(G[i], G[j])) for i, j in zip(a.tolist(), b.tolist())]
+
+
+def test_automorphism_on_indices_matches_its_call():
+    D = d_minus_one()
+    autos = [D, zeta((1, 2, 0, 1)), lift_symplectic(rand_sp3()),
+             lift_symplectic(rand_sp3()).compose(zeta((0, 1, 1, 2)))]
+    for phi in autos:
+        assert phi.on_indices(np.arange(243)).tolist() == [h_index(phi(h)) for h in G2]
+
+
+def test_composed_table_rows_match_genperm_compose():
+    perm, expo = schrodinger_table()
+    a, b = np.divmod(np.arange(243 * 243), 243)
+    cp, ce = compose_rows((perm[a], expo[a]), (perm[b], expo[b]))
+    for k in random.Random(3).sample(range(243 * 243), 500):
+        AB = schrodinger(G2[a[k]]).compose(schrodinger(G2[b[k]]))
+        assert (cp[k].tolist(), ce[k].tolist()) == (list(AB.perm), list(AB.expo))
+    # a single row broadcasts against a stack
+    j = involution_j()
+    J = np.array([j.perm]), np.array([j.expo])
+    jp, je = compose_rows(J, (perm, expo))
+    assert [GenPerm(p, e) for p, e in zip(jp.tolist(), je.tolist())] == \
+        [j.compose(schrodinger(h)) for h in G2]
+
+
 def test_schrodinger_multiplicative_and_faithful():
     for _ in range(500):
         h1, h2 = rand_h(), rand_h()
@@ -133,13 +194,22 @@ _genperms = st.one_of(
     st.builds(schrodinger, st.sampled_from(G2)))
 
 
+def _stacked(*Us):
+    return np.array([U.perm for U in Us]), np.array([U.expo for U in Us])
+
+
 @settings(max_examples=100, deadline=None)
-@given(_genperms, _genperms)
-def test_genperm_matches_full_matrix_product(A, B):
+@given(_genperms, _genperms, st.lists(st.integers(-1, 2), min_size=81, max_size=81))
+def test_genperm_matches_full_matrix_product(A, B, exps):
     T = A.to_matrix()
     assert A.compose(B).to_matrix().rows == T.mat_mul(B.to_matrix()).rows
-    assert genperm_right(T, B).rows == T.mat_mul(B.to_matrix()).rows
-    assert genperm_left(B, T).rows == B.to_matrix().mat_mul(T).rows
+    # a matrix of zeros and powers of w against the two generalized
+    # permutations, in w-exponent form and as dense products
+    E = np.array(exps).reshape(9, 9)
+    S = Matrix([[Cyc(0) if e < 0 else omega_power(e) for e in row] for row in E.tolist()])
+    assert np.array_equal(omega_exponents(S), E)
+    dense = S.mat_mul(A.to_matrix()).rows == B.to_matrix().mat_mul(S).rows
+    assert intertwines(E, _stacked(A), _stacked(B)) == dense
 
 
 def test_involution_j():
@@ -284,10 +354,19 @@ def test_intertwiner_intertwines_everything():
     M = standard_sp4_generators()[0]
     phi = lift_symplectic(M)
     T = intertwiner(M)
-    for h in G2:
-        L = genperm_right(T, schrodinger(h))
-        R = genperm_left(schrodinger(phi(h)), T)
-        assert L.rows == R.rows
+    E = omega_exponents(T)
+    A = _stacked(*(schrodinger(h) for h in G2))
+    B = _stacked(*(schrodinger(phi(h)) for h in G2))
+    assert intertwines(E, A, B)
+    # against dense products, on a few elements
+    for h in G2[::40]:
+        U, V = schrodinger(h).to_matrix(), schrodinger(phi(h)).to_matrix()
+        assert T.mat_mul(U).rows == V.mat_mul(T).rows
+    # one image off by a scalar breaks it
+    B[1][17] = (B[1][17] + 1) % 3
+    assert not intertwines(E, A, B)
+    with pytest.raises(ValueError):
+        omega_exponents(Matrix([[Cyc(2)] * 9] * 9))
 
 
 def test_schur_dimension_one_for_standard_generators():
@@ -462,6 +541,32 @@ def test_lift_matches_oracle_at_genus_one():
     for key in keys:
         M = key_to_mat(key, 1, 3)
         assert lift_symplectic(M).f == _oracle_lift_symplectic(M).f
+
+
+def test_exponent_product_matches_mat_mul():
+    r = random.Random(6)
+    mats = [intertwiner(M) for M in standard_sp4_generators()]
+    mats += [intertwiner(key_to_mat(r.choice(KEYS3), 2, 3)) for _ in range(20)]
+    for S in mats:
+        for T in r.sample(mats, 6):
+            P = exponent_product(omega_exponents(S), omega_exponents(T))
+            assert P.rows == S.mat_mul(T).rows
+
+
+def test_intertwiner_solves_are_shared():
+    M = standard_sp4_generators()[3]
+    assert intertwiner(M) is intertwiner(lift_symplectic(M))
+
+
+def test_import_builds_no_table():
+    code = ("import weddle, weddle.heisenberg as h\n"
+            "print(h.schrodinger_table.cache_info().currsize,"
+            " h._intertwiner_solve.cache_info().currsize)")
+    src = Path(weddle.heisenberg.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.split() == ["0", "0"]
 
 
 def test_mat_mul_of_intertwiners_matches_dense_sum():

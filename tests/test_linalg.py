@@ -72,6 +72,11 @@ def test_bareiss_agrees_with_naive_on_random_matrices():
             basis = nullspace(rows, dom)
             assert nullspace(rows, dom, method="naive") == basis
             assert rank(rows, dom) == len(p1) == 6 - len(basis)
+            # the kernel's own rank, by either elimination, without its basis
+            for method in ("bareiss", "naive"):
+                rk, kernel, s = linalg._kernel(linalg._array_form(rows, dom), dom, method)
+                assert rk == len(p1) and s is None
+                assert [list(v) for v in kernel()] == basis
 
 
 def test_bareiss_agrees_on_rectangular_and_mod_p():
@@ -437,6 +442,9 @@ def test_rref_mod_p_matches_bareiss(case):
     assert all(not sum((x * y for x, y in zip(r, v)), dom.zero()) for r in rows for v in basis)
     assert [[v[c].val for c in free] for v in basis] == np.eye(len(free), dtype=int).tolist()
     assert rank(rows, dom) == len(fast_piv)
+    rk, kernel, s = linalg._kernel(a.copy(), dom)
+    assert rk == len(fast_piv) and s is None
+    assert kernel().tolist() == [[x.val for x in v] for v in basis]
 
 
 def _rref_mod_p_rank1(a: np.ndarray, p: int):

@@ -233,6 +233,36 @@ def test_ac04_schur_failure_ends_in_a_record(monkeypatch, tmp_path):
     assert rec["measured"]["projective_20_pairs"] is False
 
 
+def test_ac04_broken_table_names_the_first_counterexample(monkeypatch):
+    # one row of U(h) off by the scalar w: t + x*.a + 1
+    import weddle.heisenberg as H
+    from weddle.suite import Context, check_heisenberg, child_rng
+    perm, expo = H.schrodinger_table()
+    broken = expo.copy()
+    broken[100] = (broken[100] + 1) % 3
+    monkeypatch.setattr(H, "schrodinger_table", lambda: (perm, broken))
+    cfg = RunConfig(seed=0)
+    try:
+        rec = check_heisenberg(Context(cfg))
+        # the per-element loop over the same draws, reading the same table
+        rng = child_rng(cfg, "AC04")
+        G = H.enumerate_group(2)
+        first = None
+        for _ in range(500):
+            h1, h2 = rng.choice(G), rng.choice(G)
+            if H.schrodinger(H.h_mul(h1, h2)) != \
+                    H.schrodinger(h1).compose(H.schrodinger(h2)):
+                first = "multiplicativity: %r * %r" % (h1, h2)
+                break
+    finally:
+        # the solves made from the broken table must not outlive it
+        H._generator_images.cache_clear()
+        H._intertwiner_solve.cache_clear()
+    assert first is not None
+    assert rec.status == "fail" and rec.measured["multiplicative_500"] is False
+    assert rec.measured["counterexamples"][0] == first
+
+
 def test_cross_suite_runs_standalone():
     # cross-suite checks need theta- and curve-side artifacts; they are
     # built on demand without the other suites having run

@@ -176,6 +176,10 @@ def test_codes_decode_to_the_byte_keys(g, n):
     # significant
     places = [n ** k for k in reversed(range(4 * g * g))]
     assert tuple(bytes(c // w % n for w in places) for c in codes.tolist()) == keys
+    # the keys, coded row-major, are the codes, strictly increasing
+    entries = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), -1)
+    assert np.array_equal(entries @ np.array(places, dtype=np.int64), codes)
+    assert (np.diff(codes) > 0).all()
     # a seeded draw indexes codes and keys alike, so it picks the same matrix
     a, b = random.Random(n), random.Random(n)
     for _ in range(100):
