@@ -30,8 +30,8 @@ import numpy as np
 from .fields import CC, Domain, GF, PrimeField, QQ
 from .heisenberg import REPS, idx2, involution_j, rep_of
 from .linalg import (Matrix, ShapeError, count_common_zeros_mod_p, eval_polys,
-                     fit_hypersurface, nullspace, proj_points_mod_p, proj_ratio,
-                     sub_pfaffian_kernel)
+                     fit_hypersurface, nullspace, prepare_polys, proj_points_mod_p,
+                     proj_ratio, sub_pfaffian_kernel)
 from .poly import SparsePoly, exponents_of_degree
 
 D_SCALE = (1, 2, 2, 2, 2)
@@ -329,14 +329,15 @@ def count_fibers_ff(p: int):
     """Histogram of fiber sizes of the degree-6 quartic parametrization
     over P^3(F_p), plus the count of rational base points.
 
-    The points come a block at a time, and each image point is kept only
+    The quartics are prepared for evaluation once (prepare_polys), the
+    points come a block at a time, and each image point is kept only
     as one int64 key, its coordinates scaled to first nonzero 1 and read as
     base-p digits; the sorted keys' run lengths are the fiber sizes."""
     if p % 3 != 1:
         raise ShapeError("need a prime p = 1 mod 3")
     blocks = proj_points_mod_p(p, 3)
     assert p ** 5 < 2 ** 63
-    quartics = [f.map_coefficients(GF(p), GF(p).coerce) for f in steinerian_quartics()]
+    evaluate = prepare_polys(steinerian_quartics(), GF(p))
     inv = np.zeros(p, dtype=np.int64)
     for x in range(1, p):
         inv[x] = pow(x, p - 2, p)
@@ -344,7 +345,7 @@ def count_fibers_ff(p: int):
     keys = np.empty(p ** 3 + p ** 2 + p + 1, dtype=np.int64)
     n_keys = n_base = 0
     for pts in blocks:
-        vals = eval_polys(quartics, pts, GF(p))
+        vals = evaluate(pts)
         img = vals[np.any(vals != 0, axis=1)]
         n_base += pts.shape[0] - img.shape[0]
         # projective normalization: divide by the first nonzero coordinate

@@ -224,31 +224,41 @@ def rank(m, domain: Domain):
 def _kernel(a: np.ndarray, domain: Domain, method="bareiss"):
     """(rank, basis, singular values or None) of the right kernel of a 2-d
     array in the domain's array form, which this call may overwrite.  The
-    one switch between eliminations: int64 rref_mod_p over GF(p),
+    one switch between eliminations: rref_mod_p over GF(p),
     nullspace_complex over CC, and rref_bareiss (rref_naive with method
     "naive") over Q and Q(w).  basis() returns the basis rows, an exact
     basis the identity on the free columns; the back-substitution runs only
-    when it is called, so a caller that needs the rank alone never pays it."""
+    when it is called, so a caller that needs the rank alone never pays it.
+
+    Over GF(p) the elimination runs on the transposed matrix in the dtype
+    of rref_mod_p's panels (see _rref_mod_p_in_place).  An array a whose
+    transpose is already that, C-contiguous, as fit_hypersurface builds
+    it, is eliminated where it stands, and basis() reads the RREF from it
+    as a view; any other array is copied into that form first."""
     nc = a.shape[1]
     if isinstance(domain, ComplexField):
         kernel, s = nullspace_complex(a)
         return nc - len(kernel), lambda: kernel, s
     if isinstance(domain, PrimeField):
         check_int64_prime(domain.p)
-        rref, pivots = _rref_mod_p_in_place(a, domain.p)
-        zero, one = 0, 1
+        # no copy when a is the transpose of a matrix rref_mod_p can reduce
+        t = np.ascontiguousarray(a.T, dtype=_panel_plan(domain.p)[0])
+        pivots = _rref_mod_p_in_place(t, domain.p)
+        # the RREF transposed, a view of t
+        rref_t = t[:, :len(pivots)]
+        zero, one, dtype = 0, 1, np.int64
     else:
         fn = rref_naive if method == "naive" else rref_bareiss
         rref, pivots = fn(a.tolist(), domain)
-        zero, one = domain.zero(), domain.one()
+        rref_t = np.asarray(rref, dtype=a.dtype).reshape(len(rref), nc).T
+        zero, one, dtype = domain.zero(), domain.one(), a.dtype
 
     def basis():
-        r = np.asarray(rref, dtype=a.dtype).reshape(len(rref), nc)
         pivset = set(pivots)
         free = [c for c in range(nc) if c not in pivset]
-        out = np.full((len(free), nc), zero, dtype=a.dtype)
+        out = np.full((len(free), nc), zero, dtype=dtype)
         out[range(len(free)), free] = one
-        out[:, pivots] = -r[:, free].T
+        out[:, pivots] = -rref_t[free]
         if isinstance(domain, PrimeField):
             out %= domain.p
         return out
@@ -464,7 +474,8 @@ def check_int64_prime(p: int) -> None:
                          "(need p^2 < 2^63)" % p)
 
 
-# widest panel of rref_mod_p, and the columns of one trailing product
+# widest panel of rref_mod_p, and the rows of one trailing product; the
+# trailing product's buffer also holds a panel's, as _CHUNK >= _PANEL
 _PANEL = 24
 _CHUNK = 64
 
@@ -485,56 +496,118 @@ def _panel_plan(p: int):
 
 
 def _reduce(x: np.ndarray, p: int, out: np.ndarray) -> None:
-    """out = x mod p for an integer-valued array x, which is float64 only
-    while 0 <= x < 2^53.  Then x / p rounds to a float with the same floor,
-    so x - floor(x / p) p is exact, and much faster than np.remainder."""
+    """out = x mod p for an integer-valued array x and another array out of
+    its dtype, which is float64 only while 0 <= x < 2^53.  Then x / p rounds
+    to a float with the same floor, so x - floor(x / p) p is exact, and much
+    faster than np.remainder."""
     if x.dtype == np.int64:
         np.remainder(x, p, out=out)
         return
-    q = np.floor(x / p)
-    q *= p
-    np.subtract(x, q, out=out, casting="unsafe")
+    np.divide(x, p, out=out)
+    np.floor(out, out=out)
+    out *= p
+    np.subtract(x, out, out=out)
 
 
-def _eliminate_panel(w: np.ndarray, p: int, r: int, rows: np.ndarray) -> list:
-    """Gauss-Jordan on the left half of w = [P | 0] in place, one rank-1
-    update per pivot, with pivots from row r on; returns the pivot columns
-    of P and leaves w reduced mod p.  Each row swap is also made on `rows`.
+def _inverse_mod_p(b: np.ndarray, p: int):
+    """The inverse mod p of a small square int64 matrix with entries in
+    [0, p), or None if it is singular.  Gauss-Jordan on [b | I], reduced
+    after every step; a row swap is made only where a pivot is zero."""
+    n = b.shape[0]
+    m = np.zeros((n, 2 * n), dtype=np.int64)
+    m[:, :n] = b
+    m[:, n:] = np.eye(n, dtype=np.int64)
+    update = np.empty_like(m)
+    for c in range(n):
+        if not m[c, c]:
+            nz = np.flatnonzero(m[c:, c])
+            if nz.size == 0:
+                return None
+            m[[c, c + nz[0]]] = m[[c + nz[0], c]]
+        row = m[c]
+        row *= pow(int(row[c]), -1, p)
+        row %= p
+        np.multiply.outer(m[:, c], row, out=update)
+        update[c] = 0
+        m -= update
+        m %= p
+    return m[:, n:]
 
-    The j-th pivot row first gets a 1 in column j of the right half, so
-    that half ends as E: each row's multiples of the pivot rows of P as
-    they were.  An update subtracts at most (p-1)^2 from an entry, and a
-    panel of _panel_plan's width makes too few to wrap int64, so only each
-    pivot's search column and row are reduced before the end.
+
+def _block_step(panel: np.ndarray, p: int, r: int, buf: np.ndarray):
+    """The panel's multipliers X, if its square block on columns r.. is
+    invertible mod p, else None; buf is scratch of at least the panel's
+    size.
+
+    The panel is the transposed system's rows for the panel's columns, and
+    its block B^T the one on the system's rows r..r+w.  Then every panel
+    column is a pivot, on those rows in order, and X is the transposed E
+    of rref_mod_p: B^-T on columns r..r+w and -B^-T times the panel
+    elsewhere.  The panel is left reduced: the identity on columns r..r+w
+    and zero elsewhere."""
+    w, nr = panel.shape
+    if r + w > nr:
+        return None
+    inv = _inverse_mod_p(panel[:, r:r + w].astype(np.int64), p)
+    if inv is None:
+        return None
+    neg = np.where(inv == 0, 0, p - inv).astype(panel.dtype)
+    # each entry below w (p-1)^2
+    prod = np.matmul(neg, panel, out=buf[:panel.size].reshape(panel.shape))
+    x = np.empty_like(panel)
+    _reduce(prod, p, out=x)
+    x[:, r:r + w] = inv
+    panel[:] = 0
+    panel[range(w), range(r, r + w)] = 1
+    return x
+
+
+def _eliminate_panel(panel: np.ndarray, p: int, r: int, rest: np.ndarray):
+    """Gauss-Jordan on the panel (the transposed system's rows for the
+    panel's columns) in place, one rank-1 update per pivot, with pivots from
+    column r on; returns (pivot offsets in the panel, X) and leaves the
+    panel reduced mod p.  Each of the system's row swaps, a column swap
+    here, is also made on `rest`, the transposed rows after the panel.
+
+    The work is on the int64 W = [panel; 0].  The j-th pivot column first
+    gets a 1 in row j of the lower half, so that half ends as X: the
+    transposed multiples E of rref_mod_p.  An update subtracts at most
+    (p-1)^2 from an entry, and a panel of _panel_plan's width makes too
+    few to wrap int64, so each pivot's whole search row (the system's
+    column) is reduced before it gives the multipliers, and its pivot
+    column before it is scaled, but nothing else before the end.
     """
-    nr, half = w.shape[0], w.shape[1] // 2
+    w, nr = panel.shape
+    ww = np.zeros((2 * w, nr), dtype=np.int64)
+    ww[:w] = panel
     pivots = []
-    for c in range(half):
+    for c in range(w):
         if r == nr:
             break
-        col = w[:, c]
+        col = ww[c]
         col %= p
         nz = np.flatnonzero(col[r:])
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
         if piv != r:
-            w[[r, piv]] = w[[piv, r]]
-            rows[[r, piv]] = rows[[piv, r]]
-        # right-half columns past this pivot's are still zero in every row
-        end = half + len(pivots) + 1
-        w[r, end - 1] = 1
-        row = w[r, c:end]
+            ww[:, [r, piv]] = ww[:, [piv, r]]
+            rest[:, [r, piv]] = rest[:, [piv, r]]
+        # lower-half rows past this pivot's are still zero in every column
+        end = w + len(pivots) + 1
+        ww[end - 1, r] = 1
+        row = ww[c:end, r]
         row %= p
         row *= pow(int(row[0]), -1, p)
         row %= p
         mult = col.copy()
         mult[r] = 0
-        w[:, c:end] -= np.multiply.outer(mult, row)
+        ww[c:end] -= np.multiply.outer(row, mult)
         pivots.append(c)
         r += 1
-    w %= p
-    return pivots
+    ww %= p
+    panel[:] = ww[:w]
+    return pivots, ww[w:w + len(pivots)].astype(panel.dtype)
 
 
 def rref_mod_p(a: np.ndarray, p: int):
@@ -544,55 +617,69 @@ def rref_mod_p(a: np.ndarray, p: int):
     with entries in [0, p), and the list of pivot columns.  p must pass
     check_int64_prime (p^2 < 2^63).
 
-    Blocked Gauss-Jordan.  A panel of at most `width` columns is eliminated
-    by rank-1 steps on its own columns, with row swaps moving whole rows.
-    Its k pivots then update the trailing columns T in one product: with
-    B the k x k pivot block of the panel as it was and M its pivot columns,
-    the pivot rows become B^-1 T[pivot rows] and every other row of T
-    loses M B^-1 T[pivot rows].  The panel's steps yield B^-1 and -M B^-1
-    (the multipliers E of _eliminate_panel), so no inverse is formed.
+    Blocked Gauss-Jordan on the transposed matrix T, one contiguous row per
+    column of the system, in _panel_plan's dtype: row operations of the
+    system are column operations of T.  A panel of at most `width` columns
+    of the system is eliminated first; its k pivots then update the
+    trailing columns in one product.  With B the k x k pivot block of the
+    panel as it was and M its pivot columns, the pivot rows become
+    B^-1 (trailing pivot rows) and every other row loses M B^-1 times them:
+    transposed, the trailing rows of T become T[:, piv] X plus T with the
+    pivot columns zeroed, X = E^T = [B^-T on the pivot columns; -B^-T M^T].
+
+    A panel tries its square block on rows r..r+width first: if it is
+    invertible mod p, every panel column is a pivot and X comes from one
+    small inverse and one product (_block_step).  Otherwise the panel takes
+    one rank-1 step per pivot, with row swaps (_eliminate_panel), whose
+    multipliers are X.  The RREF and its pivots are unique, so both give
+    the same result.
 
     Every product is exact: float64 (BLAS) while
     width (p-1)^2 + p < 2^53, else int64 with width (p-1)^2 + p <= 2^63,
     so the width is 1 at the largest admissible prime.  The trailing
-    product is formed a column block at a time in one nr x _CHUNK buffer,
-    so the matrix itself is the only full-size array.
+    product is formed _CHUNK rows of T at a time in one buffer, which the
+    block step's product shares, so T itself is the only full-size array.
     """
     check_int64_prime(p)
-    return _rref_mod_p_in_place(np.array(a, dtype=np.int64), p)
+    t = np.remainder(np.asarray(a, dtype=np.int64).T, p, order="C")
+    t = t.astype(_panel_plan(p)[0], copy=False)
+    pivots = _rref_mod_p_in_place(t, p)
+    return t[:, :len(pivots)].T.astype(np.int64), pivots
 
 
-def _rref_mod_p_in_place(a: np.ndarray, p: int):
-    """rref_mod_p of an int64 matrix that it reduces in place, for a caller
-    that built the matrix itself; the rows it returns are a view of a."""
-    a %= p
-    nr, nc = a.shape
+def _rref_mod_p_in_place(t: np.ndarray, p: int):
+    """rref_mod_p of the transposed matrix t, which it reduces in place:
+    C-contiguous, one row per column of the system, entries in [0, p), in
+    _panel_plan's dtype.  Returns the pivots; the RREF's rows are the
+    columns t[:, :len(pivots)]."""
+    nc, nr = t.shape
     dtype, width = _panel_plan(p)
-    buf = np.empty(nr * min(_CHUNK, nc), dtype=dtype)
+    buf = np.empty(min(_CHUNK, nc) * nr, dtype=dtype)
     r = 0
     pivots = []
     for c0 in range(0, nc, width):
         if r == nr:
             break
-        cw = min(width, nc - c0)
-        w = np.zeros((nr, 2 * cw), dtype=np.int64)
-        w[:, :cw] = a[:, c0:c0 + cw]
-        cols = _eliminate_panel(w, p, r, a)
-        a[:, c0:c0 + cw] = w[:, :cw]
+        panel, rest = t[c0:c0 + width], t[c0 + width:]
+        x = _block_step(panel, p, r, buf)
+        if x is None:
+            cols, x = _eliminate_panel(panel, p, r, rest)
+        else:
+            cols = list(range(panel.shape[0]))
         k = len(cols)
-        if k and c0 + cw < nc:
-            piv = slice(r, r + k)
-            e = w[:, cw:cw + k].astype(dtype)
-            for j in range(c0 + cw, nc, _CHUNK):
-                t = a[:, j:j + _CHUNK]
-                prod = buf[:t.size].reshape(t.shape)
-                np.matmul(e, t[piv].astype(dtype), out=prod)
-                t[piv] = 0
-                prod += t
-                _reduce(prod, p, out=t)
+        piv = slice(r, r + k)
+        for j in range(0, rest.shape[0] if k else 0, _CHUNK):
+            rows = rest[j:j + _CHUNK]
+            prod = buf[:rows.size].reshape(rows.shape)
+            np.matmul(rows[:, piv], x, out=prod)
+            rows[:, piv] = 0
+            prod += rows
+            _reduce(prod, p, out=rows)
+        # so that the next panel's X is formed without this one alive
+        del x
         pivots += [c0 + c for c in cols]
         r += k
-    return a[:r], pivots
+    return pivots
 
 
 def proj_points_mod_p(p: int, dim: int = 3):
@@ -666,7 +753,8 @@ def _array_form(rows, domain: Domain) -> np.ndarray:
 def _monomial_columns(pts: np.ndarray, exps, one, p: int | None = None):
     """Yield the column x^e over the rows of pts for each exponent vector e,
     all from one table of powers of the points; `one` is the column of the
-    empty product.  With p given, every product is reduced mod p."""
+    empty product.  With p given, every product is reduced mod p.  A column
+    may be a row of that table, so it is read, never written."""
     def mul(a, b):
         return a * b if p is None else a * b % p
 
@@ -678,7 +766,7 @@ def _monomial_columns(pts: np.ndarray, exps, one, p: int | None = None):
         col = ones
         for v, e in enumerate(exp):
             if e:
-                col = mul(col, powers[e - 1][v])
+                col = powers[e - 1][v] if col is ones else mul(col, powers[e - 1][v])
         yield col
 
 
@@ -692,29 +780,43 @@ def eval_polys(polys, points, domain: Domain) -> np.ndarray:
 
     Over GF(p), a value is reduced once, at the end, while every partial
     sum fits int64 (see _delays_reduction), and otherwise after every
-    product.  Over Q the arithmetic is on ints (see _eval_polys_rational)."""
+    product.  Over Q the arithmetic is on ints (see _eval_polys_rational).
+    This is prepare_polys(polys, domain) applied to the points."""
+    return prepare_polys(polys, domain)(points)
+
+
+def prepare_polys(polys, domain: Domain):
+    """eval_polys of the polynomials as a function of the points alone.
+    What depends only on the polynomials is done here, once: the sorted
+    exponents, the coefficients in array form and the choice of reduction,
+    so a caller that evaluates block after block pays it once."""
     p = domain.p if isinstance(domain, PrimeField) else None
     if p is not None:
         check_int64_prime(p)
-    pts = _array_form(points, domain)
     exps = sorted({e for f in polys for e in f.terms})
     if isinstance(domain, RationalField):
-        return _eval_polys_rational(polys, pts, exps)
+        return lambda points: _eval_polys_rational(polys, _array_form(points, domain), exps)
     coeffs = [{e: _elem(c, domain) for e, c in f.terms.items()} for f in polys]
     delayed = p is not None and _delays_reduction(
         p, max((sum(e) for e in exps), default=0), len(exps))
-    out = np.full((len(polys), pts.shape[0]), _elem(0, domain), dtype=pts.dtype)
-    columns = _monomial_columns(pts, exps, _elem(1, domain), None if delayed else p)
-    for exp, col in zip(exps, columns):
-        for row, cf in zip(out, coeffs):
-            if exp in cf:
-                row += cf[exp] * col
-                if p is not None and not delayed:
-                    # both factors are below p, so the sum stays below p^2
-                    row %= p
-    if delayed:
-        out %= p
-    return out.T
+    zero, one = _elem(0, domain), _elem(1, domain)
+
+    def apply(points) -> np.ndarray:
+        pts = _array_form(points, domain)
+        out = np.full((len(coeffs), pts.shape[0]), zero, dtype=pts.dtype)
+        columns = _monomial_columns(pts, exps, one, None if delayed else p)
+        for exp, col in zip(exps, columns):
+            for row, cf in zip(out, coeffs):
+                if exp in cf:
+                    row += cf[exp] * col
+                    if p is not None and not delayed:
+                        # both factors are below p, so the sum stays below p^2
+                        row %= p
+        if delayed:
+            out %= p
+        return out.T
+
+    return apply
 
 
 def _delays_reduction(p: int, degree: int, monomials: int) -> bool:
@@ -755,12 +857,11 @@ def _eval_polys_rational(polys, pts: np.ndarray, exps) -> np.ndarray:
 
 def count_common_zeros_mod_p(forms, p: int) -> int:
     """Number of points of P^n(F_p) where every form in n+1 variables
-    vanishes, by evaluating the forms at all of them, a block at a time."""
+    vanishes, by evaluating the forms, prepared once, at all of them, a
+    block at a time."""
     blocks = proj_points_mod_p(p, forms[0].nvars - 1)
-    # coefficients mod p once, not once per block
-    forms = [f.map_coefficients(GF(p), GF(p).coerce) for f in forms]
-    return sum(int(np.all(eval_polys(forms, block, GF(p)) == 0, axis=1).sum())
-               for block in blocks)
+    evaluate = prepare_polys(forms, GF(p))
+    return sum(int(np.all(evaluate(block) == 0, axis=1).sum()) for block in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -793,6 +894,11 @@ def fit_hypersurface(points, degree: int, domain: Domain) -> FitResult:
     scalars, or an (N, n) array in the domain's array form (see _array_form).
     Few points simply give a larger space; inconsistent point dimensions are
     a shape error.
+
+    The matrix is built transposed, monomial k in row k, one contiguous
+    write per monomial.  Over GF(p) it is in the dtype of rref_mod_p's
+    panels, and _kernel eliminates it in place, so it is the only
+    full-size array of the fit.
     """
     if len(points) == 0:
         raise ShapeError("no points")
@@ -806,12 +912,11 @@ def fit_hypersurface(points, degree: int, domain: Domain) -> FitResult:
         # scaled to max-abs 1: a projective point's condition has no scale
         top = np.abs(pts).max(axis=1, keepdims=True)
         pts = pts / np.where(top > 0, top, 1.0)
-    a = np.empty((len(points), len(exps)), dtype=pts.dtype)
     p = domain.p if isinstance(domain, PrimeField) else None
-    for k, col in enumerate(_monomial_columns(pts, exps, _elem(1, domain), p)):
-        a[:, k] = col
-    # a is this call's own, so the kernel may reduce it where it stands
-    _, basis, s = _kernel(a, domain)
+    t = np.empty((len(exps), len(points)), dtype=pts.dtype if p is None else _panel_plan(p)[0])
+    for row, col in zip(t, _monomial_columns(pts, exps, _elem(1, domain), p)):
+        row[:] = col
+    _, basis, s = _kernel(t.T, domain)
     return FitResult([_vector_to_form(v, exps, domain) for v in basis()], s)
 
 

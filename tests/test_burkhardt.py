@@ -344,6 +344,24 @@ def test_streamed_counts_do_not_depend_on_the_block(monkeypatch):
     assert _base_locus_quadratic_ext(7) == _base_locus_all_quartics(7) == 40
 
 
+def test_streamed_counts_prepare_the_forms_once(monkeypatch):
+    # many blocks, one prepare_polys per count
+    monkeypatch.setattr(linalg, "STATE_BLOCK", 64)
+    histogram = _fiber_histogram_reference(31)
+    calls = []
+    prepare = linalg.prepare_polys
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return prepare(*args)
+
+    monkeypatch.setattr(linalg, "prepare_polys", counted)
+    monkeypatch.setattr(burkhardt, "prepare_polys", counted)
+    assert count_fibers_ff(31)["fiber_histogram"] == histogram
+    assert count_base_locus_ff(7) == 40
+    assert calls == [5, 5]
+
+
 def _base_locus_fmul(p: int) -> int:
     """The count over F_{p^2} as it was before the element tables: (a, b)
     pairs of arrays and one fmul per product."""

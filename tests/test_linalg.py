@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -14,7 +15,7 @@ from weddle.linalg import (Matrix, ResourceCapError, ShapeError, UnsupportedDoma
                            count_common_zeros_mod_p, det_bareiss,
                            det_ring, eval_polys,
                            fit_hypersurface, nullspace, nullspace_complex,
-                           pfaffian, proj_points_mod_p,
+                           pfaffian, prepare_polys, proj_points_mod_p,
                            proj_distance, proj_ratio, rank, rref_bareiss,
                            rref_mod_p, same_point,
                            rref_naive, sub_pfaffian_kernel)
@@ -493,10 +494,15 @@ def _rref_mod_p_rank1(a: np.ndarray, p: int):
     return out, pivots
 
 
+# 19372651 is the largest prime whose full-width panel fits float64,
+# 24 (p-1)^2 + p < 2^53, and 19372681 the next prime, the first whose
+# panels are int64
+P_FLOAT_FULL_WIDTH = 19372651
+P_INT64_FIRST = 19372681
 # 94906249 is the largest prime whose one-term float64 product (p-1)^2 + p
 # is below 2^53, and 94906297 the next prime
-WIDE_PRIMES = [2, 3, 101, 1000003, 94906249, 94906297, P_THREE_UPDATES,
-               P_INT64_MAX]
+WIDE_PRIMES = [2, 3, 101, 1000003, P_FLOAT_FULL_WIDTH, 94906249, 94906297,
+               P_THREE_UPDATES, P_INT64_MAX]
 
 
 def test_panel_plan_is_exact_and_widest():
@@ -507,6 +513,8 @@ def test_panel_plan_is_exact_and_widest():
         assert width * (p - 1) ** 2 + p < limit
         assert width == _PANEL or (width + 1) * (p - 1) ** 2 + p >= limit
     assert _panel_plan(1000003) == (np.float64, _PANEL)
+    assert _panel_plan(P_FLOAT_FULL_WIDTH) == (np.float64, _PANEL)
+    assert _panel_plan(P_INT64_FIRST) == (np.int64, _PANEL)
     assert _panel_plan(P_THREE_UPDATES) == (np.int64, 3)
     assert _panel_plan(P_INT64_MAX) == (np.int64, 1)
 
@@ -548,7 +556,27 @@ def test_blocked_rref_mod_p_matches_rank1_kernel(case):
     assert np.array_equal(fast, slow)
 
 
-def test_rref_mod_p_at_octic_size():
+def _count_panel_steps(monkeypatch):
+    """Count rref_mod_p's panels by the step they take: `block` for a
+    square block found invertible, `rank1` for the per-pivot steps."""
+    counts = {"block": 0, "rank1": 0}
+    block_step, eliminate_panel = linalg._block_step, linalg._eliminate_panel
+
+    def counted_block_step(*args):
+        x = block_step(*args)
+        counts["block"] += x is not None
+        return x
+
+    def counted_eliminate_panel(*args):
+        counts["rank1"] += 1
+        return eliminate_panel(*args)
+
+    monkeypatch.setattr(linalg, "_block_step", counted_block_step)
+    monkeypatch.setattr(linalg, "_eliminate_panel", counted_eliminate_panel)
+    return counts
+
+
+def test_rref_mod_p_at_octic_size(monkeypatch):
     # the shape and rank of the secant octic fit: 620 points, 495 octic
     # monomials in five variables, a one-dimensional kernel
     p = 1000003
@@ -556,11 +584,80 @@ def test_rref_mod_p_at_octic_size():
     left = rng.integers(0, p, size=(620, 494), dtype=np.int64)
     right = rng.integers(0, p, size=(494, 495), dtype=np.int64)
     a = (left @ right) % p  # each entry below 494 p^2 < 2^63
+    counts = _count_panel_steps(monkeypatch)
     fast, fast_piv = rref_mod_p(a, p)
     slow, slow_piv = _rref_mod_p_rank1(a, p)
     assert len(fast_piv) == 494
     assert fast_piv == slow_piv
     assert np.array_equal(fast, slow)
+    # the free column, 494, is in the last panel, which alone falls back
+    assert counts == {"block": 20, "rank1": 1}
+
+
+def test_octic_size_panels_take_the_block_step(monkeypatch):
+    # 620 x 495 of full rank: every panel's square block is invertible, so
+    # all 21 panels take one inverse and one product, and no rank-1 step
+    p = 1000003
+    a = np.random.default_rng(27).integers(0, p, size=(620, 495), dtype=np.int64)
+    counts = _count_panel_steps(monkeypatch)
+    fast, fast_piv = rref_mod_p(a, p)
+    assert counts == {"block": 21, "rank1": 0}
+    slow, slow_piv = _rref_mod_p_rank1(a, p)
+    assert fast_piv == slow_piv == list(range(495))
+    assert np.array_equal(fast, slow)
+
+
+@pytest.mark.parametrize("p", [2, 101, 1000003, P_INT64_FIRST, P_THREE_UPDATES,
+                               P_INT64_MAX])
+def test_singular_square_block_falls_back_to_rank1_steps(p, monkeypatch):
+    # row 1 is 3 times row 0 and both start with 0, so the first panel's
+    # square block is singular at every width (1 x 1 at P_INT64_MAX), and
+    # its first pivot needs a row swap; the rows below still give the
+    # panel a pivot in every column
+    a = np.random.default_rng(p % 1000).integers(0, p, size=(60, 50), dtype=np.int64)
+    a[0, 0] = 0
+    a[1] = 3 * a[0] % p
+    counts = _count_panel_steps(monkeypatch)
+    fast, fast_piv = rref_mod_p(a, p)
+    assert counts["rank1"] >= 1
+    slow, slow_piv = _rref_mod_p_rank1(a, p)
+    assert fast_piv == slow_piv
+    assert np.array_equal(fast, slow)
+
+
+@pytest.mark.parametrize("p", [101, 1000003, P_INT64_FIRST])
+@pytest.mark.parametrize("degree", [2, 4, 8])
+def test_prime_field_fit_matches_row_major_nullspace(p, degree):
+    # fit_hypersurface builds its matrix transposed and eliminates it in
+    # place; the same monomial columns laid out row-major, through
+    # nullspace, must give the same basis.  Three points fewer than
+    # monomials leave a kernel of dimension at least 3
+    dom = GF(p)
+    exps = exponents_of_degree(4, degree)
+    pts = np.random.default_rng(degree).integers(0, p, size=(len(exps) - 3, 4),
+                                                 dtype=np.int64)
+    rows = np.stack(list(linalg._monomial_columns(pts, exps, 1, p)), axis=1)
+    kernel = nullspace(rows, dom)
+    fit = fit_hypersurface(pts, degree, dom)
+    assert len(fit) == len(kernel) >= 3
+    assert [[f.terms.get(e, dom.zero()) for e in exps] for f in fit] == kernel
+    assert not eval_polys(fit.forms, pts, dom).any()
+
+
+def test_octic_fit_holds_one_full_size_array():
+    # the transposed matrix is built in the panels' dtype and eliminated in
+    # place, so the fit's peak is that one 620 x 495 matrix of 8-byte
+    # entries and a few panel-sized buffers
+    p = 1000003
+    pts = np.random.default_rng(8).integers(0, p, size=(620, 5), dtype=np.int64)
+    tracemalloc.start()
+    try:
+        fit = fit_hypersurface(pts, 8, GF(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fit) == 0
+    assert peak < 1.3 * 620 * 495 * 8
 
 
 NV = 3
@@ -680,6 +777,21 @@ def test_delayed_reduction_bound_is_tight():
     assert not _delays_reduction(P_INT64_MAX, 1, 2)
     assert _delays_reduction(101, 8, 9) and not _delays_reduction(101, 8, 10)
     assert 100 ** 9 * 9 < 2 ** 63 <= 100 ** 9 * 10
+
+
+@pytest.mark.parametrize("dom", [GF(101), GF(P_INT64_MAX), QQ, QW, CC], ids=repr)
+def test_prepared_polys_apply_to_block_after_block(dom):
+    # one prepare_polys, applied to several blocks of points, gives what
+    # eval_polys gives on each block
+    rng = random.Random(27)
+    x, y, z = (SparsePoly.variable(i, 3, QQ) for i in range(3))
+    forms = [x * x * y - 3 * z ** 3 + 1, 2 * x * y * z + y, SparsePoly.zero(3, QQ)]
+    evaluate = prepare_polys(forms, dom)
+    for n in (1, 4, 7):
+        pts = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(n)]
+        got, want = evaluate(pts), eval_polys(forms, pts, dom)
+        assert got.shape == want.shape == (n, len(forms))
+        assert got.tolist() == want.tolist()
 
 
 def test_rational_eval_polys_matches_scalar_evaluation():
