@@ -306,11 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Everything alive now, mostly numpy's import-time objects, lives until
-    # exit: frozen, it is never walked again by a collection, nor by the
-    # interpreter's teardown.  Collecting the two young generations first
-    # keeps a caller's recent garbage out of the frozen generation; a full
-    # collection would walk the whole import-time heap once more.
+    # Everything alive now, mostly numpy's and linalg's import-time objects,
+    # lives until exit: frozen, it is never walked again by a collection,
+    # nor by the interpreter's teardown.  The modules a suite or verb runs
+    # are imported later, inside it.  Collecting the two young generations
+    # first keeps a caller's recent garbage out of the frozen generation; a
+    # full collection would walk the whole import-time heap once more.
     gc.collect(1)
     gc.freeze()
     ap = build_parser()

@@ -2,13 +2,17 @@
 
 Every acceptance criterion has exactly one record id (AC01..AC13).  A fixed
 master seed gives a byte-identical JSON report: child seeds are derived per
-record id, floating values are serialized with fixed precision, and
+record id (SHA-256 of "seed:id", from the interpreter's built-in hash
+module), floating values are serialized with fixed precision, and
 runtimes are reported only when explicitly requested.
+
+Each check imports the modules of its own routes (symplectic, heisenberg,
+burkhardt, theta, curves) when it runs, so a run loads only what its
+suites use.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import time
@@ -17,10 +21,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import burkhardt, curves, heisenberg, symplectic, theta
 from .fields import GF, QQ, Cyc, QW
 from .linalg import (adjugate, all_distinct, chordal_distance, count_common_zeros_mod_p,
                      eval_polys, nullspace, proj_ratio)
+
+try:
+    # hashlib loads OpenSSL; the built-in module gives the same digest
+    from _sha2 import sha256 as _sha256          # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256    # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 SUITES = ("sympchar", "heis", "burk", "theta", "curve", "cross")
 
@@ -49,7 +61,8 @@ class RunConfig:
             raise ConfigError("unknown suites %r; choose from %r" % (bad, list(SUITES)))
         return tuple(s for s in SUITES if s in self.suites)
 
-    def period_matrix(self) -> theta.PeriodMatrix:
+    def period_matrix(self):
+        from . import theta
         if self.omega is None:
             return theta.OMEGA_GENERIC
         return theta.PeriodMatrix(self.omega)
@@ -66,7 +79,7 @@ class CheckRecord:
 
 
 def child_rng(cfg: RunConfig, check_id: str) -> random.Random:
-    h = hashlib.sha256(("%d:%s" % (cfg.seed, check_id)).encode()).digest()
+    h = _sha256(("%d:%s" % (cfg.seed, check_id)).encode()).digest()
     return random.Random(int.from_bytes(h[:8], "big"))
 
 
@@ -83,23 +96,28 @@ class Context:
         return self._cache[key]
 
     def burkhardt_exact(self):
+        from . import burkhardt
         return self.get("B", lambda: burkhardt.derive_burkhardt_exact(
             child_rng(self.cfg, "B-exact")))
 
     def curve(self):
+        from . import curves
         return self.get("curve", lambda: curves.GenusTwoCurve(
             GF(self.cfg.p), roots=list(self.cfg.f_roots)))
 
     def surface_quadrics(self):
+        from . import theta
         return self.get("sq", lambda: theta.surface_quadrics(
             self.cfg.period_matrix(), child_rng(self.cfg, "sq")))
 
     def weddle_theta(self):
+        from . import symplectic, theta
         return self.get("wt", lambda: theta.weddle_from_theta(
             self.cfg.period_matrix(), symplectic.BASE_ODD,
             child_rng(self.cfg, "wt")))
 
     def weddle_curve(self):
+        from . import curves
         return self.get("wc", lambda: curves.weddle_prime_fit(
             self.curve(), child_rng(self.cfg, "wc")))
 
@@ -109,6 +127,7 @@ class Context:
 
 
 def check_group_orders(ctx: Context) -> CheckRecord:
+    from . import symplectic
     o2 = symplectic.group_order(2, 2)
     o3 = symplectic.group_order(2, 3)
     i2, i3, i6 = (symplectic.gamma_index(2, n) for n in (2, 3, 6))
@@ -121,6 +140,7 @@ def check_group_orders(ctx: Context) -> CheckRecord:
 
 
 def check_orbits(ctx: Context) -> CheckRecord:
+    from . import symplectic
     chars = symplectic.all_characteristics(2)
     seen = set()
     cells = []
@@ -143,6 +163,7 @@ def check_orbits(ctx: Context) -> CheckRecord:
 
 
 def check_stabilizers(ctx: Context) -> CheckRecord:
+    from . import symplectic
     odd = symplectic.stabilizer(symplectic.BASE_ODD)
     even = symplectic.stabilizer(symplectic.Characteristic(2, (0, 0), (0, 0)))
     ok = (odd.order == 120 and odd.orbit_sizes_on_odd == (1, 5)
@@ -161,6 +182,7 @@ def _rows_differ(A, B) -> np.ndarray:
 
 
 def check_heisenberg(ctx: Context) -> CheckRecord:
+    from . import heisenberg, symplectic
     rng = child_rng(ctx.cfg, "AC04")
     perm, expo = heisenberg.schrodinger_table()
 
@@ -233,6 +255,7 @@ def check_heisenberg(ctx: Context) -> CheckRecord:
 
 
 def check_skew_kernel(ctx: Context) -> CheckRecord:
+    from . import burkhardt
     rng = child_rng(ctx.cfg, "AC05")
     Mm = burkhardt.matrix_minus()
     quartics = burkhardt.steinerian_quartics()
@@ -273,6 +296,7 @@ def _quartics_linearly_independent(quartics) -> bool:
 
 
 def check_burkhardt_derivation(ctx: Context) -> CheckRecord:
+    from . import burkhardt, heisenberg
     rng = child_rng(ctx.cfg, "AC06")
     dom = GF(ctx.cfg.p)
     dp = burkhardt.derive_burkhardt(dom, rng)
@@ -304,6 +328,7 @@ HESSIAN_CLAIM = "second partials of the quartic reproduce the symmetric matrix"
 
 
 def check_hessian(ctx: Context) -> CheckRecord:
+    from . import burkhardt
     exact = ctx.burkhardt_exact()
     if not exact.certified:
         return CheckRecord("AC07", HESSIAN_CLAIM, "fail",
@@ -332,6 +357,7 @@ def check_hessian(ctx: Context) -> CheckRecord:
 
 
 def check_fibers(ctx: Context) -> CheckRecord:
+    from . import burkhardt
     res = burkhardt.count_fibers_ff(31)
     base31 = res["base_points"]
     base49 = burkhardt.count_base_locus_ff(7, 2)
@@ -355,6 +381,7 @@ def check_fibers(ctx: Context) -> CheckRecord:
 
 
 def check_theta_numerics(ctx: Context) -> CheckRecord:
+    from . import burkhardt, symplectic, theta
     rng = child_rng(ctx.cfg, "AC09")
     om = ctx.cfg.period_matrix()
     chars = symplectic.all_characteristics(2)
@@ -432,6 +459,7 @@ def check_weddle_theta(ctx: Context) -> CheckRecord:
 
 
 def check_curve_side(ctx: Context) -> CheckRecord:
+    from . import curves
     rng = child_rng(ctx.cfg, "AC11")
     curve = ctx.curve()
     wrep = ctx.weddle_curve()
@@ -485,6 +513,7 @@ def check_rigidity(ctx: Context) -> CheckRecord:
 
 
 def check_symmetroid(ctx: Context) -> CheckRecord:
+    from . import curves
     dom = GF(ctx.cfg.p)
     rep = None
     attempts = 0

@@ -6,8 +6,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "weddle"
-# __init__.py imports names only to re-export them
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def test_modules_are_found():
@@ -40,6 +39,26 @@ def test_svd_only_in_linalg():
              for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "svd"]
     assert calls == []
+
+
+def _imports_hashlib(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "hashlib" for a in node.names)
+    return isinstance(node, ast.ImportFrom) and node.module == "hashlib"
+
+
+def test_hashlib_only_as_the_seed_fallback():
+    # hashlib loads OpenSSL's libcrypto: child_rng takes SHA-256 from the
+    # interpreter's built-in module and imports hashlib only where that is missing
+    found = []
+    for path, tree in _trees("src/weddle"):
+        fallback = {id(node) for handler in ast.walk(tree)
+                    if isinstance(handler, ast.ExceptHandler)
+                    and isinstance(handler.type, ast.Name) and handler.type.id == "ImportError"
+                    for stmt in handler.body for node in ast.walk(stmt)}
+        found += [(path.name, id(node) in fallback, [a.name for a in node.names])
+                  for node in ast.walk(tree) if _imports_hashlib(node)]
+    assert found == [("suite.py", True, ["sha256"])]
 
 
 def test_every_definition_is_referenced():

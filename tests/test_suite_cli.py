@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from weddle.cli import main
-from weddle.suite import (CHECKS, ConfigError, RunConfig, report_to_json,
+from weddle.suite import (CHECKS, ConfigError, RunConfig, child_rng, report_to_json,
                           run_suite)
 
 
@@ -46,6 +46,55 @@ def test_determinism_under_fixed_seed():
     assert report_to_json(r1) == report_to_json(r2)
     assert [rec["id"] for rec in r1["records"]] == ["AC01", "AC02", "AC03"]
     assert all(rec["runtime_ms"] is None for rec in r1["records"])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 50, 106, 2**31 - 1])
+def test_child_seeds_are_sha256_of_seed_and_id(seed):
+    # the built-in SHA-256 that child_rng takes must draw what hashlib's did
+    import hashlib
+    import random
+    keys = ["AC%02d" % k for k in range(1, 14)] + ["AC13:0", "AC13:11",
+                                                   "B-exact", "sq", "wt", "wc"]
+    for key in keys:
+        h = hashlib.sha256(("%d:%s" % (seed, key)).encode()).digest()
+        want = random.Random(int.from_bytes(h[:8], "big"))
+        got = child_rng(RunConfig(seed=seed), key)
+        assert [got.getrandbits(64) for _ in range(4)] == \
+               [want.getrandbits(64) for _ in range(4)], key
+
+
+FOOTPRINT = """\
+import io, json, sys
+from contextlib import redirect_stdout
+import weddle
+loaded = sorted(m for m in sys.modules if m.startswith("weddle.") or m == "numpy")
+import weddle.cli
+with redirect_stdout(io.StringIO()):
+    code = weddle.cli.main(sys.argv[1:])
+print(json.dumps({"import": loaded, "code": code, "_hashlib": "_hashlib" in sys.modules,
+                  "run": sorted(m for m in sys.modules if m.startswith("weddle"))}))
+"""
+COMMAND_MODULES = {"weddle", "weddle.cli", "weddle.fields", "weddle.poly",
+                   "weddle.linalg", "weddle.suite"}
+
+
+@pytest.mark.parametrize("args, modules", [
+    (["--suite", "curve", "--p", "1000003"], {"weddle.curves"}),
+    (["--suite", "sympchar", "--suite", "heis"],
+     {"weddle.symplectic", "weddle.heisenberg"}),
+    (["--suite", "burk"], {"weddle.symplectic", "weddle.heisenberg", "weddle.burkhardt"}),
+])
+def test_a_run_loads_only_its_suites_modules(args, modules):
+    # a fresh interpreter: `import weddle` loads no submodule and no numpy, a
+    # run adds only the modules of its suites, and no seed loads OpenSSL
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, "run"] + args, env=env,
+                          cwd=root, capture_output=True, text=True, timeout=60)
+    assert proc.stderr == ""
+    got = json.loads(proc.stdout)
+    assert got == {"import": [], "code": 0, "_hashlib": False,
+                   "run": sorted(COMMAND_MODULES | modules)}
 
 
 def run_cli(args):
