@@ -27,7 +27,7 @@ from itertools import permutations, product, tee
 
 import numpy as np
 
-from .fields import CC, Domain, GF, PrimeField, QQ
+from .fields import CC, Domain, GF, PrimeField, QQ, is_prime
 from .heisenberg import REPS, idx2, involution_j, rep_of
 from .linalg import (Matrix, ShapeError, count_common_zeros_mod_p, eval_polys,
                      fit_hypersurface, nullspace, prepare_polys, proj_points_mod_p,
@@ -72,7 +72,7 @@ def translate_poly(f: SparsePoly, a) -> SparsePoly:
 
 def j_poly(f: SparsePoly) -> SparsePoly:
     """Substitute X_t -> X_{-t}."""
-    return f.permute_variables(involution_j().perm)
+    return f.permute_variables(involution_j()[0])
 
 
 def _restricted_matrix(odd: bool) -> Matrix:
@@ -368,6 +368,8 @@ def count_base_locus_ff(p: int, k: int = 1) -> int:
     """Rational points of the base locus of the five quartics over F_{p^k}."""
     if p % 3 != 1 or k not in (1, 2):
         raise ShapeError("need p = 1 mod 3, k in {1, 2}")
+    if not is_prime(p):
+        raise ValueError("modulus %d is not prime" % p)
     if k == 1:
         return count_common_zeros_mod_p(steinerian_quartics(), p)
     return _base_locus_quadratic_ext(p)

@@ -142,49 +142,13 @@ def commutator_exponent(h1: HeisElement, h2: HeisElement) -> int:
 # the monomial representation at g = 2
 
 
-class GenPerm:
-    """Generalized permutation matrix: column a maps to row perm[a] with
-    coefficient w^expo[a].  Exact and cheap to compose."""
-
-    __slots__ = ("perm", "expo")
-
-    def __init__(self, perm, expo):
-        self.perm = tuple(perm)
-        self.expo = tuple(e % 3 for e in expo)
-
-    def compose(self, other):
-        """Matrix product self . other."""
-        perm = tuple(self.perm[other.perm[a]] for a in range(9))
-        expo = tuple((other.expo[a] + self.expo[other.perm[a]]) % 3 for a in range(9))
-        return GenPerm(perm, expo)
-
-    __mul__ = compose
-
-    def __eq__(self, other):
-        return self.perm == other.perm and self.expo == other.expo
-
-    def __hash__(self):
-        return hash((self.perm, self.expo))
-
-    def scale(self, k):
-        return GenPerm(self.perm, tuple((e + k) % 3 for e in self.expo))
-
-    def to_matrix(self) -> Matrix:
-        rows = [[Cyc(0) for _ in range(9)] for _ in range(9)]
-        for a in range(9):
-            rows[self.perm[a]][a] = omega_power(self.expo[a])
-        return Matrix(rows)
-
-    def __repr__(self):
-        return "GenPerm(%s, %s)" % (self.perm, self.expo)
-
-
 @lru_cache(maxsize=None)
 def schrodinger_table():
     """U(h) for all 243 h of enumerate_group(2), row k for the k-th (see
-    h_index): (perm, expo) as read-only (243, 9) int64 arrays, with column a
-    going to row perm[a] with coefficient w^expo[a], as in GenPerm.  Row
-    (t, x, x*) has perm[a] = idx2(a + x) and expo[a] = t + x*.a."""
+    h_index): (perm, expo) as read-only (243, 9) int64 arrays.  A row is a
+    generalized permutation, the one form of U(h) and of the flip: column a
+    goes to row perm[a] with coefficient w^expo[a].  Row (t, x, x*) has
+    perm[a] = idx2(a + x) and expo[a] = t + x*.a."""
     U, _ = _flat_vectors(2)      # (x | x*) in the order of h_index
     A, _ = _flat_vectors(1)      # the delta basis a, in the order of idx2
     perm = (U[:, None, :2] + A) % 3 @ _place_values(1)
@@ -194,26 +158,28 @@ def schrodinger_table():
     return perm, expo
 
 
-def schrodinger(h: HeisElement) -> GenPerm:
-    """U(h) on the 9-dimensional delta basis, g = 2 only: one row of
-    schrodinger_table()."""
+def schrodinger(h: HeisElement):
+    """U(h) on the 9-dimensional delta basis, g = 2 only: the (perm, expo)
+    row h_index(h) of schrodinger_table()."""
     if h.g != 2:
         raise ValueError("the representation is materialized at genus 2")
     perm, expo = schrodinger_table()
     k = h_index(h)
-    return GenPerm(perm[k].tolist(), expo[k].tolist())
+    return perm[k], expo[k]
 
 
 def compose_rows(A, B):
-    """A . B for generalized permutations given as (perm, expo) arrays of
-    shape (..., 9), stacked and broadcast: GenPerm.compose, elementwise."""
-    (ap, ae), (bp, be) = A, B
+    """The product A . B of generalized permutations given as (perm, expo)
+    arrays of shape (..., 9), stacked and broadcast: column a of B goes to
+    row B.perm[a] of A, and on to A.perm[B.perm[a]]."""
+    ap, ae, bp, be = np.broadcast_arrays(*A, *B)
     return np.take_along_axis(ap, bp, -1), (be + np.take_along_axis(ae, bp, -1)) % 3
 
 
-def involution_j() -> GenPerm:
-    """X_s -> X_{-s}."""
-    return GenPerm([idx2(neg2(from_idx2(i))) for i in range(9)], [0] * 9)
+def involution_j():
+    """X_s -> X_{-s}, as a (perm, expo) row."""
+    A, _ = _flat_vectors(1)      # the delta basis s, in the order of idx2
+    return -A % 3 @ _place_values(1), np.zeros(9, dtype=np.int64)
 
 
 def eigenbasis_plus():
@@ -400,39 +366,35 @@ def heisenberg_generators(g: int = 2):
 # Schur intertwiners
 
 
-def intertwiner(phi) -> Matrix:
+def intertwiner(phi) -> np.ndarray:
     """The matrix T with T U(h) = U(phi(h)) T for all h, normalized so the
-    first nonzero entry in row-major order is 1.
+    first nonzero entry in row-major order is 1, in w-exponent form: a
+    read-only 9 x 9 int64 array E with T[i, j] = w^E[i, j], or 0 where
+    E[i, j] = -1 (exponent_matrix builds T).
 
     The constraint system couples unknowns in pairs with unit ratios, so it
     is solved exactly by one traversal of the graph of those pairs; the
     solution space must be one-dimensional or the representation theory is
-    broken, and RepresentationError says so.  T is shared with every other
-    caller that asks for the same automorphism: read it, do not change it.
+    broken, and RepresentationError says so.  E is shared with every other
+    caller that asks for the same automorphism.
     """
     if isinstance(phi, SymplecticMat):
         phi = lift_symplectic(phi)
-    T, dim = _intertwiner_solve(phi)
+    E, dim = _intertwiner_solve(phi)
     if dim != 1:
         raise RepresentationError("intertwiner solution space has dimension %d" % dim)
-    return T
-
-
-@lru_cache(maxsize=None)
-def _generator_images():
-    """(h, U(h)) for the heisenberg_generators(2), which every intertwiner
-    solve walks."""
-    return tuple((h, schrodinger(h)) for h in heisenberg_generators(2))
+    return E
 
 
 @lru_cache(maxsize=256)
 def _intertwiner_solve(phi: HeisAutomorphism):
-    """(T, 1) for the unique intertwiner up to scale, else (None, dim).
-    Cached by the automorphism, so a lift that two checks share is solved
-    once.
+    """(E, 1) for the unique intertwiner up to scale, in w-exponent form,
+    else (None, dim).  Cached by the automorphism, so a lift that two checks
+    share is solved once.
 
     The unknowns are the 81 entries T[i, c], index 9 i + c.  For each
-    generator h, with A = U(h) and B = U(phi(h)), the entry (i, a) of
+    generator h of heisenberg_generators(2), with A = U(h) and
+    B = U(phi(h)) rows of schrodinger_table(), the entry (i, a) of
     T A = B T gives T[i, A.perm[a]] = w^(B.expo[k] - A.expo[a]) T[k, a]
     with B.perm[k] = i: 324 edges with w-power ratios.  Each component of
     that graph is walked once from its smallest index, which gets exponent
@@ -441,31 +403,34 @@ def _intertwiner_solve(phi: HeisAutomorphism):
     component."""
     if phi.g != 2:
         raise ValueError("intertwiners are materialized at genus 2")
+    perm, expo = schrodinger_table()
+    hs = np.array([h_index(h) for h in heisenberg_generators(2)])
+    ks = phi.on_indices(hs)
+    # edge (h, k, a) joins i = 9 B.perm[k] + A.perm[a] to j = 9 k + a
+    # with value(i) = w^d value(j)
+    ends_i = 9 * perm[ks][:, :, None] + perm[hs][:, None, :]
+    ends_j = np.broadcast_to(np.arange(81).reshape(9, 9), ends_i.shape)
+    ratios = (expo[ks][:, :, None] - expo[hs][:, None, :]) % 3
     n = 81
     adj = [[] for _ in range(n)]   # (j, d): value(j) = w^d value(i)
-    for h, A in _generator_images():
-        B = schrodinger(phi(h))
-        for k in range(9):
-            row = 9 * B.perm[k]
-            bk = B.expo[k]
-            for a in range(9):
-                i, j, d = row + A.perm[a], 9 * k + a, bk - A.expo[a]
-                adj[i].append((j, -d))
-                adj[j].append((i, d))
-    expo = [None] * n
+    for i, j, d in zip(ends_i.ravel().tolist(), ends_j.ravel().tolist(),
+                       ratios.ravel().tolist()):
+        adj[i].append((j, -d))
+        adj[j].append((i, d))
+    value = [None] * n
     live = []
     for start in range(n):
-        if expo[start] is not None:
+        if value[start] is not None:
             continue
-        expo[start] = 0
+        value[start] = 0
         members = [start]
         dead = False
         for i in members:       # grows while it is walked
-            ei = expo[i]
+            ei = value[i]
             for j, d in adj[i]:
-                ej = expo[j]
+                ej = value[j]
                 if ej is None:
-                    expo[j] = (ei + d) % 3
+                    value[j] = (ei + d) % 3
                     members.append(j)
                 elif not dead and ej != (ei + d) % 3:
                     dead = True
@@ -473,23 +438,18 @@ def _intertwiner_solve(phi: HeisAutomorphism):
             live.append(members)
     if len(live) != 1:
         return None, len(live)
-    rows = [[Cyc(0)] * 9 for _ in range(9)]
-    for i in live[0]:
-        rows[i // 9][i % 9] = omega_power(expo[i])
-    return Matrix(rows), 1
+    E = np.full(n, -1, dtype=np.int64)
+    E[live[0]] = [value[i] for i in live[0]]
+    E = E.reshape(9, 9)
+    E.flags.writeable = False
+    return E, 1
 
 
-# w-exponent form: an entry 0 or w^e of a matrix over Q(w) is the int -1 or e
-_EXPONENT_OF = {(0, 0, 1): -1, (1, 0, 1): 0, (0, 1, 1): 1, (-1, -1, 1): 2}
-
-
-def omega_exponents(T: Matrix) -> np.ndarray:
-    """The entries of T, each 0 or a power of w as in every intertwiner, as
-    an int64 array of w-exponents with -1 for 0."""
-    try:
-        return np.array([[_EXPONENT_OF[x.a, x.b, x.d] for x in row] for row in T.rows])
-    except (AttributeError, KeyError):
-        raise ValueError("an entry is neither 0 nor a power of w") from None
+def exponent_matrix(E: np.ndarray) -> Matrix:
+    """The matrix over Q(w) of w-exponent form E: w^E[i, j], or 0 where
+    E[i, j] < 0."""
+    return Matrix([[Cyc(0) if e < 0 else omega_power(e) for e in row]
+                   for row in E.tolist()])
 
 
 def _times_omega(E: np.ndarray, k) -> np.ndarray:
@@ -522,14 +482,14 @@ def intertwines(E: np.ndarray, A, B) -> bool:
     return np.array_equal(TA, BT)
 
 
-def block_split(T: Matrix):
-    """Conjugate T into the (Y, Z) basis; returns (plus 5x5, minus 4x4,
-    off_blocks_zero).
+def block_split(E: np.ndarray):
+    """Conjugate the matrix T of w-exponent form E into the (Y, Z) basis;
+    returns (plus 5x5, minus 4x4, off_blocks_zero).
 
     With P the eigenbasis, row i of T.P is the split of row i of T, and
     P^-1 = diag(1, 2, ..., 2) . split, so P^-1.T.P splits every column of
     T.P and doubles every row but the first."""
-    TP = [sum(plus_minus_components(row), []) for row in T.rows]
+    TP = [sum(plus_minus_components(row), []) for row in exponent_matrix(E).rows]
     cols = [sum(plus_minus_components(col), []) for col in zip(*TP)]
     TB = [[x * 2 if i else x for x in row] for i, row in enumerate(zip(*cols))]
     off_zero = not any(TB[i][j] for i in range(9) for j in range(9)
@@ -541,7 +501,7 @@ def block_split(T: Matrix):
 
 # the vectors of standard_transvections(2, 3), used wherever a run over
 # "the standard generators" is required; generation is certified by the
-# order count of sp_group_elements and, apart from it, by a BFS closure in
+# order count of sp_group_codes and, apart from it, by a BFS closure in
 # the test suite
 STANDARD_SP4_F3_VECTORS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
                            (0, 0, 0, 1), (1, 1, 0, 0), (0, 0, 1, 1),

@@ -204,8 +204,7 @@ def check_heisenberg(ctx: Context) -> CheckRecord:
         counterexamples.append("multiplicativity: %r * %r"
                                % (G[left[bad[0]]], G[right[bad[0]]]))
     j = heisenberg.involution_j()
-    J = np.array([j.perm]), np.array([j.expo])
-    bad = _rows_differ(heisenberg.compose_rows(heisenberg.compose_rows(J, rows(flips)), J),
+    bad = _rows_differ(heisenberg.compose_rows(heisenberg.compose_rows(j, rows(flips)), j),
                        rows(heisenberg.d_minus_one().on_indices(flips)))
     j_ok = not bad.size
     if bad.size:
@@ -219,29 +218,26 @@ def check_heisenberg(ctx: Context) -> CheckRecord:
     for M in gens:
         phi = heisenberg.lift_symplectic(M)
         try:
-            T = heisenberg.intertwiner(phi)
+            E = heisenberg.intertwiner(phi)
         except heisenberg.RepresentationError:
             schur_ok = False
             continue
-        schur_ok &= heisenberg.intertwines(heisenberg.omega_exponents(T), rows(hs),
-                                           rows(phi.on_indices(hs)))
-        _, _, off = heisenberg.block_split(T)
+        schur_ok &= heisenberg.intertwines(E, rows(hs), rows(phi.on_indices(hs)))
+        _, _, off = heisenberg.block_split(E)
         blocks_ok &= off
-    # the codes sort as the byte keys do, so a draw picks the same matrix
+    # a draw is one of the sorted codes of the group, decoded by code_to_mat
     codes = symplectic.sp_group_codes(2, 3)
     proj_ok = True
     for _ in range(20):
         M = symplectic.code_to_mat(rng.choice(codes), 2, 3)
         N = symplectic.code_to_mat(rng.choice(codes), 2, 3)
         try:
-            TM = heisenberg.intertwiner(M)
-            TN = heisenberg.intertwiner(N)
-            TMN = heisenberg.intertwiner(M * N)
+            TMTN = heisenberg.exponent_product(heisenberg.intertwiner(M),
+                                               heisenberg.intertwiner(N))
+            TMN = heisenberg.exponent_matrix(heisenberg.intertwiner(M * N))
         except heisenberg.RepresentationError:
             proj_ok = False
             break
-        TMTN = heisenberg.exponent_product(heisenberg.omega_exponents(TM),
-                                           heisenberg.omega_exponents(TN))
         if proj_ratio(TMTN, TMN, QW) is None:
             proj_ok = False
             break

@@ -9,6 +9,7 @@ entries 0/1, so the induced action is integer arithmetic mod 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -140,13 +141,6 @@ class SymplecticMat:
     def __hash__(self):
         return hash((self.n, self.entries))
 
-    def key(self) -> bytes:
-        """The entries, row-major, one byte each: only mod n <= 256."""
-        if self.n is None or self.n > 256:
-            raise ValueError("key() needs a matrix mod n <= 256, not one %s"
-                             % ("over Z" if self.n is None else "mod %d" % self.n))
-        return bytes(x for row in self.entries for x in row)
-
     def __repr__(self):
         return "SymplecticMat(n=%s, %s)" % (self.n, list(map(list, self.entries)))
 
@@ -166,7 +160,7 @@ def transvection(v, scale=1, n=None, g=None):
 def standard_transvections(g: int, n: int):
     """The transvections t_v mod n for v in e_1..e_g, f_1..f_g,
     e_i + e_{i+1}, f_i + f_{i+1} (i < g) and e_i + f_i, in that order:
-    5g - 2 of them.  sp_group_elements closes over this set, so its order
+    5g - 2 of them.  sp_group_codes closes over this set, so its order
     check certifies that the set generates Sp(2g, Z/n) at every enumerated
     (g, n)."""
     def unit(*idx):
@@ -182,19 +176,34 @@ def standard_transvections(g: int, n: int):
 def gamma_index(g: int, n: int) -> int:
     """Index of the principal congruence subgroup of level n in Sp(2g, Z),
     which is also the order of Sp(2g, Z/n):
-    n^(g(2g+1)) * prod_{p | n} prod_{k=1..g} (1 - p^(-2k))."""
+    n^(g(2g+1)) * prod_{p | n} prod_{k=1..g} (1 - p^(-2k)).
+
+    Cost bound: n is factored by trial division up to sqrt(n), so it is
+    capped at 10^12 (at most 10^6 divisions), and n^(g(2g+1)) must stay
+    below 10^4000, so the order has at most 4000 decimal digits.  Beyond
+    either bound, and for g < 0 or n < 2, ValueError."""
+    if g < 0:
+        raise ValueError("genus must not be negative")
     if n < 2:
         raise ValueError("level must be at least 2")
+    if n > 10 ** 12:
+        raise ValueError("level %d is above the cap of 10^12" % n)
+    digits = g * (2 * g + 1) * math.log10(n)
+    if digits >= 4000:
+        raise ValueError("the order of Sp(%d, Z/%d) has about %d digits, above the "
+                         "cap of 4000" % (2 * g, n, digits))
     val = Fraction(n) ** (g * (2 * g + 1))
     m = n
     p = 2
     primes = []
-    while m > 1:
+    while p * p <= m:
         if m % p == 0:
             primes.append(p)
             while m % p == 0:
                 m //= p
         p += 1
+    if m > 1:
+        primes.append(m)
     for p in primes:
         for k in range(1, g + 1):
             val *= 1 - Fraction(1, p ** (2 * k))
@@ -206,8 +215,8 @@ def gamma_index(g: int, n: int) -> int:
 def _code_weights(g: int, n: int):
     """(digit_w, col_w): the code of a matrix M mod n is
     sum_ij M_ij col_w[i] digit_w[j], its row-major entries read as base-n
-    digits with the first entry most significant, so codes sort in the same
-    order as byte keys; and a column v is indexed by sum_i v_i digit_w[i]."""
+    digits with the first entry most significant, so codes sort as the
+    entries do, row by row; and a column v is indexed by sum_i v_i digit_w[i]."""
     digit_w = n ** np.arange(2 * g - 1, -1, -1, dtype=np.int64)
     return digit_w, digit_w ** (2 * g)
 
@@ -301,15 +310,6 @@ def sp_group_codes(g: int, n: int) -> np.ndarray:
     return visited
 
 
-@lru_cache(maxsize=None)
-def sp_group_elements(g: int, n: int):
-    """All of Sp(2g, Z/n) as a sorted tuple of byte keys (row-major
-    entries), decoded from sp_group_codes(g, n)."""
-    buf = _code_entries(sp_group_codes(g, n), g, n).tobytes()
-    step = 4 * g * g
-    return tuple(buf[i:i + step] for i in range(0, len(buf), step))
-
-
 def group_order(g: int, n: int) -> int:
     """Order of Sp(2g, Z/n).  For n in {2, 3} the group is enumerated and
     the count cross-checked against the formula; other levels use the
@@ -319,16 +319,9 @@ def group_order(g: int, n: int) -> int:
 
 def code_to_mat(code: int, g: int, n: int) -> SymplecticMat:
     """The matrix of one code of sp_group_codes(g, n), symplectic by
-    construction."""
+    construction: the one decoder of a single group element."""
     entries = _code_entries(np.array([code]), g, n)[0].tolist()
     return SymplecticMat._trusted(tuple(map(tuple, entries)), n)
-
-
-def key_to_mat(key: bytes, g: int, n: int) -> SymplecticMat:
-    size = 2 * g
-    vals = list(key)
-    rows = [vals[i * size:(i + 1) * size] for i in range(size)]
-    return SymplecticMat(rows, n)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +465,7 @@ BASE_ODD = Characteristic(2, (1, 0), (1, 0))
 class StabilizerReport:
     order: int
     orbit_sizes_on_odd: tuple
-    keys: frozenset
+    codes: frozenset    # the fixers, as codes of sp_group_codes(2, 2)
 
 
 @lru_cache(maxsize=None)
@@ -486,8 +479,8 @@ def stabilizer(m: Characteristic) -> StabilizerReport:
     it is listed, so the orbit of a form q is its set of images q o M."""
     if m.g != 2:
         raise ValueError("stabilizers are enumerated for genus 2 only")
-    keys = sp_group_elements(2, 2)
-    mats = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(-1, 4, 4)
+    codes = sp_group_codes(2, 2)
+    mats = _code_entries(codes, 2, 2)
     # image[k, i]: index of M_k x_i, its bits read as QuadFormF2.__call__ does
     image = np.array([8, 4, 2, 1]) @ (mats @ np.array(_f2_vectors(2)).T % 2)
     table = np.array(QuadFormF2.from_characteristic(m).table)
@@ -495,7 +488,7 @@ def stabilizer(m: Characteristic) -> StabilizerReport:
     odd = [np.array(q.table) for q in all_quad_forms(2) if q.epsilon == -1]
     orbits = {frozenset(map(tuple, q[image[fixed]])) for q in odd}
     return StabilizerReport(fixed.size, tuple(sorted(map(len, orbits))),
-                            frozenset(keys[i] for i in fixed))
+                            frozenset(codes[fixed].tolist()))
 
 
 def classify_gamma(G: SymplecticMat) -> set:
@@ -523,6 +516,8 @@ def classify_gamma(G: SymplecticMat) -> set:
         dCD = [sum(C[i][k] * D[i][k] for k in range(g)) for i in range(g)]
         if all(x % 6 == 0 for x in dAB + dCD):
             labels.add("Gamma2(3,6)")
-        if G.reduce(2).key() in stabilizer(BASE_ODD).keys:
+        digit_w, col_w = _code_weights(2, 2)
+        code = int(col_w @ np.array(G.reduce(2).entries) @ digit_w)
+        if code in stabilizer(BASE_ODD).codes:
             labels.add("Gamma2(3)-")
     return labels

@@ -207,7 +207,7 @@ def random_z(omega: PeriodMatrix, rng) -> np.ndarray:
 
 # the index flip X_s -> X_{-s} as a fancy index; x[FLIP] is the flipped
 # vector because the flip is an involution
-FLIP = np.array(involution_j().perm)
+FLIP, _ = involution_j()
 
 
 def _odd_part(u: np.ndarray, floor: float = 0.0):

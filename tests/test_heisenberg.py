@@ -12,23 +12,22 @@ from hypothesis import strategies as st
 
 from weddle.fields import Cyc, QW, omega_power
 import weddle.heisenberg
-from weddle.heisenberg import (GenPerm, HeisAutomorphism, HeisElement,
+from weddle.heisenberg import (HeisAutomorphism, HeisElement,
                                RepresentationError, beta, block_split,
                                commutator_exponent, compose_rows, d_minus_one,
                                eigenbasis_minus, eigenbasis_plus,
-                               enumerate_group, exponent_product,
-                               from_idx2, h_identity, h_index, h_inv, h_mul,
-                               h_mul_index, heisenberg_generators,
-                               identity_automorphism, idx2,
-                               intertwiner, intertwines, involution_j,
-                               lift_symplectic, omega_exponents,
-                               plus_minus_components,
+                               enumerate_group, exponent_matrix,
+                               exponent_product, from_idx2, h_identity,
+                               h_index, h_inv, h_mul, h_mul_index,
+                               heisenberg_generators, identity_automorphism,
+                               idx2, intertwiner, intertwines, involution_j,
+                               lift_symplectic, plus_minus_components,
                                schrodinger, schrodinger_table,
                                standard_sp4_generators,
                                upsilon_plus_block, weil_pairing, zeta)
 from weddle.linalg import Matrix, proj_ratio, rank
-from weddle.symplectic import (InvariantViolation, SymplecticMat,
-                               key_to_mat, sp_group_elements)
+from weddle.symplectic import (InvariantViolation, SymplecticMat, code_to_mat,
+                               sp_group_codes)
 
 rng = random.Random(0)
 G2 = enumerate_group(2)
@@ -36,6 +35,27 @@ G2 = enumerate_group(2)
 
 def rand_h():
     return rng.choice(G2)
+
+
+def _dense(U) -> Matrix:
+    """The 9 x 9 matrix over Q(w) of a (perm, expo) row: column a has
+    w^expo[a] in row perm[a]."""
+    perm, expo = (np.asarray(x).tolist() for x in U)
+    rows = [[Cyc(0)] * 9 for _ in range(9)]
+    for a in range(9):
+        rows[perm[a]][a] = omega_power(expo[a] % 3)
+    return Matrix(rows)
+
+
+def _expand(E) -> Matrix:
+    """The 9 x 9 matrix over Q(w) of a w-exponent array: w^E[i, j], 0 for -1."""
+    return Matrix([[Cyc(0) if e < 0 else omega_power(e) for e in row]
+                   for row in np.asarray(E).tolist()])
+
+
+def _row(U):
+    """A (perm, expo) row as a hashable pair of tuples."""
+    return tuple(U[0].tolist()), tuple(U[1].tolist())
 
 
 def test_group_law_basics():
@@ -105,46 +125,47 @@ def test_weil_pairing_nondegenerate():
 
 
 def test_schrodinger_translation_is_permutation():
-    U = schrodinger(HeisElement(0, (1, 0), (0, 0)))
-    assert all(e == 0 for e in U.expo)
-    assert sorted(U.perm) == list(range(9))
+    perm, expo = schrodinger(HeisElement(0, (1, 0), (0, 0)))
+    assert all(e == 0 for e in expo)
+    assert sorted(perm) == list(range(9))
 
 
 def test_schrodinger_character_is_diagonal():
     xs = (1, 2)
-    U = schrodinger(HeisElement(0, (0, 0), xs))
-    assert U.perm == tuple(range(9))
+    perm, expo = schrodinger(HeisElement(0, (0, 0), xs))
+    assert perm.tolist() == list(range(9))
     for s0 in range(3):
         for s1 in range(3):
-            assert U.expo[s0 * 3 + s1] == (xs[0] * s0 + xs[1] * s1) % 3
+            assert expo[s0 * 3 + s1] == (xs[0] * s0 + xs[1] * s1) % 3
 
 
 def test_schrodinger_center_is_scalar():
     for t in range(3):
-        U = schrodinger(HeisElement(t, (0, 0), (0, 0)))
-        assert U.perm == tuple(range(9))
-        assert all(e == t for e in U.expo)
+        perm, expo = schrodinger(HeisElement(t, (0, 0), (0, 0)))
+        assert perm.tolist() == list(range(9))
+        assert all(e == t for e in expo)
 
 
-def _oracle_schrodinger(h: HeisElement) -> GenPerm:
+def _oracle_schrodinger(h: HeisElement):
     """U(h) one basis vector at a time: U(t, x, x*) X_a = w^(t + x*.a) X_{a+x}."""
     perm, expo = [], []
     for i in range(9):
         a = from_idx2(i)
         perm.append(idx2((a[0] + h.x[0], a[1] + h.x[1])))
-        expo.append(h.t + h.xs[0] * a[0] + h.xs[1] * a[1])
-    return GenPerm(perm, expo)
+        expo.append((h.t + h.xs[0] * a[0] + h.xs[1] * a[1]) % 3)
+    return tuple(perm), tuple(expo)
 
 
 def test_schrodinger_table_rows_match_the_formula():
     perm, expo = schrodinger_table()
     assert perm.shape == expo.shape == (243, 9)
+    assert perm.dtype == expo.dtype == np.int64
     assert not perm.flags.writeable and not expo.flags.writeable
     for k, h in enumerate(G2):
         assert h_index(h) == k
         U = _oracle_schrodinger(h)
-        assert (perm[k].tolist(), expo[k].tolist()) == (list(U.perm), list(U.expo))
-        assert schrodinger(h) == U
+        assert (tuple(perm[k].tolist()), tuple(expo[k].tolist())) == U
+        assert _row(schrodinger(h)) == U
     # an element with unreduced coordinates indexes its reduction
     assert h_index(HeisElement(4, (5, -1), (3, 7))) == h_index(HeisElement(1, (2, 2), (0, 1)))
 
@@ -165,62 +186,69 @@ def test_automorphism_on_indices_matches_its_call():
         assert phi.on_indices(np.arange(243)).tolist() == [h_index(phi(h)) for h in G2]
 
 
-def test_composed_table_rows_match_genperm_compose():
+def test_composed_table_rows_match_dense_products():
     perm, expo = schrodinger_table()
     a, b = np.divmod(np.arange(243 * 243), 243)
     cp, ce = compose_rows((perm[a], expo[a]), (perm[b], expo[b]))
+    assert cp.shape == ce.shape == (243 * 243, 9)
     for k in random.Random(3).sample(range(243 * 243), 500):
-        AB = schrodinger(G2[a[k]]).compose(schrodinger(G2[b[k]]))
-        assert (cp[k].tolist(), ce[k].tolist()) == (list(AB.perm), list(AB.expo))
-    # a single row broadcasts against a stack
+        AB = _dense(schrodinger(G2[a[k]])).mat_mul(_dense(schrodinger(G2[b[k]])))
+        assert _dense((cp[k], ce[k])).rows == AB.rows
+    # a single row broadcasts against a stack, on either side
     j = involution_j()
-    J = np.array([j.perm]), np.array([j.expo])
-    jp, je = compose_rows(J, (perm, expo))
-    assert [GenPerm(p, e) for p, e in zip(jp.tolist(), je.tolist())] == \
-        [j.compose(schrodinger(h)) for h in G2]
+    jp, je = compose_rows(j, (perm, expo))
+    pj, ej = compose_rows((perm, expo), j)
+    for k in random.Random(4).sample(range(243), 50):
+        U = _dense((perm[k], expo[k]))
+        assert _dense((jp[k], je[k])).rows == _dense(j).mat_mul(U).rows
+        assert _dense((pj[k], ej[k])).rows == U.mat_mul(_dense(j)).rows
 
 
 def test_schrodinger_multiplicative_and_faithful():
     for _ in range(500):
         h1, h2 = rand_h(), rand_h()
-        assert schrodinger(h_mul(h1, h2)) == schrodinger(h1).compose(schrodinger(h2))
-    images = {schrodinger(h) for h in G2}
+        assert _row(schrodinger(h_mul(h1, h2))) == \
+            _row(compose_rows(schrodinger(h1), schrodinger(h2)))
+    images = {_row(schrodinger(h)) for h in G2}
     assert len(images) == 243
 
 
-_genperms = st.one_of(
-    st.builds(GenPerm, st.permutations(range(9)),
-              st.lists(st.integers(-3, 5), min_size=9, max_size=9)),
+_rows = st.one_of(
+    st.tuples(st.permutations(range(9)).map(np.array),
+              st.lists(st.integers(0, 2), min_size=9, max_size=9).map(np.array)),
     st.builds(schrodinger, st.sampled_from(G2)))
 
 
 def _stacked(*Us):
-    return np.array([U.perm for U in Us]), np.array([U.expo for U in Us])
+    return np.array([U[0] for U in Us]), np.array([U[1] for U in Us])
 
 
 @settings(max_examples=100, deadline=None)
-@given(_genperms, _genperms, st.lists(st.integers(-1, 2), min_size=81, max_size=81))
-def test_genperm_matches_full_matrix_product(A, B, exps):
-    T = A.to_matrix()
-    assert A.compose(B).to_matrix().rows == T.mat_mul(B.to_matrix()).rows
+@given(_rows, _rows, st.lists(st.integers(-1, 2), min_size=81, max_size=81))
+def test_rows_match_full_matrix_product(A, B, exps):
+    assert _dense(compose_rows(A, B)).rows == _dense(A).mat_mul(_dense(B)).rows
     # a matrix of zeros and powers of w against the two generalized
     # permutations, in w-exponent form and as dense products
     E = np.array(exps).reshape(9, 9)
-    S = Matrix([[Cyc(0) if e < 0 else omega_power(e) for e in row] for row in E.tolist()])
-    assert np.array_equal(omega_exponents(S), E)
-    dense = S.mat_mul(A.to_matrix()).rows == B.to_matrix().mat_mul(S).rows
+    S = _expand(E)
+    assert exponent_matrix(E).rows == S.rows
+    dense = S.mat_mul(_dense(A)).rows == _dense(B).mat_mul(S).rows
     assert intertwines(E, _stacked(A), _stacked(B)) == dense
 
 
 def test_involution_j():
     j = involution_j()
-    assert j.compose(j) == GenPerm(range(9), [0] * 9)
+    assert all(x.dtype == np.int64 and x.shape == (9,) for x in j)
+    assert _row(compose_rows(j, j)) == (tuple(range(9)), (0,) * 9)
+    # column s goes to row -s, with coefficient 1
+    assert j[0].tolist() == [idx2((-s0, -s1)) for s0, s1 in map(from_idx2, range(9))]
     assert len(eigenbasis_plus()) == 5
     assert len(eigenbasis_minus()) == 4
     D = d_minus_one()
     for _ in range(50):
         h = rand_h()
-        assert j.compose(schrodinger(h)).compose(j) == schrodinger(D(h))
+        assert _row(compose_rows(compose_rows(j, schrodinger(h)), j)) == \
+            _row(schrodinger(D(h)))
 
 
 def test_plus_minus_components_roundtrip():
@@ -247,13 +275,13 @@ def test_block_split_conjugates_through_the_eigenbasis():
     cols = eigenbasis_plus() + eigenbasis_minus()
     P = Matrix([[cols[j][i] for j in range(9)] for i in range(9)])
     for M in standard_sp4_generators():
-        T = intertwiner(M)
-        plus, minus, off = block_split(T)
+        E = intertwiner(M)
+        plus, minus, off = block_split(E)
         assert off
-        assert P.mat_mul(_block_diag(plus, minus)).rows == T.mat_mul(P).rows
+        assert P.mat_mul(_block_diag(plus, minus)).rows == _expand(E).mat_mul(P).rows
     r = random.Random(4)
-    T = Matrix([[QW.random(r) for _ in range(9)] for _ in range(9)])
-    plus, minus, off = block_split(T)
+    E = np.array([[r.randint(-1, 2) for _ in range(9)] for _ in range(9)])
+    plus, minus, off = block_split(E)
     assert not off
 
 
@@ -294,11 +322,11 @@ def test_kernel_of_symplectic_part_is_exactly_zeta():
         HeisAutomorphism(ident, tuple(bad), validate=True)
 
 
-KEYS3 = sp_group_elements(2, 3)
+CODES3 = sp_group_codes(2, 3).tolist()
 
 
 def rand_sp3():
-    return key_to_mat(rng.choice(KEYS3), 2, 3)
+    return code_to_mat(rng.choice(CODES3), 2, 3)
 
 
 def test_lift_identity_and_cocycle():
@@ -329,22 +357,25 @@ def test_lift_commutes_with_minus_one():
 
 def test_standard_generators_generate():
     gens = standard_sp4_generators()
-    seen = {SymplecticMat.identity(2, 3).key()}
+    seen = {SymplecticMat.identity(2, 3).entries}
     frontier = [SymplecticMat.identity(2, 3)]
     while frontier:
         nxt = []
         for M in frontier:
             for t in gens:
                 P = t * M
-                if P.key() not in seen:
-                    seen.add(P.key())
+                if P.entries not in seen:
+                    seen.add(P.entries)
                     nxt.append(P)
         frontier = nxt
     assert len(seen) == 51840
 
 
 def test_intertwiner_identity():
-    T = intertwiner(SymplecticMat.identity(2, 3))
+    E = intertwiner(SymplecticMat.identity(2, 3))
+    assert E.dtype == np.int64 and E.shape == (9, 9) and not E.flags.writeable
+    assert np.array_equal(E, np.where(np.eye(9, dtype=bool), 0, -1))
+    T = exponent_matrix(E)
     for i in range(9):
         for j in range(9):
             assert T.rows[i][j] == (Cyc(1) if i == j else Cyc(0))
@@ -353,20 +384,18 @@ def test_intertwiner_identity():
 def test_intertwiner_intertwines_everything():
     M = standard_sp4_generators()[0]
     phi = lift_symplectic(M)
-    T = intertwiner(M)
-    E = omega_exponents(T)
+    E = intertwiner(M)
+    T = exponent_matrix(E)
     A = _stacked(*(schrodinger(h) for h in G2))
     B = _stacked(*(schrodinger(phi(h)) for h in G2))
     assert intertwines(E, A, B)
     # against dense products, on a few elements
     for h in G2[::40]:
-        U, V = schrodinger(h).to_matrix(), schrodinger(phi(h)).to_matrix()
+        U, V = _dense(schrodinger(h)), _dense(schrodinger(phi(h)))
         assert T.mat_mul(U).rows == V.mat_mul(T).rows
     # one image off by a scalar breaks it
     B[1][17] = (B[1][17] + 1) % 3
     assert not intertwines(E, A, B)
-    with pytest.raises(ValueError):
-        omega_exponents(Matrix([[Cyc(2)] * 9] * 9))
 
 
 def test_schur_dimension_one_for_standard_generators():
@@ -381,8 +410,8 @@ def test_intertwiner_blocks_and_projectivity():
         assert plus.nrows == 5 and minus.nrows == 4
     for _ in range(20):
         M, N = rand_sp3(), rand_sp3()
-        TM, TN = intertwiner(M), intertwiner(N)
-        TMN = intertwiner(M * N)
+        TM, TN = exponent_matrix(intertwiner(M)), exponent_matrix(intertwiner(N))
+        TMN = exponent_matrix(intertwiner(M * N))
         assert proj_ratio([x for r in TM.mat_mul(TN).rows for x in r],
                           [x for r in TMN.rows for x in r], QW) is not None
 
@@ -397,7 +426,7 @@ def test_representation_matrices_unitary():
     import numpy as np
     for _ in range(10):
         h = rand_h()
-        U = schrodinger(h).to_matrix()
+        U = _dense(schrodinger(h))
         arr = np.array([[complex(x) for x in row] for row in U.rows])
         assert np.abs(arr.conj().T @ arr - np.eye(9)).max() < 1e-12
 
@@ -454,17 +483,18 @@ def _oracle_intertwiner_solve(phi: HeisAutomorphism):
             dead[ri] = True
 
     for h in heisenberg_generators(2):
-        A = schrodinger(h)
-        B = schrodinger(phi(h))
+        # the table rows of U(h) and U(phi(h))
+        a_perm, a_expo = (x.tolist() for x in schrodinger(h))
+        b_perm, b_expo = (x.tolist() for x in schrodinger(phi(h)))
         Binv_perm = [0] * 9
         for k in range(9):
-            Binv_perm[B.perm[k]] = k
+            Binv_perm[b_perm[k]] = k
         for i in range(9):
             k0 = Binv_perm[i]
             for a in range(9):
                 # T[i, A.perm[a]] = w^(B.expo[k0] - A.expo[a]) T[k0, a]
-                union(i * 9 + A.perm[a], k0 * 9 + a,
-                      (B.expo[k0] - A.expo[a]) % 3)
+                union(i * 9 + a_perm[a], k0 * 9 + a,
+                      (b_expo[k0] - a_expo[a]) % 3)
 
     roots = {}
     for i in range(n):
@@ -477,15 +507,15 @@ def _oracle_intertwiner_solve(phi: HeisAutomorphism):
     root = live[0]
     first = min(roots[root])
     shift = -weight[first] % 3
-    rows = [[Cyc(0)] * 9 for _ in range(9)]
+    E = [[-1] * 9 for _ in range(9)]
     for i in roots[root]:
-        rows[i // 9][i % 9] = omega_power((weight[i] + shift) % 3)
-    return Matrix(rows), 1
+        E[i // 9][i % 9] = (weight[i] + shift) % 3
+    return E, 1
 
 
 def _solve_rows(phi, solve):
-    T, dim = solve(phi)
-    return (None if T is None else T.rows), dim
+    E, dim = solve(phi)
+    return (None if E is None else np.asarray(E).tolist()), dim
 
 
 def _assert_matches_oracles(M):
@@ -506,8 +536,8 @@ def test_lift_and_solve_match_oracles_on_generators():
 
 
 def test_lift_and_solve_match_oracles_on_a_sample():
-    for key in random.Random(17).sample(KEYS3, 500):
-        _assert_matches_oracles(key_to_mat(key, 2, 3))
+    for code in random.Random(17).sample(CODES3, 500):
+        _assert_matches_oracles(code_to_mat(code, 2, 3))
 
 
 def test_solve_matches_oracle_off_the_lifts():
@@ -536,21 +566,20 @@ def test_solve_matches_oracle_off_the_lifts():
 
 
 def test_lift_matches_oracle_at_genus_one():
-    keys = sp_group_elements(1, 3)
-    assert len(keys) == 24
-    for key in keys:
-        M = key_to_mat(key, 1, 3)
+    codes = sp_group_codes(1, 3).tolist()
+    assert len(codes) == 24
+    for code in codes:
+        M = code_to_mat(code, 1, 3)
         assert lift_symplectic(M).f == _oracle_lift_symplectic(M).f
 
 
 def test_exponent_product_matches_mat_mul():
     r = random.Random(6)
     mats = [intertwiner(M) for M in standard_sp4_generators()]
-    mats += [intertwiner(key_to_mat(r.choice(KEYS3), 2, 3)) for _ in range(20)]
-    for S in mats:
-        for T in r.sample(mats, 6):
-            P = exponent_product(omega_exponents(S), omega_exponents(T))
-            assert P.rows == S.mat_mul(T).rows
+    mats += [intertwiner(code_to_mat(r.choice(CODES3), 2, 3)) for _ in range(20)]
+    for E in mats:
+        for F in r.sample(mats, 6):
+            assert exponent_product(E, F).rows == _expand(E).mat_mul(_expand(F)).rows
 
 
 def test_intertwiner_solves_are_shared():
@@ -571,8 +600,8 @@ def test_import_builds_no_table():
 
 def test_mat_mul_of_intertwiners_matches_dense_sum():
     r = random.Random(5)
-    mats = [intertwiner(M) for M in standard_sp4_generators()]
-    mats += [intertwiner(rand_sp3()) for _ in range(4)]
+    mats = [_expand(intertwiner(M)) for M in standard_sp4_generators()]
+    mats += [_expand(intertwiner(rand_sp3())) for _ in range(4)]
     # dense and sparse matrices over Q(w), with zero rows and columns
     for density in (1.0, 0.3, 0.0):
         mats.append(Matrix([[QW.random(r) if r.random() < density else Cyc(0)

@@ -251,6 +251,37 @@ def test_cli_refuses_prime_beyond_int64(capsys):
         assert err.startswith("config error:") and err.count("\n") == 1
 
 
+def test_cli_group_order_beyond_its_cost_bound_exits_2(capsys):
+    # a negative genus (the closure's order check failed), a level above
+    # 10^12 (trial division), an order of 4000 digits or more: each refused
+    # at once with one line
+    for g, n in (("-1", "2"), ("2000", "5"), ("60", "5"),
+                 ("2", "1000000000039")):
+        start = time.perf_counter()
+        assert main(["group-order", "--g", g, "--n", n]) == 2
+        assert time.perf_counter() - start < 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error:") and err.count("\n") == 1
+    # a prime level is factored up to its square root, not up to itself
+    p = 1000000007
+    start = time.perf_counter()
+    assert main(["group-order", "--g", "2", "--n", str(p)]) == 0
+    assert time.perf_counter() - start < 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["order"] == report["index_formula"] == p ** 4 * (p ** 2 - 1) * (p ** 4 - 1)
+
+
+def test_cli_base_locus_refuses_a_modulus_that_is_not_prime(capsys):
+    # over F_{p^2} too: Z/4[s]/(s^2 - 3) is not F_16, and 1 and -2 have no
+    # quadratic nonresidue
+    for p, k in (("4", "2"), ("1", "2"), ("-2", "2"), ("4", "1"), ("1", "1")):
+        start = time.perf_counter()
+        assert main(["base-locus", "--p", p, "--k", k]) == 2
+        assert time.perf_counter() - start < 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "config error: modulus %s is not prime\n" % p
+
+
 def test_theta_run_survives_overflowing_newton_step(tmp_path):
     # at this seed a Newton step of the theta divisor search overflows to NaN
     out = tmp_path / "report.json"
@@ -299,13 +330,13 @@ def test_ac04_broken_table_names_the_first_counterexample(monkeypatch):
         first = None
         for _ in range(500):
             h1, h2 = rng.choice(G), rng.choice(G)
-            if H.schrodinger(H.h_mul(h1, h2)) != \
-                    H.schrodinger(h1).compose(H.schrodinger(h2)):
+            lhs = H.schrodinger(H.h_mul(h1, h2))
+            rhs = H.compose_rows(H.schrodinger(h1), H.schrodinger(h2))
+            if [x.tolist() for x in lhs] != [x.tolist() for x in rhs]:
                 first = "multiplicativity: %r * %r" % (h1, h2)
                 break
     finally:
         # the solves made from the broken table must not outlive it
-        H._generator_images.cache_clear()
         H._intertwiner_solve.cache_clear()
     assert first is not None
     assert rec.status == "fail" and rec.measured["multiplicative_500"] is False

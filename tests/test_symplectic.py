@@ -12,14 +12,13 @@ from weddle.heisenberg import STANDARD_SP4_F3_VECTORS
 from weddle.linalg import STATE_CAP, ResourceCapError
 from weddle.symplectic import (BASE_ODD, Characteristic,
                                InvariantViolation, J_matrix, QuadFormF2,
-                               SymplecticMat, _is_symplectic,
+                               SymplecticMat, _code_entries, _is_symplectic,
                                act_characteristic, all_characteristics,
                                all_quad_forms, classify_gamma, code_to_mat,
-                               gamma_index, group_order, key_to_mat,
+                               gamma_index, group_order,
                                orbit_characteristics, sp_group_codes,
-                               sp_group_elements, stabilizer,
-                               standard_transvections, torsor_action,
-                               transvection)
+                               stabilizer, standard_transvections,
+                               torsor_action, transvection)
 
 
 def test_parity_examples():
@@ -40,8 +39,6 @@ def test_symplectic_validation():
     bad = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     with pytest.raises(InvariantViolation):
         SymplecticMat(bad, 3)
-    with pytest.raises(InvariantViolation):
-        key_to_mat(bytes(x for row in bad for x in row), 2, 3)
     with pytest.raises(ValueError):
         SymplecticMat.identity(2, 3) * SymplecticMat.identity(1, 3)
     SymplecticMat.identity(2, 3)
@@ -58,17 +55,26 @@ def test_transvections_are_symplectic():
         transvection(v, rng.randint(1, 6))  # constructor validates
 
 
-KEYS23 = sp_group_elements(2, 3)
+def _code(M: SymplecticMat) -> int:
+    """The code of M: its row-major entries as base-n digits, the first
+    most significant."""
+    digits = [x for row in M.entries for x in row]
+    return sum(x * M.n ** k for k, x in enumerate(reversed(digits)))
+
+
+CODES23 = sp_group_codes(2, 3).tolist()
+CODE_SET23 = frozenset(CODES23)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(KEYS23), st.sampled_from(KEYS23))
+@given(st.sampled_from(CODES23), st.sampled_from(CODES23))
 def test_products_of_group_elements_are_symplectic(a, b):
-    M, N = key_to_mat(a, 2, 3), key_to_mat(b, 2, 3)
+    M, N = code_to_mat(a, 2, 3), code_to_mat(b, 2, 3)
+    assert (_code(M), _code(N)) == (a, b)
     P = M * N
     assert _is_symplectic(P.entries, 3)
     assert P == SymplecticMat(P.entries, 3)
-    assert P.key() in KEYS23
+    assert _code(P) in CODE_SET23
 
 
 def test_action_identity_and_parity():
@@ -76,19 +82,19 @@ def test_action_identity_and_parity():
     ident = SymplecticMat.identity(2, 2)
     assert act_characteristic(ident, m) == m
     rng = random.Random(1)
-    keys = sp_group_elements(2, 2)
+    codes = sp_group_codes(2, 2)
     for _ in range(200):
-        M = key_to_mat(rng.choice(keys), 2, 2)
+        M = code_to_mat(rng.choice(codes), 2, 2)
         x = rng.choice(all_characteristics(2))
         assert act_characteristic(M, x).parity == x.parity
 
 
 def test_action_is_left_action():
     rng = random.Random(2)
-    keys = sp_group_elements(2, 2)
+    codes = sp_group_codes(2, 2)
     for _ in range(100):
-        M = key_to_mat(rng.choice(keys), 2, 2)
-        N = key_to_mat(rng.choice(keys), 2, 2)
+        M = code_to_mat(rng.choice(codes), 2, 2)
+        N = code_to_mat(rng.choice(codes), 2, 2)
         m = rng.choice(all_characteristics(2))
         assert act_characteristic(M * N, m) == act_characteristic(
             M, act_characteristic(N, m))
@@ -139,24 +145,25 @@ def test_group_orders():
     assert group_order(1, 2) == count == 6
 
 
-def _brute_force_keys(g, n):
-    """Sorted byte keys of all n^(4g^2) matrices with M^t J M = J mod n."""
+def _brute_force_codes(g, n):
+    """Sorted codes of all n^(4g^2) matrices with M^t J M = J mod n."""
     size = 2 * g
     place = n ** np.arange(size * size - 1, -1, -1)
     codes = np.arange(n ** (size * size))
     M = (codes[:, None] // place % n).reshape(-1, size, size)
     J = np.array(J_matrix(g))
     ok = np.all((M.transpose(0, 2, 1) @ J @ M - J) % n == 0, axis=(1, 2))
-    return tuple(row.tobytes() for row in M[ok].reshape(-1, size * size).astype(np.int8))
+    return codes[ok]
 
 
 @pytest.mark.parametrize("g, n", [(1, 2), (1, 3), (2, 2)])
 def test_closure_equals_brute_force(g, n):
-    assert sp_group_elements(g, n) == _brute_force_keys(g, n)
+    assert np.array_equal(sp_group_codes(g, n), _brute_force_codes(g, n))
 
 
 def test_closure_sp4_f3_digest():
-    digest = hashlib.sha256(b"".join(sp_group_elements(2, 3))).hexdigest()
+    # the row-major entries of every element, one byte each, in code order
+    digest = hashlib.sha256(_code_entries(sp_group_codes(2, 3), 2, 3).tobytes()).hexdigest()
     assert digest == "2b493323ef2c9ca5f159a5cd8d12c29e24925436d949213c486e81fc5ba8954c"
 
 
@@ -171,19 +178,23 @@ def test_closure_codes_do_not_depend_on_the_block(monkeypatch):
 @pytest.mark.parametrize("g, n", [(1, 2), (1, 3), (2, 2), (2, 3)])
 def test_codes_decode_to_the_byte_keys(g, n):
     codes = sp_group_codes(g, n)
-    keys = sp_group_elements(g, n)
+    entries = _code_entries(codes, g, n)
+    assert entries.dtype == np.uint8 and entries.shape == (len(codes), 2 * g, 2 * g)
     # a code is the row-major entries as base-n digits, the first most
-    # significant
+    # significant: the decoded entries, one byte each, are those digits
     places = [n ** k for k in reversed(range(4 * g * g))]
-    assert tuple(bytes(c // w % n for w in places) for c in codes.tolist()) == keys
-    # the keys, coded row-major, are the codes, strictly increasing
-    entries = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), -1)
-    assert np.array_equal(entries @ np.array(places, dtype=np.int64), codes)
+    keys = entries.reshape(len(codes), -1)
+    assert [bytes(c // w % n for w in places) for c in codes.tolist()] == \
+        [row.tobytes() for row in keys]
+    # the entries, coded row-major, are the codes, strictly increasing
+    assert np.array_equal(keys @ np.array(places, dtype=np.int64), codes)
     assert (np.diff(codes) > 0).all()
-    # a seeded draw indexes codes and keys alike, so it picks the same matrix
-    a, b = random.Random(n), random.Random(n)
+    # code_to_mat decodes one code alike, into a validated symplectic matrix
+    a = random.Random(n)
     for _ in range(100):
-        assert code_to_mat(a.choice(codes), g, n) == key_to_mat(b.choice(keys), g, n)
+        i = a.randrange(len(codes))
+        M = code_to_mat(codes[i], g, n)
+        assert M == SymplecticMat(entries[i].tolist(), n) and _code(M) == codes[i]
 
 
 def test_groups_within_the_cap_fit_int64_codes(monkeypatch):
@@ -197,16 +208,16 @@ def test_groups_within_the_cap_fit_int64_codes(monkeypatch):
             assert n ** (4 * g * g) < 2 ** 63
         else:
             with pytest.raises(ResourceCapError):
-                sp_group_elements(g, n)
+                sp_group_codes(g, n)
 
 
 def test_group_order_cap():
     with pytest.raises(ResourceCapError):
-        sp_group_elements(2, 5)
+        sp_group_codes(2, 5)
     assert group_order(2, 5) == gamma_index(2, 5)
     # |Sp(6, F_3)| is far above the enumeration cap: refused before the closure
     with pytest.raises(ResourceCapError):
-        sp_group_elements(3, 3)
+        sp_group_codes(3, 3)
 
 
 def test_one_resource_cap_error():
@@ -224,6 +235,35 @@ def test_gamma_index_values():
     assert gamma_index(2, 6) // gamma_index(2, 3) == 720
 
 
+def test_gamma_index_factors_the_level_up_to_its_square_root():
+    def sp_order(g, p):    # |Sp(2g, F_p)| = p^(g^2) prod_k (p^(2k) - 1)
+        out = p ** (g * g)
+        for k in range(1, g + 1):
+            out *= p ** (2 * k) - 1
+        return out
+
+    # a prime level, the largest prime below the cap among them; Sp(0) is
+    # the trivial group
+    assert gamma_index(0, 2) == gamma_index(0, 6) == group_order(0, 3) == 1
+    for g, p in ((1, 2), (2, 3), (3, 5), (1, 1000000007), (2, 999999999989)):
+        assert gamma_index(g, p) == sp_order(g, p)
+    # a prime power, and coprime factors multiply (Chinese remainders)
+    assert gamma_index(2, 9) == 3 ** 10 * sp_order(2, 3)
+    assert gamma_index(2, 2 * 9 * 1000003) == \
+        sp_order(2, 2) * 3 ** 10 * sp_order(2, 3) * sp_order(2, 1000003)
+    # two large primes, factored by trial division up to the smaller one
+    assert gamma_index(1, 999983 * 999979) == sp_order(1, 999983) * sp_order(1, 999979)
+
+
+@pytest.mark.parametrize("g, n, match", [
+    (-1, 2, "genus"), (-5, 3, "genus"), (2, 1, "level"), (2, -3, "level"),
+    (1, 10 ** 12 + 39, "cap of 10"), (60, 5, "digits"), (2000, 5, "digits"),
+    (10 ** 9, 2, "digits")])
+def test_gamma_index_refuses_inputs_beyond_its_cost_bound(g, n, match):
+    with pytest.raises(ValueError, match=match):
+        gamma_index(g, n)
+
+
 def test_stabilizers():
     odd = stabilizer(BASE_ODD)
     assert odd.order == 120
@@ -238,15 +278,15 @@ def test_stabilizers():
 def test_stabilizer_is_the_fixer_of_the_characteristic():
     # independent route: the elements whose action on characteristics fixes
     # m; their transposes are the stabilizer of the quadratic form of m
-    keys = sp_group_elements(2, 2)
+    codes = sp_group_codes(2, 2)
     for m in all_characteristics(2):
         fixers = set()
-        for key in keys:
-            M = key_to_mat(key, 2, 2)
+        for code in codes.tolist():
+            M = code_to_mat(code, 2, 2)
             if act_characteristic(M, m) == m:
-                fixers.add(bytes(x for col in zip(*M.entries) for x in col))
+                fixers.add(_code(SymplecticMat(list(zip(*M.entries)), 2)))
         rep = stabilizer(m)
-        assert rep.keys == fixers
+        assert rep.codes == fixers
         assert (rep.order, rep.orbit_sizes_on_odd) == (
             (120, (1, 5)) if m.parity == -1 else (72, (6,)))
 
@@ -315,13 +355,4 @@ def test_standard_transvections():
     assert len(standard_transvections(4, 2)) == 18
     # the closure over them reaches the whole group at every enumerable (g, n)
     for g, n in ((1, 2), (1, 3), (2, 2), (2, 3)):
-        assert len(sp_group_elements(g, n)) == gamma_index(g, n)
-
-
-def test_key_refuses_matrices_beyond_a_byte():
-    assert SymplecticMat.identity(2, 3).key() == bytes([1, 0, 0, 0, 0, 1, 0, 0,
-                                                       0, 0, 1, 0, 0, 0, 0, 1])
-    with pytest.raises(ValueError, match="over Z"):
-        transvection((1, 0, 0, 0), 1).key()
-    with pytest.raises(ValueError, match="mod 300"):
-        transvection((1, 0, 0, 0), 1, 300).key()
+        assert len(sp_group_codes(g, n)) == gamma_index(g, n)
