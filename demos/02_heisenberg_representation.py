@@ -46,7 +46,7 @@ E = intertwiner(M)
 plus, minus, off = block_split(E)
 print("intertwiner of a transvection preserves the eigensplit:", off)
 print("  even block is 5 x 5, odd block is 4 x 4:",
-      (plus.nrows, plus.ncols), (minus.nrows, minus.ncols))
+      (len(plus), len(plus[0])), (len(minus), len(minus[0])))
 phi = lift_symplectic(M)
 table_perm, table_expo = schrodinger_table()    # U(h) in row h_index(h)
 k = np.array([h_index(rng.choice(G)) for _ in range(10)])

@@ -7,22 +7,22 @@ against the symmetric matrix through its second partials.
 """
 
 import random
-from fractions import Fraction
 
 from weddle.burkhardt import (count_base_locus_ff, count_fibers_ff,
                               derive_burkhardt_exact, hessian_match,
-                              matrix_minus, matrix_plus, steinerian_minus,
+                              matrix_minus, steinerian_minus,
                               steinerian_quartics)
 from weddle.fields import QQ
+from weddle.linalg import mat_vec
 
 Mm = matrix_minus()
 print("skew matrix rows (quadrics in Z):")
-for row in Mm.rows:
+for row in Mm:
     print("  ", [repr(x) for x in row])
 
 qs = steinerian_quartics()
 print("\nkernel quartics annihilate the matrix:",
-      all(p.is_zero() for p in Mm.mat_vec(list(qs))))
+      all(p.is_zero() for p in mat_vec(Mm, qs)))
 r = steinerian_minus([1, 1, 1, 1], QQ)
 print("kernel at (1,1,1,1):", [str(x / r[2]) for x in r])
 

@@ -29,9 +29,9 @@ import numpy as np
 
 from .fields import CC, Domain, GF, PrimeField, QQ, is_prime
 from .heisenberg import REPS, idx2, involution_j, rep_of
-from .linalg import (Matrix, ShapeError, count_common_zeros_mod_p, eval_polys,
-                     fit_hypersurface, nullspace, prepare_polys, proj_points_mod_p,
-                     proj_ratio, sub_pfaffian_kernel)
+from .linalg import (ShapeError, count_common_zeros_mod_p, eval_polys, fit_hypersurface,
+                     nullspace, prepare_polys, proj_points_mod_p, proj_ratio,
+                     sub_pfaffian_kernel)
 from .poly import SparsePoly, exponents_of_degree
 
 D_SCALE = (1, 2, 2, 2, 2)
@@ -75,7 +75,7 @@ def j_poly(f: SparsePoly) -> SparsePoly:
     return f.permute_variables(involution_j()[0])
 
 
-def _restricted_matrix(odd: bool) -> Matrix:
+def _restricted_matrix(odd: bool) -> list:
     """Entry (a, k) is D_a D_k X_{s+a} X_{-s+a} with s = REPS[k], after the
     substitution X_t -> Y_j on Z = 0, or X_t -> sign * Z_j and X_0 -> 0 on
     Y = 0, where t = sign * REPS[j]."""
@@ -95,24 +95,24 @@ def _restricted_matrix(odd: bool) -> Matrix:
             c = Fraction(si * sj * D_SCALE[arow] * D_SCALE[k])
             row.append(SparsePoly.monomial(tuple(exp), QQ, c))
         rows.append(row)
-    return Matrix(rows)
+    return rows
 
 
 @lru_cache(maxsize=None)
-def matrix_plus() -> Matrix:
-    """Symmetric 5x5 matrix of quadrics in Y_0..Y_4 with
+def matrix_plus() -> list:
+    """Symmetric 5x5 matrix of quadrics in Y_0..Y_4, as rows, with
     (M_+ r)_a = scale_a * (f_a restricted to Z = 0)."""
     M = _restricted_matrix(odd=False)
-    assert M.is_symmetric()
+    assert all(M[i][j] == M[j][i] for i in range(5) for j in range(i))
     return M
 
 
 @lru_cache(maxsize=None)
-def matrix_minus() -> Matrix:
-    """Skew 5x5 matrix of quadrics in Z_1..Z_4 with
+def matrix_minus() -> list:
+    """Skew 5x5 matrix of quadrics in Z_1..Z_4, as rows, with
     (M_- r)_a = scale_a * (f_a restricted to Y = 0)."""
     M = _restricted_matrix(odd=True)
-    assert M.is_skew()
+    assert all((M[i][j] + M[j][i]).is_zero() for i in range(5) for j in range(i + 1))
     return M
 
 
@@ -142,7 +142,7 @@ def steinerian_plus(y, domain: Domain = None):
     if domain is None:
         domain, y = CC, [complex(x) for x in y]
     M = matrix_plus()
-    vals = [[entry.evaluate(y) for entry in row] for row in M.rows]
+    vals = [[entry.evaluate(y) for entry in row] for row in M]
     basis = nullspace(vals, domain)
     if len(basis) == 1:
         return ("kernel", basis[0])
@@ -277,18 +277,18 @@ def hessian_match(B: SparsePoly):
     quadratic entries).  Signs change no monomial support, so the signs of
     a permutation are tried only when its supports match those of the
     Hessian."""
-    H = Matrix(B.hessian())
+    H = B.hessian()
     M = matrix_plus()
     matches = []
     for perm in permutations(range(5)):
         if not all({e for e, _ in _transformed_terms(M, perm, (1,) * 5, i, j)}
-                   == H.rows[i][j].terms.keys() for i in range(5) for j in range(5)):
+                   == H[i][j].terms.keys() for i in range(5) for j in range(5)):
             continue
         for signbits in product((1, -1), repeat=4):
             signs = (1,) + signbits
             # equal supports, so the terms of H and of the candidate pair up;
             # both sides are lazy, so proj_ratio stops at the first mismatch
-            h, m = tee((H.rows[i][j].terms[e], c) for i in range(5) for j in range(5)
+            h, m = tee((H[i][j].terms[e], c) for i in range(5) for j in range(5)
                        for e, c in _transformed_terms(M, perm, signs, i, j))
             c = proj_ratio((x for x, _ in h), (y for _, y in m), QQ)
             if c is not None:
@@ -296,11 +296,11 @@ def hessian_match(B: SparsePoly):
     return matches
 
 
-def _transformed_terms(M: Matrix, perm, signs, i: int, j: int):
+def _transformed_terms(M, perm, signs, i: int, j: int):
     """The (exponent, coefficient) terms of entry (i, j) of
     transform_monomial_matrix(M, perm, signs)."""
     sij = signs[i] * signs[j]
-    for exp, c in M.rows[perm[i]][perm[j]].terms.items():
+    for exp, c in M[perm[i]][perm[j]].terms.items():
         nexp = tuple(exp[p] for p in perm)
         sgn = sij
         for s, e in zip(signs, nexp):
@@ -309,16 +309,16 @@ def _transformed_terms(M: Matrix, perm, signs, i: int, j: int):
         yield nexp, (c if sgn > 0 else -c)
 
 
-def transform_monomial_matrix(M: Matrix, perm, signs):
-    """Entry (i, j) becomes s_i s_j M[perm(i)][perm(j)] with variable
-    Y_{perm(k)} renamed to s_k Y_k."""
-    return Matrix([[SparsePoly(5, QQ, dict(_transformed_terms(M, perm, signs, i, j)))
-                    for j in range(5)] for i in range(5)])
+def transform_monomial_matrix(M, perm, signs):
+    """The rows of M with entry (i, j) become s_i s_j M[perm(i)][perm(j)],
+    and variable Y_{perm(k)} renamed to s_k Y_k."""
+    return [[SparsePoly(5, QQ, dict(_transformed_terms(M, perm, signs, i, j)))
+             for j in range(5)] for i in range(5)]
 
 
 def hessian_determinant_degree(B: SparsePoly) -> int:
     from .linalg import det_ring
-    return det_ring(Matrix(B.hessian())).total_degree()
+    return det_ring(B.hessian()).total_degree()
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from itertools import combinations
 import numpy as np
 
 from .fields import ComplexField, Domain, PrimeField
-from .linalg import (FitResult, Matrix, _array_form, all_distinct, det_ring, eval_polys,
-                     fit_hypersurface, nullspace, proj_distance, rank, same_point)
+from .linalg import (FitResult, _array_form, all_distinct, det_ring, eval_polys,
+                     fit_hypersurface, mat_vec, nullspace, proj_distance, rank, same_point)
 from .poly import SparsePoly, exponents_of_degree
 
 # the ten splits of six nodes into two complementary triples
@@ -450,23 +450,23 @@ def symmetroid(nodes, domain: Domain) -> SymmetroidReport:
     nodes = [[domain.coerce(x) for x in n] for n in nodes]
     web = web_of_quadrics(nodes, domain)
     origin = (0,) * 4
-    hs = [Matrix([[h.terms.get(origin, domain.zero()) for h in row]
-                  for row in q.hessian()]) for q in web]
+    hs = [[[h.terms.get(origin, domain.zero()) for h in row] for row in q.hessian()]
+          for q in web]
     # the pencil sum_k t_k H_k as a 16 x 4 matrix; row 4i+j holds entry (i, j)
-    pencil = Matrix([[h.rows[i][j] for h in hs] for i in range(4) for j in range(4)])
+    pencil = [[h[i][j] for h in hs] for i in range(4) for j in range(4)]
     # det of the symmetric pencil, a quartic in the four parameters
     units = [tuple(int(k == m) for m in range(4)) for k in range(4)]
-    entries = [SparsePoly(4, domain, dict(zip(units, row))) for row in pencil.rows]
-    F = det_ring(Matrix([entries[4 * i:4 * i + 4] for i in range(4)]))
+    entries = [SparsePoly(4, domain, dict(zip(units, row))) for row in pencil]
+    F = det_ring([entries[4 * i:4 * i + 4] for i in range(4)])
     rank3 = []
     for n in nodes:
         # the pencil points whose quadric has the node as a vertex
-        kern = nullspace(Matrix([h.mat_vec(n) for h in hs]).transpose(), domain)
+        kern = nullspace(list(zip(*(mat_vec(h, n) for h in hs))), domain)
         if len(kern) != 1:
             raise DegenerateConfiguration("vertex condition does not pin a "
                                           "unique pencil point")
         t = kern[0]
-        quadric = pencil.mat_vec(t)
+        quadric = mat_vec(pencil, t)
         if rank([quadric[4 * i:4 * i + 4] for i in range(4)], domain) != 3:
             raise DegenerateConfiguration("vertex quadric does not have rank 3")
         rank3.append(t)
@@ -481,7 +481,7 @@ def symmetroid(nodes, domain: Domain) -> SymmetroidReport:
             raise DegenerateConfiguration("plane pair quadric does not have rank 2")
         # the plane-pair quadric in the pencil basis: the kernel vector
         # (t, -1) of [pencil | plane pair] on the upper-triangle entries
-        kern = nullspace([pencil.rows[r] + [prod[r]] for r in upper], domain)
+        kern = nullspace([pencil[r] + [prod[r]] for r in upper], domain)
         if len(kern) != 1 or domain.is_zero(kern[0][4]):
             raise RuntimeError("right-hand side is not in the column span")
         rank2.append([-x / kern[0][4] for x in kern[0][:4]])

@@ -25,7 +25,6 @@ from itertools import product
 import numpy as np
 
 from .fields import Cyc, QW, omega_power
-from .linalg import Matrix
 from .symplectic import InvariantViolation, SymplecticMat, standard_transvections
 
 REPS = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]
@@ -33,10 +32,6 @@ REPS = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]
 
 def idx2(a) -> int:
     return (a[0] % 3) * 3 + (a[1] % 3)
-
-
-def from_idx2(i: int):
-    return (i // 3, i % 3)
 
 
 def neg2(a):
@@ -445,11 +440,10 @@ def _intertwiner_solve(phi: HeisAutomorphism):
     return E, 1
 
 
-def exponent_matrix(E: np.ndarray) -> Matrix:
-    """The matrix over Q(w) of w-exponent form E: w^E[i, j], or 0 where
-    E[i, j] < 0."""
-    return Matrix([[Cyc(0) if e < 0 else omega_power(e) for e in row]
-                   for row in E.tolist()])
+def exponent_matrix(E: np.ndarray) -> list:
+    """The rows of the matrix over Q(w) of w-exponent form E: w^E[i, j], or
+    0 where E[i, j] < 0."""
+    return [[Cyc(0) if e < 0 else omega_power(e) for e in row] for row in E.tolist()]
 
 
 def _times_omega(E: np.ndarray, k) -> np.ndarray:
@@ -457,9 +451,9 @@ def _times_omega(E: np.ndarray, k) -> np.ndarray:
     return np.where(E < 0, -1, (E + k) % 3)
 
 
-def exponent_product(E: np.ndarray, F: np.ndarray) -> Matrix:
-    """The product of two matrices in w-exponent form, exactly, as a Matrix
-    of Cyc.  With c_s the number of k where E[i, k] + F[k, j] = s mod 3 (both
+def exponent_product(E: np.ndarray, F: np.ndarray) -> list:
+    """The product of two matrices in w-exponent form, exactly, as rows of
+    Cyc.  With c_s the number of k where E[i, k] + F[k, j] = s mod 3 (both
     nonzero), entry (i, j) is c_0 + c_1 w + c_2 w^2 = (c_0 - c_2) + (c_1 - c_2) w;
     the counts come from nine products of 0/1 integer matrices."""
     c = np.zeros((3, len(E), F.shape[1]), dtype=np.int64)
@@ -467,7 +461,7 @@ def exponent_product(E: np.ndarray, F: np.ndarray) -> Matrix:
         for f in range(3):
             c[(e + f) % 3] += (E == e).astype(np.int64) @ (F == f)
     u, v = (c[0] - c[2]).tolist(), (c[1] - c[2]).tolist()
-    return Matrix([[Cyc(a, b) for a, b in zip(ru, rv)] for ru, rv in zip(u, v)])
+    return [[Cyc(a, b) for a, b in zip(ru, rv)] for ru, rv in zip(u, v)]
 
 
 def intertwines(E: np.ndarray, A, B) -> bool:
@@ -484,19 +478,17 @@ def intertwines(E: np.ndarray, A, B) -> bool:
 
 def block_split(E: np.ndarray):
     """Conjugate the matrix T of w-exponent form E into the (Y, Z) basis;
-    returns (plus 5x5, minus 4x4, off_blocks_zero).
+    returns (plus 5x5, minus 4x4, off_blocks_zero), the blocks as rows.
 
     With P the eigenbasis, row i of T.P is the split of row i of T, and
     P^-1 = diag(1, 2, ..., 2) . split, so P^-1.T.P splits every column of
     T.P and doubles every row but the first."""
-    TP = [sum(plus_minus_components(row), []) for row in exponent_matrix(E).rows]
+    TP = [sum(plus_minus_components(row), []) for row in exponent_matrix(E)]
     cols = [sum(plus_minus_components(col), []) for col in zip(*TP)]
     TB = [[x * 2 if i else x for x in row] for i, row in enumerate(zip(*cols))]
     off_zero = not any(TB[i][j] for i in range(9) for j in range(9)
                        if (i < 5) != (j < 5))
-    plus = Matrix([row[:5] for row in TB[:5]])
-    minus = Matrix([row[5:] for row in TB[5:]])
-    return plus, minus, off_zero
+    return [row[:5] for row in TB[:5]], [row[5:] for row in TB[5:]], off_zero
 
 
 # the vectors of standard_transvections(2, 3), used wherever a run over
@@ -512,7 +504,7 @@ def standard_sp4_generators():
     return standard_transvections(2, 3)
 
 
-def upsilon_plus_block(M: SymplecticMat) -> Matrix:
+def upsilon_plus_block(M: SymplecticMat) -> list:
     """The 5x5 action of M on the even eigenspace, as the plus block of
     the Schur intertwiner in the (Y, Z) basis."""
     plus, _, off = block_split(intertwiner(M))
@@ -531,7 +523,7 @@ def upsilon_plus_substitution(M: SymplecticMat):
     for i in range(5):
         terms = {}
         for j in range(5):
-            c = block.rows[j][i]
+            c = block[j][i]
             if c != Cyc(0):
                 exp = [0] * 5
                 exp[j] = 1

@@ -1,5 +1,8 @@
 """Exact and floating linear algebra.
 
+An exact matrix is a list of rows of scalars or SparsePolys; arrays are
+the working form of eliminations and evaluations only.
+
 Every kernel and rank goes through _kernel, the one place that chooses the
 elimination for a field: int64 rref_mod_p over GF(p), the SVD kernel
 (nullspace_complex) over CC, and fraction-free Bareiss elimination over Q
@@ -7,8 +10,9 @@ and Q(w).  The naive division-based Gaussian elimination is kept apart as
 the reference oracle; both exact paths finish by normalizing to reduced
 row echelon form and must agree entry for entry.
 
-Ring-generic routines (pfaffian, adjugate, determinant by expansion)
-avoid division entirely so they also work on polynomial matrices.
+The ring-generic routines (mat_vec, pfaffian, det_ring, adjugate) avoid
+division entirely, so they also work on polynomial matrices.  det_ring and
+adjugate read every minor from one memoized table, _minor_table.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,105 +38,6 @@ class UnsupportedDomainError(TypeError):
 
 class ResourceCapError(RuntimeError):
     """An enumeration would exceed the state cap."""
-
-
-class Matrix:
-    """Rectangular matrix over a scalar domain or a polynomial ring."""
-
-    __slots__ = ("rows", "nrows", "ncols")
-
-    def __init__(self, rows):
-        rows = [list(r) for r in rows]
-        if not rows:
-            raise ShapeError("empty matrix")
-        n = len(rows[0])
-        if any(len(r) != n for r in rows):
-            raise ShapeError("ragged rows")
-        self.rows = rows
-        self.nrows = len(rows)
-        self.ncols = n
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def transpose(self):
-        return Matrix([[self.rows[i][j] for i in range(self.nrows)]
-                       for j in range(self.ncols)])
-
-    def mat_vec(self, v):
-        if len(v) != self.ncols:
-            raise ShapeError("dimension mismatch")
-        return [_dot(row, v) for row in self.rows]
-
-    def mat_mul(self, other):
-        """The product, summed over the terms with both factors nonzero in
-        the order of k; an entry with no such term is r[0] c[0], a zero of
-        the entries' type."""
-        if self.ncols != other.nrows:
-            raise ShapeError("dimension mismatch")
-        supports = [[(j, x) for j, x in enumerate(row) if _nonzero(x)]
-                    for row in other.rows]
-        first = other.rows[0]
-        rows = []
-        for r in self.rows:
-            acc = [None] * other.ncols
-            for a, support in zip(r, supports):
-                if not _nonzero(a):
-                    continue
-                for j, x in support:
-                    y = a * x
-                    acc[j] = y if acc[j] is None else acc[j] + y
-            rows.append([r[0] * first[j] if y is None else y
-                         for j, y in enumerate(acc)])
-        return Matrix(rows)
-
-    def delete_row_col(self, i, j=None):
-        if j is None:
-            j = i
-        return Matrix([[self.rows[r][c] for c in range(self.ncols) if c != j]
-                       for r in range(self.nrows) if r != i])
-
-    def map(self, fn):
-        return Matrix([[fn(x) for x in row] for row in self.rows])
-
-    def is_square(self):
-        return self.nrows == self.ncols
-
-    def is_skew(self):
-        if not self.is_square():
-            return False
-        n = self.nrows
-        for i in range(n):
-            if _nonzero(self.rows[i][i]):
-                return False
-            for j in range(i + 1, n):
-                if _nonzero(self.rows[i][j] + self.rows[j][i]):
-                    return False
-        return True
-
-    def is_symmetric(self):
-        if not self.is_square():
-            return False
-        n = self.nrows
-        return all(not _nonzero(self.rows[i][j] - self.rows[j][i])
-                   for i in range(n) for j in range(i + 1, n))
-
-    def __repr__(self):
-        return "Matrix(%d x %d)" % (self.nrows, self.ncols)
-
-
-def _dot(r, c):
-    acc = r[0] * c[0]
-    for a, b in zip(r[1:], c[1:]):
-        acc = acc + a * b
-    return acc
-
-
-def _nonzero(x):
-    if isinstance(x, SparsePoly):
-        return not x.is_zero()
-    return bool(x)
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +105,10 @@ def rref_bareiss(rows, domain: Domain):
     return m, pivots
 
 
-def nullspace(m, domain: Domain, method="bareiss"):
+def nullspace(rows, domain: Domain, method="bareiss"):
     """Basis of the right kernel (see _kernel) as lists of the domain's
     scalars, Fp objects over GF(p).  Empty list iff full column rank.  Use
     nullspace_complex directly to tune the SVD threshold over CC."""
-    rows = m.rows if isinstance(m, Matrix) else m
     if not isinstance(domain, Domain):
         raise UnsupportedDomainError("nullspace needs a field scalar domain")
     if any(isinstance(x, SparsePoly) for r in rows for x in r):
@@ -214,11 +119,10 @@ def nullspace(m, domain: Domain, method="bareiss"):
     return [list(v) for v in basis()]
 
 
-def rank(m, domain: Domain):
+def rank(rows, domain: Domain):
     """The rank that _kernel's elimination finds, so over CC the number of
     singular values at or above the default relative threshold."""
-    a = _array_form(m.rows if isinstance(m, Matrix) else m, domain)
-    return _kernel(a, domain)[0]
+    return _kernel(_array_form(rows, domain), domain)[0]
 
 
 def _kernel(a: np.ndarray, domain: Domain, method="bareiss"):
@@ -267,87 +171,98 @@ def _kernel(a: np.ndarray, domain: Domain, method="bareiss"):
 
 
 # ---------------------------------------------------------------------------
-# ring-generic square-matrix routines (no division)
+# ring-generic routines on lists of rows (no division)
+#
+# Entries may be ints, Fractions, Fp, Cyc or SparsePolys.  A sum starts
+# from its first term, never from the int 0, and a zero of the entries'
+# ring is e - e for an entry e, so every routine works over each of them.
 
 
-def det_bareiss(m, domain: Domain):
-    rows = m.rows if isinstance(m, Matrix) else [list(r) for r in m]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ShapeError("determinant of a non-square matrix")
-    rows = [list(r) for r in rows]
-    prev = domain.one()
-    sign = 1
-    for k in range(n - 1):
-        if domain.is_zero(rows[k][k]):
-            piv = next((i for i in range(k + 1, n) if not domain.is_zero(rows[i][k])), None)
-            if piv is None:
-                return domain.zero()
-            rows[k], rows[piv] = rows[piv], rows[k]
-            sign = -sign
-        pv = rows[k][k]
-        for i in range(k + 1, n):
-            fi = rows[i][k]
-            rows[i] = [(pv * rows[i][j] - fi * rows[k][j]) / prev for j in range(n)]
-        prev = pv
-    d = rows[n - 1][n - 1]
-    return d if sign == 1 else -d
+def mat_vec(rows, v):
+    """The product of a matrix, as a list of rows, and the vector v."""
+    if any(len(r) != len(v) for r in rows):
+        raise ShapeError("dimension mismatch")
+    out = []
+    for r in rows:
+        acc = r[0] * v[0]
+        for a, b in zip(r[1:], v[1:]):
+            acc = acc + a * b
+        out.append(acc)
+    return out
 
 
-def det_ring(m):
-    """Determinant by Laplace expansion memoized over column subsets.
-
-    Division-free, so valid for polynomial entries.
-    """
-    rows = m.rows if isinstance(m, Matrix) else m
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ShapeError("determinant of a non-square matrix")
-    cache = {}
-
-    def rec(row, colmask, cols):
-        if row == n:
-            return None  # signals scalar 1 for the empty product
-        key = colmask
-        if key in cache:
-            return cache[key]
-        acc = None
-        for k, c in enumerate(cols):
-            a = rows[row][c]
-            if not _nonzero(a):
-                continue
-            rest = rec(row + 1, colmask & ~(1 << c), cols[:k] + cols[k + 1:])
-            term = a if rest is None else a * rest
-            if k % 2 == 1:
-                term = -term
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = _zero_like(rows[row][cols[0]])
-        cache[key] = acc
-        return acc
-
-    return rec(0, (1 << n) - 1, tuple(range(n)))
-
-
-def _zero_like(x):
+def _nonzero(x):
     if isinstance(x, SparsePoly):
-        return SparsePoly.zero(x.nvars, x.domain)
-    return x - x
+        return not x.is_zero()
+    return bool(x)
 
 
-def pfaffian(m):
+def _is_square(rows) -> bool:
+    return len(rows) > 0 and all(len(r) == len(rows) for r in rows)
+
+
+def _minor_table(rows):
+    """The minors of a square matrix as one memoized function minor(rs, cs)
+    of a row and a column bitmask with equally many bits.  A minor is
+    expanded along its lowest-numbered row, so the smaller minors it reads
+    keep its other rows, and each is computed once however many larger
+    minors read it.  A minor with no nonzero term is the zero of the
+    entries' ring."""
+    n = len(rows)
+    support = [sum(1 << j for j, x in enumerate(row) if _nonzero(x)) for row in rows]
+    zero = rows[0][0] - rows[0][0]
+    table = {}
+
+    def minor(rs, cs):
+        key = rs << n | cs
+        hit = table.get(key)
+        if hit is None:
+            i = (rs & -rs).bit_length() - 1
+            rest = rs & (rs - 1)
+            row, nz = rows[i], support[i]
+            if not rest:
+                hit = row[cs.bit_length() - 1]
+            else:
+                neg = False
+                for j in range(n):
+                    bit = 1 << j
+                    if cs & bit:
+                        if nz & bit:
+                            t = row[j] * minor(rest, cs ^ bit)
+                            if hit is None:
+                                hit = -t if neg else t
+                            else:
+                                hit = hit - t if neg else hit + t
+                        neg = not neg
+                if hit is None:
+                    hit = zero
+            table[key] = hit
+        return hit
+
+    return minor
+
+
+def det_ring(rows):
+    """Determinant, the full minor of _minor_table: division-free, so valid
+    for polynomial entries."""
+    if not _is_square(rows):
+        raise ShapeError("determinant of a non-square matrix")
+    full = (1 << len(rows)) - 1
+    return _minor_table(rows)(full, full)
+
+
+def pfaffian(rows):
     """Pfaffian of an even-dimensional skew matrix, by recursive expansion."""
-    M = m if isinstance(m, Matrix) else Matrix(m)
-    if not M.is_square() or M.nrows % 2 != 0:
+    n = len(rows)
+    if not _is_square(rows) or n % 2 != 0:
         raise ShapeError("pfaffian needs an even-dimensional square matrix")
-    if not M.is_skew():
+    if any(_nonzero(rows[i][i]) for i in range(n)) or any(
+            _nonzero(rows[i][j] + rows[j][i]) for i in range(n) for j in range(i)):
         raise ShapeError("pfaffian needs a skew-symmetric matrix")
-    return _pf(M.rows, list(range(M.nrows)))
+    return _pf(rows, list(range(n)))
 
 
 def _pf(rows, idx):
-    if not idx:
-        return None
     if len(idx) == 2:
         return rows[idx[0]][idx[1]]
     i0 = idx[0]
@@ -356,93 +271,65 @@ def _pf(rows, idx):
         a = rows[i0][idx[k]]
         if not _nonzero(a):
             continue
-        rest = _pf(rows, idx[1:k] + idx[k + 1:])
-        term = a if rest is None else a * rest
+        term = a * _pf(rows, idx[1:k] + idx[k + 1:])
         if k % 2 == 0:
             term = -term
         acc = term if acc is None else acc + term
     if acc is None:
-        acc = _zero_like(rows[i0][idx[1]])
+        acc = rows[i0][idx[1]] - rows[i0][idx[1]]
     return acc
 
 
-def sub_pfaffian_kernel(m):
+def sub_pfaffian_kernel(rows):
     """Kernel vector of an odd skew matrix: w_i = (-1)^i Pf(m with row and
     column i removed).  Spans the kernel whenever the matrix has corank 1."""
-    M = m if isinstance(m, Matrix) else Matrix(m)
-    if not M.is_square() or M.nrows % 2 == 0:
+    n = len(rows)
+    if not _is_square(rows) or n % 2 == 0:
         raise ShapeError("signed sub-pfaffians need odd dimension")
     out = []
-    for i in range(M.nrows):
-        v = pfaffian(M.delete_row_col(i))
+    for i in range(n):
+        v = pfaffian([[x for c, x in enumerate(row) if c != i]
+                      for r, row in enumerate(rows) if r != i])
         out.append(v if i % 2 == 0 else -v)
     return out
 
 
-def adjugate(m):
-    """Classical adjugate: m . adj(m) = det(m) . I exactly.
+def adjugate(rows):
+    """Classical adjugate, as rows: m . adj(m) = det(m) . I exactly.
 
-    A matrix over Q (entries int or Fraction) is scaled to integers by one
-    common denominator, and all its cofactors come from one table of smaller
-    integer minors; the entries are Fractions if any entry was one, else
-    ints.  Every other matrix, polynomial entries included, takes one
-    det_ring call per cofactor."""
-    M = m if isinstance(m, Matrix) else Matrix(m)
-    if not M.is_square():
+    All n^2 cofactors come from one _minor_table.  A matrix over Q (entries
+    int or Fraction) is scaled to integers by one common denominator first,
+    so that the table holds ints; the entries are Fractions if any entry
+    was one, else ints."""
+    if not _is_square(rows):
         raise ShapeError("adjugate of a non-square matrix")
-    n = M.nrows
+    n = len(rows)
     if n == 1:
         # the empty minor is 1, in the entries' ring
-        return Matrix([[_zero_like(M.rows[0][0]) + 1]])
-    entries = [x for row in M.rows for x in row]
-    if all(isinstance(x, (int, Fraction)) for x in entries):
+        x = rows[0][0]
+        return [[x - x + 1]]
+    entries = [x for row in rows for x in row]
+    rational = all(isinstance(x, (int, Fraction)) for x in entries)
+    if rational:
         den = lcm(*(x.denominator for x in entries))
-        adj = _int_adjugate([[x.numerator * (den // x.denominator) for x in row]
-                             for row in M.rows])
-        if any(isinstance(x, Fraction) for x in entries):
-            scale = den ** (n - 1)
-            adj = [[Fraction(c, scale) for c in row] for row in adj]
-        return Matrix(adj)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            c = det_ring(M.delete_row_col(j, i))
-            if (i + j) % 2 == 1:
-                c = -c
-            row.append(c)
-        out.append(row)
-    return Matrix(out)
-
-
-def _int_adjugate(a):
-    """Adjugate of a square matrix of ints.  Each cofactor is a minor on all
-    rows but one, expanded along its first row; the minors of that
-    expansion, keyed by row and column bitmasks, form one table that all
-    n^2 cofactors share."""
-    n = len(a)
-    table = {}
-
-    def minor(rows, cols):
-        if not rows:
-            return 1
-        key = (rows, cols)
-        hit = table.get(key)
-        if hit is None:
-            i = (rows & -rows).bit_length() - 1
-            rest = rows & (rows - 1)
-            hit, sign = 0, 1
-            for j in range(n):
-                if cols >> j & 1:
-                    if a[i][j]:
-                        hit += sign * a[i][j] * minor(rest, cols & ~(1 << j))
-                    sign = -sign
-            table[key] = hit
-        return hit
-
+        rows = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    minor = _minor_table(rows)
     full = (1 << n) - 1
-    return [[(-1) ** (i + j) * minor(full & ~(1 << j), full & ~(1 << i))
-             for j in range(n)] for i in range(n)]
+
+    def cofactor(i, j):
+        c = minor(full ^ 1 << j, full ^ 1 << i)
+        return -c if (i + j) % 2 else c
+
+    adj = [[cofactor(i, j) for j in range(n)] for i in range(n)]
+    if rational and any(isinstance(x, Fraction) for x in entries):
+        scale = den ** (n - 1)
+        adj = [[Fraction(c, scale) for c in row] for row in adj]
+    return adj
+
+
+# perfbench/tracer.py times Matrix.mat_mul and Matrix.mat_vec of this module
+# by name; they stay resolvable here, though nothing in the package calls them
+Matrix = SimpleNamespace(mat_mul=np.dot, mat_vec=mat_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -938,8 +825,8 @@ def _vector_to_form(vec, exps, domain: Domain):
 # projective comparisons: proj_ratio over exact domains, chordal_distance
 # over floats, and proj_distance, same_point and all_distinct over both.
 # proj_ratio, proj_distance and same_point take two equally long sequences
-# of scalars, of rows, of Matrix objects or of SparsePolys, nested freely;
-# all_distinct takes a list of such points.
+# of scalars, of rows or of SparsePolys, nested freely; all_distinct takes
+# a list of such points.
 
 
 def chordal_distance(u, v) -> float:
@@ -955,16 +842,15 @@ def chordal_distance(u, v) -> float:
     return float(np.linalg.norm(u - phase * v))
 
 
-_NESTED = (list, tuple, np.ndarray, Matrix, SparsePoly)
+_NESTED = (list, tuple, np.ndarray, SparsePoly)
 
 
 def _coefficient_pairs(a, b):
     """The scalar entries of a and b, pair by pair and lazily, so that a
     comparison can stop at the first mismatch.  A pair of forms gives its
     coefficients over the union of the two supports, missing terms as zero;
-    a Matrix gives its rows and an array its Python scalars."""
-    a, b = (v.rows if isinstance(v, Matrix) else v.tolist() if isinstance(v, np.ndarray)
-            else v for v in (a, b))
+    an array gives its Python scalars."""
+    a, b = (v.tolist() if isinstance(v, np.ndarray) else v for v in (a, b))
     for x, y in zip(a, b, strict=True):
         if not isinstance(x, _NESTED):
             yield x, y

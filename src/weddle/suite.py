@@ -23,7 +23,7 @@ import numpy as np
 
 from .fields import GF, QQ, Cyc, QW
 from .linalg import (adjugate, all_distinct, chordal_distance, count_common_zeros_mod_p,
-                     eval_polys, nullspace, proj_ratio)
+                     eval_polys, mat_vec, nullspace, proj_ratio)
 
 try:
     # hashlib loads OpenSSL; the built-in module gives the same digest
@@ -255,12 +255,12 @@ def check_skew_kernel(ctx: Context) -> CheckRecord:
     rng = child_rng(ctx.cfg, "AC05")
     Mm = burkhardt.matrix_minus()
     quartics = burkhardt.steinerian_quartics()
-    sym_ok = all(p.is_zero() for p in Mm.mat_vec(list(quartics)))
+    sym_ok = all(p.is_zero() for p in mat_vec(Mm, quartics))
     r1 = burkhardt.steinerian_minus([1, 1, 1, 1], QQ)
     scale = r1[2]
     pinned = [x / scale for x in r1] == [Fraction(v) for v in (6, -3, 1, 1, 1)]
     # independent oracle: naive elimination kernel of the evaluated matrix
-    entries = [x for row in Mm.rows for x in row]
+    entries = [x for row in Mm for x in row]
     vals = eval_polys(entries, [[1] * 4], QQ).reshape(5, 5).tolist()
     basis = nullspace(vals, QQ, method="naive")
     oracle = len(basis) == 1 and proj_ratio(basis[0], r1, QQ) is not None

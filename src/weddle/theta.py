@@ -34,7 +34,9 @@ from .symplectic import Characteristic, all_characteristics
 
 
 class DomainError(ValueError):
-    pass
+    """A period matrix off the Siegel space, or one on which a theta-side
+    construction fails: no unique invariant quadric through the surface,
+    not six nodes, too few points found on the theta divisor."""
 
 
 class PeriodMatrix:
@@ -331,7 +333,7 @@ def theta_null(kappa: Characteristic, omega: PeriodMatrix) -> ThetaNullReport:
     if kappa.parity == 1:
         coords = np.array(plus)
         M = matrix_plus()
-        vals = np.array([[complex(M.rows[i][j].evaluate(list(coords))) for j in range(5)]
+        vals = np.array([[complex(M[i][j].evaluate(list(coords))) for j in range(5)]
                          for i in range(5)])
         scale = np.abs(vals).max()
         detn = float(abs(np.linalg.det(vals)) / scale ** 5) if scale > 0 else 0.0
@@ -385,7 +387,7 @@ def surface_quadrics(omega: PeriodMatrix, rng) -> SurfaceQuadrics:
         rows.append(_invariant_quadric_row(x))
     kernel, _ = nullspace_complex(np.array(rows))
     if len(kernel) != 1:
-        raise RuntimeError("sampled quadric rows have nullity %d, not 1" % len(kernel))
+        raise DomainError("sampled quadric rows have nullity %d, not 1" % len(kernel))
     r = kernel[0]
     from .burkhardt import quadrics_f
     fresh = []
@@ -394,7 +396,7 @@ def surface_quadrics(omega: PeriodMatrix, rng) -> SurfaceQuadrics:
         fresh.append(x / np.abs(x).max())
     resid = np.abs(eval_polys(quadrics_f(list(r), CC), fresh, CC)).max() / np.abs(r).max()
     if resid > 1e-7:
-        raise RuntimeError("translated quadrics do not vanish: residual %g" % resid)
+        raise DomainError("translated quadrics do not vanish: residual %g" % resid)
     return SurfaceQuadrics(r, float(resid))
 
 
@@ -461,8 +463,8 @@ def weddle_from_theta(omega: PeriodMatrix, kappa: Characteristic, rng) -> Weddle
     nodes = [_odd_part(row["coords"])
              for row in half_period_census(kappa, omega) if row["in_minus"]]
     if len(nodes) != 6:
-        raise RuntimeError("expected 6 half periods in the odd eigenspace, got %d"
-                           % len(nodes))
+        raise DomainError("expected 6 half periods in the odd eigenspace, got %d"
+                          % len(nodes))
     singular, lines, rig_null, distance = _six_node_checks(W, nodes, CC)
     net_dim = twisted_cubic_net_dimension(omega, kappa, nodes, rng)
     # without a unique quartic its residuals are not measured
@@ -506,7 +508,7 @@ def theta_divisor_points(kappa: Characteristic, omega: PeriodMatrix, rng,
         if ok and abs(t) < 6:
             found.append(z0 + t * d)
     if len(found) < count:
-        raise RuntimeError("root search found only %d divisor points" % len(found))
+        raise DomainError("root search found only %d divisor points" % len(found))
     return found
 
 

@@ -1,6 +1,5 @@
 import cmath
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from weddle.curves import (BaseLocusPoint, CurvePoint, DegenerateConfiguration,
                            weierstrass_tangent_sample)
 from weddle.fields import CC, GF, QQ, ComplexField, Domain
 from weddle.heisenberg import plus_minus_components
-from weddle.linalg import (_dot, count_common_zeros_mod_p, nullspace, proj_ratio,
+from weddle.linalg import (count_common_zeros_mod_p, mat_vec, nullspace, proj_ratio,
                            rref_bareiss)
 from weddle.poly import SparsePoly, exponents_of_degree
 from weddle.symplectic import BASE_ODD
@@ -523,7 +522,7 @@ def solve_overdetermined(rows, rhs, domain: Domain):
     sol = [domain.zero()] * n
     for i, c in enumerate(piv):
         sol[c] = rref[i][n]
-    if any(not domain.is_zero(_dot(r, sol) - v) for r, v in zip(rows, rhs)):
+    if any(not domain.is_zero(x - v) for x, v in zip(mat_vec(rows, sol), rhs)):
         raise RuntimeError("inconsistent solution")
     return sol
 

@@ -17,7 +17,7 @@ from weddle.heisenberg import (HeisAutomorphism, HeisElement,
                                commutator_exponent, compose_rows, d_minus_one,
                                eigenbasis_minus, eigenbasis_plus,
                                enumerate_group, exponent_matrix,
-                               exponent_product, from_idx2, h_identity,
+                               exponent_product, h_identity,
                                h_index, h_inv, h_mul, h_mul_index,
                                heisenberg_generators, identity_automorphism,
                                idx2, intertwiner, intertwines, involution_j,
@@ -25,7 +25,7 @@ from weddle.heisenberg import (HeisAutomorphism, HeisElement,
                                schrodinger, schrodinger_table,
                                standard_sp4_generators,
                                upsilon_plus_block, weil_pairing, zeta)
-from weddle.linalg import Matrix, proj_ratio, rank
+from weddle.linalg import proj_ratio, rank
 from weddle.symplectic import (InvariantViolation, SymplecticMat, code_to_mat,
                                sp_group_codes)
 
@@ -37,20 +37,24 @@ def rand_h():
     return rng.choice(G2)
 
 
-def _dense(U) -> Matrix:
+# dense matrices over Q(w) are object arrays of Cyc, multiplied by np.dot,
+# whose sums start from their first term
+
+
+def _dense(U) -> np.ndarray:
     """The 9 x 9 matrix over Q(w) of a (perm, expo) row: column a has
     w^expo[a] in row perm[a]."""
     perm, expo = (np.asarray(x).tolist() for x in U)
-    rows = [[Cyc(0)] * 9 for _ in range(9)]
+    rows = np.full((9, 9), Cyc(0), dtype=object)
     for a in range(9):
-        rows[perm[a]][a] = omega_power(expo[a] % 3)
-    return Matrix(rows)
+        rows[perm[a], a] = omega_power(expo[a] % 3)
+    return rows
 
 
-def _expand(E) -> Matrix:
+def _expand(E) -> np.ndarray:
     """The 9 x 9 matrix over Q(w) of a w-exponent array: w^E[i, j], 0 for -1."""
-    return Matrix([[Cyc(0) if e < 0 else omega_power(e) for e in row]
-                   for row in np.asarray(E).tolist()])
+    return np.array([[Cyc(0) if e < 0 else omega_power(e) for e in row]
+                     for row in np.asarray(E).tolist()], dtype=object)
 
 
 def _row(U):
@@ -150,7 +154,7 @@ def _oracle_schrodinger(h: HeisElement):
     """U(h) one basis vector at a time: U(t, x, x*) X_a = w^(t + x*.a) X_{a+x}."""
     perm, expo = [], []
     for i in range(9):
-        a = from_idx2(i)
+        a = divmod(i, 3)
         perm.append(idx2((a[0] + h.x[0], a[1] + h.x[1])))
         expo.append((h.t + h.xs[0] * a[0] + h.xs[1] * a[1]) % 3)
     return tuple(perm), tuple(expo)
@@ -192,16 +196,16 @@ def test_composed_table_rows_match_dense_products():
     cp, ce = compose_rows((perm[a], expo[a]), (perm[b], expo[b]))
     assert cp.shape == ce.shape == (243 * 243, 9)
     for k in random.Random(3).sample(range(243 * 243), 500):
-        AB = _dense(schrodinger(G2[a[k]])).mat_mul(_dense(schrodinger(G2[b[k]])))
-        assert _dense((cp[k], ce[k])).rows == AB.rows
+        AB = np.dot(_dense(schrodinger(G2[a[k]])), _dense(schrodinger(G2[b[k]])))
+        assert _dense((cp[k], ce[k])).tolist() == AB.tolist()
     # a single row broadcasts against a stack, on either side
     j = involution_j()
     jp, je = compose_rows(j, (perm, expo))
     pj, ej = compose_rows((perm, expo), j)
     for k in random.Random(4).sample(range(243), 50):
         U = _dense((perm[k], expo[k]))
-        assert _dense((jp[k], je[k])).rows == _dense(j).mat_mul(U).rows
-        assert _dense((pj[k], ej[k])).rows == U.mat_mul(_dense(j)).rows
+        assert _dense((jp[k], je[k])).tolist() == np.dot(_dense(j), U).tolist()
+        assert _dense((pj[k], ej[k])).tolist() == np.dot(U, _dense(j)).tolist()
 
 
 def test_schrodinger_multiplicative_and_faithful():
@@ -226,13 +230,13 @@ def _stacked(*Us):
 @settings(max_examples=100, deadline=None)
 @given(_rows, _rows, st.lists(st.integers(-1, 2), min_size=81, max_size=81))
 def test_rows_match_full_matrix_product(A, B, exps):
-    assert _dense(compose_rows(A, B)).rows == _dense(A).mat_mul(_dense(B)).rows
+    assert _dense(compose_rows(A, B)).tolist() == np.dot(_dense(A), _dense(B)).tolist()
     # a matrix of zeros and powers of w against the two generalized
     # permutations, in w-exponent form and as dense products
     E = np.array(exps).reshape(9, 9)
     S = _expand(E)
-    assert exponent_matrix(E).rows == S.rows
-    dense = S.mat_mul(_dense(A)).rows == _dense(B).mat_mul(S).rows
+    assert exponent_matrix(E) == S.tolist()
+    dense = np.dot(S, _dense(A)).tolist() == np.dot(_dense(B), S).tolist()
     assert intertwines(E, _stacked(A), _stacked(B)) == dense
 
 
@@ -241,7 +245,7 @@ def test_involution_j():
     assert all(x.dtype == np.int64 and x.shape == (9,) for x in j)
     assert _row(compose_rows(j, j)) == (tuple(range(9)), (0,) * 9)
     # column s goes to row -s, with coefficient 1
-    assert j[0].tolist() == [idx2((-s0, -s1)) for s0, s1 in map(from_idx2, range(9))]
+    assert j[0].tolist() == [idx2((-s0, -s1)) for s0, s1 in (divmod(i, 3) for i in range(9))]
     assert len(eigenbasis_plus()) == 5
     assert len(eigenbasis_minus()) == 4
     D = d_minus_one()
@@ -267,18 +271,18 @@ def test_plus_minus_components_roundtrip():
 
 def _block_diag(plus, minus):
     zero = QW.zero()
-    return Matrix([list(r) + [zero] * 4 for r in plus.rows]
-                  + [[zero] * 5 + list(r) for r in minus.rows])
+    return np.array([r + [zero] * 4 for r in plus] + [[zero] * 5 + r for r in minus],
+                    dtype=object)
 
 
 def test_block_split_conjugates_through_the_eigenbasis():
     cols = eigenbasis_plus() + eigenbasis_minus()
-    P = Matrix([[cols[j][i] for j in range(9)] for i in range(9)])
+    P = np.array(cols, dtype=object).T
     for M in standard_sp4_generators():
         E = intertwiner(M)
         plus, minus, off = block_split(E)
         assert off
-        assert P.mat_mul(_block_diag(plus, minus)).rows == _expand(E).mat_mul(P).rows
+        assert np.dot(P, _block_diag(plus, minus)).tolist() == np.dot(_expand(E), P).tolist()
     r = random.Random(4)
     E = np.array([[r.randint(-1, 2) for _ in range(9)] for _ in range(9)])
     plus, minus, off = block_split(E)
@@ -378,21 +382,21 @@ def test_intertwiner_identity():
     T = exponent_matrix(E)
     for i in range(9):
         for j in range(9):
-            assert T.rows[i][j] == (Cyc(1) if i == j else Cyc(0))
+            assert T[i][j] == (Cyc(1) if i == j else Cyc(0))
 
 
 def test_intertwiner_intertwines_everything():
     M = standard_sp4_generators()[0]
     phi = lift_symplectic(M)
     E = intertwiner(M)
-    T = exponent_matrix(E)
+    T = np.array(exponent_matrix(E), dtype=object)
     A = _stacked(*(schrodinger(h) for h in G2))
     B = _stacked(*(schrodinger(phi(h)) for h in G2))
     assert intertwines(E, A, B)
     # against dense products, on a few elements
     for h in G2[::40]:
         U, V = _dense(schrodinger(h)), _dense(schrodinger(phi(h)))
-        assert T.mat_mul(U).rows == V.mat_mul(T).rows
+        assert np.dot(T, U).tolist() == np.dot(V, T).tolist()
     # one image off by a scalar breaks it
     B[1][17] = (B[1][17] + 1) % 3
     assert not intertwines(E, A, B)
@@ -407,19 +411,18 @@ def test_intertwiner_blocks_and_projectivity():
     for M in standard_sp4_generators()[:4]:
         plus, minus, off = block_split(intertwiner(M))
         assert off
-        assert plus.nrows == 5 and minus.nrows == 4
+        assert len(plus) == 5 and len(minus) == 4
     for _ in range(20):
         M, N = rand_sp3(), rand_sp3()
-        TM, TN = exponent_matrix(intertwiner(M)), exponent_matrix(intertwiner(N))
+        TM, TN = _expand(intertwiner(M)), _expand(intertwiner(N))
         TMN = exponent_matrix(intertwiner(M * N))
-        assert proj_ratio([x for r in TM.mat_mul(TN).rows for x in r],
-                          [x for r in TMN.rows for x in r], QW) is not None
+        assert proj_ratio(np.dot(TM, TN), TMN, QW) is not None
 
 
 def test_upsilon_plus_block_shape():
     M = standard_sp4_generators()[2]
     blk = upsilon_plus_block(M)
-    assert blk.nrows == 5 and blk.ncols == 5
+    assert len(blk) == 5 and all(len(row) == 5 for row in blk)
 
 
 def test_representation_matrices_unitary():
@@ -427,7 +430,7 @@ def test_representation_matrices_unitary():
     for _ in range(10):
         h = rand_h()
         U = _dense(schrodinger(h))
-        arr = np.array([[complex(x) for x in row] for row in U.rows])
+        arr = np.array([[complex(x) for x in row] for row in U])
         assert np.abs(arr.conj().T @ arr - np.eye(9)).max() < 1e-12
 
 
@@ -579,7 +582,7 @@ def test_exponent_product_matches_mat_mul():
     mats += [intertwiner(code_to_mat(r.choice(CODES3), 2, 3)) for _ in range(20)]
     for E in mats:
         for F in r.sample(mats, 6):
-            assert exponent_product(E, F).rows == _expand(E).mat_mul(_expand(F)).rows
+            assert exponent_product(E, F) == np.dot(_expand(E), _expand(F)).tolist()
 
 
 def test_intertwiner_solves_are_shared():
@@ -596,18 +599,3 @@ def test_import_builds_no_table():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.split() == ["0", "0"]
-
-
-def test_mat_mul_of_intertwiners_matches_dense_sum():
-    r = random.Random(5)
-    mats = [_expand(intertwiner(M)) for M in standard_sp4_generators()]
-    mats += [_expand(intertwiner(rand_sp3())) for _ in range(4)]
-    # dense and sparse matrices over Q(w), with zero rows and columns
-    for density in (1.0, 0.3, 0.0):
-        mats.append(Matrix([[QW.random(r) if r.random() < density else Cyc(0)
-                             for _ in range(9)] for _ in range(9)]))
-    for S in mats:
-        for T in r.sample(mats, 5):
-            dense = [[sum((S.rows[i][k] * T.rows[k][j] for k in range(9)), Cyc(0))
-                      for j in range(9)] for i in range(9)]
-            assert S.mat_mul(T).rows == dense

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 import weddle.linalg as linalg
 from weddle.fields import CC, GF, QQ, QW, Cyc
-from weddle.linalg import (Matrix, ResourceCapError, ShapeError, UnsupportedDomainError,
+from weddle.linalg import (ResourceCapError, ShapeError, UnsupportedDomainError,
                            adjugate, all_distinct, chordal_distance,
-                           count_common_zeros_mod_p, det_bareiss,
-                           det_ring, eval_polys,
-                           fit_hypersurface, nullspace, nullspace_complex,
+                           count_common_zeros_mod_p, det_ring, eval_polys,
+                           fit_hypersurface, mat_vec, nullspace, nullspace_complex,
                            pfaffian, prepare_polys, proj_points_mod_p,
                            proj_distance, proj_ratio, rank, rref_bareiss,
                            rref_mod_p, same_point,
@@ -22,6 +21,8 @@ from weddle.linalg import (Matrix, ResourceCapError, ShapeError, UnsupportedDoma
 from weddle.linalg import (_PANEL, _delays_reduction, _panel_plan,
                            check_int64_prime)
 from weddle.poly import SparsePoly, exponents_of_degree
+
+from oracles import det_bareiss
 
 # the classical skew quadric-coefficient pattern, evaluated at Z = (1,1,1,1);
 # reproducing its kernel is required before the Steinerian construction
@@ -148,39 +149,27 @@ def test_sub_pfaffian_kernel_odd_skew():
     for _ in range(10):
         m = rand_skew(rng, 5)
         w = sub_pfaffian_kernel(m)
-        prod = Matrix(m).mat_vec(w)
+        prod = mat_vec(m, w)
         assert all(x == 0 for x in prod)
 
 
-def test_mat_mul_skips_zero_terms_exactly():
-    # entries, zeros included, equal the plain dense sum and keep its type
-    rng = random.Random(6)
-    for domain in (QQ, GF(7), QW):
-        for density in (1.0, 0.3, 0.0):
-            S, T = ([[domain.random(rng) if rng.random() < density
-                      else domain.zero() for _ in range(5)] for _ in range(5)]
-                    for _ in range(2))
-            prod = Matrix(S).mat_mul(Matrix(T)).rows
-            for i in range(5):
-                for j in range(5):
-                    dense = S[i][0] * T[0][j]
-                    for k in range(1, 5):
-                        dense = dense + S[i][k] * T[k][j]
-                    assert prod[i][j] == dense
-                    assert type(prod[i][j]) is type(dense)
+def _product(a, b):
+    """The dense product of two matrices of rows, as rows, by numpy's dot on
+    object arrays (each sum starts from its first term)."""
+    return np.dot(np.array(a, dtype=object), np.array(b, dtype=object)).tolist()
 
 
 def test_adjugate_identity_and_random():
     ident = frac_rows([[1, 0], [0, 1]])
-    assert adjugate(ident).rows == ident
+    assert adjugate(ident) == ident
     rng = random.Random(4)
     for _ in range(10):
         m = [[Fraction(rng.randint(-5, 5)) for _ in range(4)] for _ in range(4)]
         d = det_bareiss(m, QQ)
-        prod = Matrix(m).mat_mul(adjugate(m))
+        prod = _product(m, adjugate(m))
         for i in range(4):
             for j in range(4):
-                assert prod.rows[i][j] == (d if i == j else 0)
+                assert prod[i][j] == (d if i == j else 0)
 
 
 def test_adjugate_of_corank_one_skew_has_rank_one():
@@ -188,13 +177,14 @@ def test_adjugate_of_corank_one_skew_has_rank_one():
     m = rand_skew(rng, 5)
     assert rank(m, QQ) == 4
     adj = adjugate(m)
-    assert rank(adj.rows, QQ) == 1
+    assert rank(adj, QQ) == 1
 
 
 def _det_ring_adjugate(m):
     """The adjugate as one det_ring call per cofactor."""
     n = len(m)
-    return [[(-1) ** (i + j) * det_ring(Matrix(m).delete_row_col(j, i))
+    return [[(-1) ** (i + j) * det_ring([[x for c, x in enumerate(row) if c != i]
+                                         for r, row in enumerate(m) if r != j])
              for j in range(n)] for i in range(n)]
 
 
@@ -220,61 +210,59 @@ def test_rational_adjugate_matches_det_ring_cofactors():
     cases.append([[1, Fraction(1, 2)], [3, 4]])  # ints mixed with Fractions
     for m in cases:
         adj = adjugate(m)
-        assert adj.rows == _det_ring_adjugate(m)
-        assert all(type(x) is Fraction for r in adj.rows for x in r)
-    assert rank(adjugate(rand_skew(rng, 5)).rows, QQ) == 1
+        assert adj == _det_ring_adjugate(m)
+        assert all(type(x) is Fraction for r in adj for x in r)
+    assert rank(adjugate(rand_skew(rng, 5)), QQ) == 1
     # an int matrix keeps int entries
     ints = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
     adj = adjugate(ints)
-    assert adj.rows == _det_ring_adjugate(ints)
-    assert all(type(x) is int for r in adj.rows for x in r)
-
-
-def test_adjugate_over_other_rings_keeps_the_det_ring_path(monkeypatch):
-    import weddle.linalg
-
-    def no_table(a):
-        raise AssertionError("the integer minor table is only for Q")
-
-    monkeypatch.setattr(weddle.linalg, "_int_adjugate", no_table)
-    rng = random.Random(13)
-    dom = GF(31)
-    x, y = (SparsePoly.variable(i, 2, QQ) for i in range(2))
-    for m in ([[dom.random(rng) for _ in range(3)] for _ in range(3)],
-              [[Cyc(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(3)]
-               for _ in range(3)],
-              [[x, y, x * y], [y, 3 * x, x + y], [y * y, x, 2 * y]]):
-        assert adjugate(m).rows == _det_ring_adjugate(m)
+    assert adj == _det_ring_adjugate(ints)
+    assert all(type(x) is int for r in adj for x in r)
 
 
 def _ring_samples(name, rng):
-    """A scalar sampler and the unit of each entry ring of the adjugate."""
+    """A scalar sampler and the unit of each entry ring of the adjugate, and
+    the field of its oracle determinant (None for polynomial entries)."""
     if name == "QQ":
-        return lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)), Fraction(1)
+        return lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)), Fraction(1), QQ
     if name == "GF7":
-        return lambda: GF(7).random(rng), GF(7).one()
+        return lambda: GF(7).random(rng), GF(7).one(), GF(7)
     if name == "QW":
-        return lambda: Cyc(rng.randint(-5, 5), rng.randint(-5, 5)), Cyc(1)
+        return lambda: Cyc(rng.randint(-5, 5), rng.randint(-5, 5)), Cyc(1), QW
     x, y = (SparsePoly.variable(i, 2, QQ) for i in range(2))
     return (lambda: rng.randint(-3, 3) * x + rng.randint(-3, 3) * y + rng.randint(-3, 3),
-            SparsePoly.constant(2, QQ, 1))
+            SparsePoly.constant(2, QQ, 1), None)
 
 
 @pytest.mark.parametrize("name", ["QQ", "GF7", "QW", "poly"])
 def test_adjugate_times_matrix_is_the_determinant(name):
     # the 1 x 1 case has the empty minor as its cofactor: adj = [[1]]
     rng = random.Random(14)
-    draw, one = _ring_samples(name, rng)
-    for n in (1, 1, 2, 3):
+    draw, one, field = _ring_samples(name, rng)
+    for n in (1, 1, 2, 3, 4, 5):
         m = [[draw() for _ in range(n)] for _ in range(n)]
-        adj = adjugate(m)
-        if n == 1:
-            assert adj.rows == [[one]] and type(adj.rows[0][0]) is type(one)
-        d = det_ring(m)
-        prod = Matrix(m).mat_mul(adj)
-        for i in range(n):
-            for j in range(n):
-                assert prod.rows[i][j] == (d if i == j else d - d)
+        cases = [("random", m)]
+        if n > 1:
+            # the last row a sum of two others (twice the first when n = 2)
+            cases.append(("singular", m[:-1] + [[a + b for a, b in zip(m[0], m[-2])]]))
+            # the last two rows zero, so every cofactor vanishes too
+            cases.append(("rank <= n-2", m[:-2] + [[x - x for x in row] for row in m[-2:]]))
+        for kind, c in cases:
+            adj = adjugate(c)
+            assert all(type(x) is type(one) for row in adj for x in row)
+            if n == 1:
+                assert adj == [[one]]
+            d = det_ring(c)
+            if field is not None:
+                assert d == det_bareiss(c, field)
+            zero = d - d
+            if kind != "random":
+                assert d == zero
+            if kind == "rank <= n-2":
+                assert adj == [[zero] * n for _ in range(n)]
+            scalar = [[d if i == j else zero for j in range(n)] for i in range(n)]
+            assert _product(c, adj) == scalar
+            assert _product(adj, c) == scalar
 
 
 def test_det_ring_matches_bareiss():
@@ -958,14 +946,12 @@ def test_proj_ratio_reads_rows_matrices_arrays_and_forms(name, data):
     a, b = _matrix_pair(data, scalar, dom)
     flat = proj_ratio([x for r in a for x in r], [x for r in b for x in r], dom)
     assert proj_ratio(a, b, dom) == flat
-    assert proj_ratio(Matrix(a), Matrix(b), dom) == flat
-    assert proj_ratio(Matrix(a), b, dom) == flat
-    assert proj_ratio([Matrix(a), Matrix(a)], [Matrix(b), Matrix(b)], dom) == flat
+    assert proj_ratio([tuple(r) for r in a], b, dom) == flat
+    assert proj_ratio([a, a], [b, b], dom) == flat
     # forms pair up over the union of their supports, so entries that are
     # zero on both sides drop out and the ratio is unchanged
     assert proj_ratio(_row_forms(a, dom), _row_forms(b, dom), dom) == flat
-    assert proj_ratio([Matrix([_row_forms(a, dom)])],
-                      [Matrix([_row_forms(b, dom)])], dom) == flat
+    assert proj_ratio([[_row_forms(a, dom)]], [[_row_forms(b, dom)]], dom) == flat
     # int64 arrays compare as their Python ints
     ai, bi = _matrix_pair(data, st.integers(-5, 5), QQ)
     flat = proj_ratio([x for r in ai for x in r], [x for r in bi for x in r], dom)
@@ -981,9 +967,9 @@ def test_proj_ratio_stops_at_the_first_mismatch():
 
     assert proj_ratio([1, 3, 5, 7], then_raise([1, 2]), QQ) is None
     assert proj_ratio([[1, 3], [5]], then_raise([[1, 2]]), QQ) is None
-    m = Matrix([[1, 2], [3, 4]])
-    assert proj_ratio([m.map(lambda x: 2 * x), m],
-                      then_raise([m.map(lambda x: x + 1)]), QQ) is None
+    m = [[1, 2], [3, 4]]
+    assert proj_ratio([[[2 * x for x in r] for r in m], m],
+                      then_raise([[[x + 1 for x in r] for r in m]]), QQ) is None
     x = SparsePoly.variable(0, 2, QQ)
     assert proj_ratio([x, x], then_raise([2 * x + 1]), QQ) is None
 
@@ -996,13 +982,13 @@ def test_proj_distance_is_exact_or_chordal(name, data):
     a, b = _matrix_pair(data, scalar, dom)
     d = proj_distance(a, b, dom)
     assert d == (1.0 if proj_ratio(a, b, dom) is None else 0.0)
-    assert same_point(Matrix(a), Matrix(b), dom) == (d == 0.0)
+    assert same_point([a], [b], dom) == (d == 0.0)
     ai, bi = _matrix_pair(data, st.integers(-5, 5), QQ)
     u = [[complex(x, 1 - x) for x in r] for r in ai]
     v = [[complex(x, 1 - x) for x in r] for r in bi]
     flat_u, flat_v = [x for r in u for x in r], [x for r in v for x in r]
     assert proj_distance(u, v, CC) == chordal_distance(flat_u, flat_v)
-    assert proj_distance(np.array(u), Matrix(v), CC) == chordal_distance(flat_u, flat_v)
+    assert proj_distance(np.array(u), v, CC) == chordal_distance(flat_u, flat_v)
     assert proj_distance(_row_forms(u, CC), _row_forms(v, CC), CC) \
         == chordal_distance(flat_u, flat_v)
 
@@ -1034,4 +1020,4 @@ def test_all_distinct_sees_a_scaled_copy(dom):
 def test_complex_rank_agrees_with_exact_rank(rows):
     exact = rank(frac_rows(rows), QQ)
     assert rank([[complex(x) for x in r] for r in rows], CC) == exact
-    assert rank(Matrix([[complex(x, x) for x in r] for r in rows]), CC) == exact
+    assert rank(np.array([[complex(x, x) for x in r] for r in rows]), CC) == exact

@@ -7,13 +7,17 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "weddle"
 MODULES = sorted(SRC.glob("*.py"))
+ROOT = SRC.parent.parent
+# the package modules keep their bare ids; tests and demos are prefixed
+SCRIPTS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_modules_are_found():
     assert MODULES
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda path: (
+    path.stem if path.parent == SRC else "%s/%s" % (path.parent.name, path.stem)))
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), str(path))
     imported = set()

@@ -390,6 +390,21 @@ def test_cli_degenerate_web_exits_2(monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["run", "--suite", "theta"], "sampled quadric rows have nullity 0, not 1",
+                 id="run-theta"),
+    pytest.param(["weddle-theta"], "expected 6 half periods in the odd eigenspace, got 0",
+                 id="weddle-theta")])
+def test_cli_degenerate_omega_exits_2(argv, message, tmp_path, capsys):
+    # a period matrix near zero: its level-3 image spans no invariant
+    # quadric, and no half period lands in the odd eigenspace
+    omega = tmp_path / "omega.txt"
+    omega.write_text("0 0.01 0 0 0 0 0 0.01\n")
+    assert main(argv + ["--omega", str(omega)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: %s\n" % message
+
+
 @pytest.mark.parametrize("suite, p", [pytest.param("curve", p, id=str(p))
                                       for p in (11, 13, 17, 23, 37)]
                          + [pytest.param("burk", p, id="burk-%d" % p)
